@@ -20,14 +20,13 @@ from .catalog import (
 )
 from .construction import CodeSpec, CoefficientBox, gamma_basis, lattice_basis
 from .decay import (
-    ALL_USERS, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded, DecayReport,
-    curve_csv_text, curve_json_obj, decay_curve, fit_decay_exponent,
+    ALL_USERS, DEFAULT_BUDGET, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded,
+    DecayReport, curve_csv_text, curve_json_obj, decay_curve, fit_decay_exponent,
     rank_criterion_check, two_user_singularity_test, zero_det_witness_2user,
 )
 from .number_field import Tower
 from .quadratic import QuadElem, RingTag
 
-DEFAULT_BUDGET = 10**8
 DEFAULT_TOLERANCE = 0.6
 DEFAULT_NORM_BOUND = 20
 DEFAULT_SAMPLES = 1000

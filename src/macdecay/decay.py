@@ -10,6 +10,7 @@ and comparisons happen in the number field, never in floating point.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,10 +24,12 @@ from .construction import (
     codeword_from_coeffs,
 )
 from .kernels import (
-    INT64_LIMIT, IntKernel, OverflowRisk, UserTensors, coeff_grid,
-    det_float_batch, det_int_batch, det_slack_batch, grid_size, stack_users,
+    GRID_ROW_CAP, INT64_LIMIT, IntKernel, OverflowRisk, UserTensors,
+    coeff_grid, det_float_batch, det_int_batch, det_slack_batch, grid_size,
+    stack_users,
 )
 from .number_field import FieldElem, RealAlgebraic
+from .quadratic import QuadElem
 
 EXHAUSTIVE = "EXHAUSTIVE"
 SAMPLED = "SAMPLED"
@@ -211,8 +214,53 @@ def _mixed_radix_rows(flat: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
     return out
 
 
+def orbit_units(kern: IntKernel) -> list[np.ndarray]:
+    """Multiplication matrices of the units zeta = x + y*mu of O_K (|x|, |y|
+    <= 1, zeta != 1) that act on gamma-coordinates as signed permutations:
+    {-1, i, -i} over Q(i), {-1} over Q(sqrt(-3)).
+
+    zeta is fixed by sigma, so scaling one user's data by zeta scales that
+    user's n_t rows by zeta and leaves |det| unchanged; a signed permutation
+    maps the box [-N, N]^r onto itself.  Together with 1 these units form a
+    group acting freely on nonzero coefficient vectors."""
+    out = []
+    for x in (-1, 0, 1):
+        for y in (-1, 0, 1):
+            if (x, y) == (1, 0):
+                continue
+            mat = kern.mult_vec_mat(QuadElem(x, y, kern.tower.tag))
+            absm = np.abs(mat)
+            if (absm.sum(axis=0) == 1).all() and (absm.sum(axis=1) == 1).all():
+                out.append(mat)
+    return out
+
+
+def orbit_representatives(
+    grid: np.ndarray, N: int, units: list[np.ndarray]
+) -> np.ndarray:
+    """Rows of a lex-ascending coeff_grid(N, r) that are lex-smallest in
+    their unit orbit, each unit acting on every antenna slot's block of
+    gamma-coordinates.  The kept rows stay in lex order."""
+    n, r = grid.shape
+    dim = units[0].shape[0]
+    # mixed-radix index of (v + N): lex order as an int64 (grid row cap)
+    weights = (2 * N + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    key = (grid + N) @ weights
+    slots = grid.reshape(n, r // dim, dim)
+    keep = np.ones(n, dtype=bool)
+    for mat in units:
+        image = (slots @ mat).reshape(n, r)
+        keep &= key <= (image + N) @ weights
+    return grid[keep]
+
+
 class _SearchContext:
-    """Everything a scan needs, rebuilt once per worker process."""
+    """Everything a scan needs, rebuilt once per worker process.
+
+    An EXHAUSTIVE grid holds one coefficient vector per unit orbit of its
+    user (see orbit_units).  The set of minimizers is closed under the
+    per-user unit action, so its lex-smallest member survives the reduction
+    and the first-index tie-break picks the same argmin as a full scan."""
 
     def __init__(self, spec: CodeSpec, bounds: tuple[int, ...], mode: str):
         self.spec = spec
@@ -221,8 +269,12 @@ class _SearchContext:
         self.kern = IntKernel(spec.tower)
         self.uts = [UserTensors(spec, self.kern, j + 1) for j in range(spec.U)]
         if mode == EXHAUSTIVE:
+            units = orbit_units(self.kern)
             self.grids = [
-                coeff_grid(bounds[j], self.uts[j].r) for j in range(spec.U)
+                orbit_representatives(
+                    coeff_grid(bounds[j], self.uts[j].r), bounds[j], units
+                )
+                for j in range(spec.U)
             ]
             self.blocks = []
             self.errs = []
@@ -407,8 +459,11 @@ def min_abs_det(
 ) -> DecayReport:
     """Minimum |det| over coefficient boxes with every user active.
 
-    EXHAUSTIVE scans the whole box (refused above the codeword budget);
-    SAMPLED draws boxes from the recorded seed and yields an upper bound.
+    EXHAUSTIVE scans the whole box (refused above the codeword budget or
+    the coefficient-grid row cap); SAMPLED draws boxes from the recorded
+    seed and yields an upper bound.  The exhaustive scan covers one
+    coefficient vector per unit orbit of each user (|det| is the same on
+    the whole orbit), and ``evaluated`` still counts every covered codeword.
     The result is deterministic for any worker count: the grid is split
     into fixed chunks by user-1 prefix, each chunk's minimum is exact, and
     the final merge compares exactly in chunk order.
@@ -422,6 +477,7 @@ def min_abs_det(
     if mode not in (EXHAUSTIVE, SAMPLED):
         raise ValueError(f"unknown mode {mode!r}")
     lengths = [spec.r_per_user for _ in bounds]
+    kern = IntKernel(spec.tower)
 
     tasks = []
     if mode == EXHAUSTIVE:
@@ -433,7 +489,14 @@ def min_abs_det(
                 f"exhaustive search needs {total} codewords, budget is {budget};"
                 " use SAMPLED mode"
             )
-        g1 = grid_size(bounds[0], lengths[0])
+        for N, r in zip(bounds, lengths):
+            rows = grid_size(N, r) + 1  # coeff_grid builds the zero row too
+            if rows > GRID_ROW_CAP:
+                raise BudgetExceeded(
+                    f"coefficient grid of {rows} rows exceeds the"
+                    f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
+                )
+        g1 = grid_size(bounds[0], lengths[0]) // (len(orbit_units(kern)) + 1)
         ci = 0
         for start in range(0, g1, CHUNK_U1_ROWS):
             tasks.append(
@@ -485,7 +548,6 @@ def min_abs_det(
         results = [_worker_chunk(t) for t in tasks]
 
     results.sort(key=lambda r: r["chunk"])
-    kern = IntKernel(spec.tower)
     best = None
     for res in results:
         num_fe = kern.vec_to_num(res["num"])
@@ -558,8 +620,6 @@ def fit_decay_exponent(curve: list[DecayReport]) -> dict:
     """Ordinary least squares of log D against log N over a curve."""
     if len(curve) < 3:
         raise ValueError("need at least 3 points to fit")
-    import math
-
     xs, ys = [], []
     for rep in curve:
         if rep.D_value <= 0:
@@ -706,13 +766,10 @@ def zero_det_witness_2user(a, b, c, d):
     # clear denominators with a rational integer, then strip the content
     mult = 1
     for q in z.coords:
-        mult = _lcm(mult, q.a.denominator)
-        mult = _lcm(mult, q.b.denominator)
+        mult = math.lcm(mult, q.a.denominator, q.b.denominator)
     w = z * mult
     if not w.is_integral():
         raise AssertionError("denominator clearing failed")
-    import math
-
     content = 0
     for q in w.coords:
         content = math.gcd(content, abs(int(q.a)), abs(int(q.b)))
@@ -722,12 +779,6 @@ def zero_det_witness_2user(a, b, c, d):
     if det:
         raise AssertionError("constructed witness does not kill the determinant")
     return w, one
-
-
-def _lcm(a: int, b: int) -> int:
-    import math
-
-    return a * b // math.gcd(a, b) if b else a
 
 
 def two_user_box_scan(
@@ -780,14 +831,12 @@ def valuation_split_check(spec: CodeSpec, box: CoefficientBox) -> tuple:
 
     Requires every user's data vector to have minimum valuation 0; raises
     if the input violates that or the inequality chain fails."""
-    import math as _math
-
     U, n_t, k, p = spec.U, spec.n_t, spec.k, spec.p
     lead_num = spec.tower.one()
     for j in range(U):
         vec = box.vectors[j]
         xs = _user_data(spec, vec)
-        vmin = min((x.valuation(p) for x in xs if x), default=_math.inf)
+        vmin = min((x.valuation(p) for x in xs if x), default=math.inf)
         if vmin != 0:
             raise ValueError("each user needs minimum valuation 0")
         mnum, ms = det_exact(build_M(spec, xs))

@@ -18,6 +18,7 @@ from .construction import CodeSpec, gamma_basis, lattice_basis
 from .number_field import FieldElem, Tower
 
 INT64_LIMIT = 1 << 62
+GRID_ROW_CAP = 40_000_000  # largest coefficient grid coeff_grid will build
 # covers enclosure radii, float64 conversion and linear-combination rounding
 EMB_REL_ERR = 2.0**-44
 # covers naive/LAPACK determinant evaluation error, folded into row norms
@@ -167,7 +168,7 @@ def coeff_grid(N: int, length: int) -> np.ndarray:
         raise ValueError("N and length must be positive")
     base = 2 * N + 1
     count = base**length
-    if count > 40_000_000:
+    if count > GRID_ROW_CAP:
         raise MemoryError(f"coefficient grid of {count} rows is too large")
     idx = np.arange(count, dtype=np.int64)
     cols = []

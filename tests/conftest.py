@@ -47,3 +47,15 @@ def miso_tower():
 @pytest.fixture(scope="session")
 def miso_spec(miso_tower):
     return CodeSpec(miso_tower, QuadElem(2, 1, RingTag.GAUSSIAN))
+
+
+@pytest.fixture(scope="session")
+def eisenstein_tower():
+    # degree-2 period field over Q(sqrt(-3)), two single-antenna users
+    return build_tower(RingTag.EISENSTEIN, 2, 1)
+
+
+@pytest.fixture(scope="session")
+def eisenstein_spec(eisenstein_tower):
+    # -2 + omega, the first inert prime find_inert_primes returns
+    return CodeSpec(eisenstein_tower, QuadElem(-2, 1, RingTag.EISENSTEIN))

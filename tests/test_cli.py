@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from macdecay import cli
+from macdecay import cli, decay
 
 
 GOLDEN_CODE = {"K": "Q(i)", "U": 2, "n_t": 1, "p": [1, 1]}
@@ -112,6 +112,27 @@ class TestDecayCommand:
         captured = capsys.readouterr()
         assert rc == 3
         assert "budget exceeded" in captured.err
+
+    def test_oversized_grid_is_exit_3_without_allocating(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_grid(N, length):
+            raise AssertionError("a coefficient grid was built")
+
+        monkeypatch.setattr(decay, "coeff_grid", no_grid)
+        # one user with 18 coordinates: 3^18 rows at N=1, over the grid row cap
+        cfg = write_config(
+            tmp_path, {"code": {"K": "Q(i)", "U": 1, "n_t": 3, "p": [2, 1]}}
+        )
+        rc = cli.main(
+            ["decay", "--config", cfg, "--nmax", "1", "--budget", "1000000000",
+             "--workers", "1"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("budget exceeded: coefficient grid of 387420489")
 
     def test_env_budget_applies_and_flag_wins(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE)})

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from macdecay import decay, kernels
 from macdecay.construction import (
     CodeSpec, CoefficientBox, assemble_codeword, build_M, codeword_from_coeffs,
     gamma_basis,
@@ -14,11 +15,13 @@ from macdecay.decay import (
     ALL_USERS, CSV_HEADER, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded,
     DecayReport, RankReport, abs_sq_of_det, curve_csv_text, curve_json_obj,
     decay_curve, det_exact, det_value, fit_decay_exponent, min_abs_det,
-    naive_min_abs_det, rank_criterion_check, two_user_box_scan,
-    two_user_singularity_test, valuation_split_check, write_curve_files,
-    zero_det_witness_2user, _laplace_det,
+    naive_min_abs_det, orbit_representatives, orbit_units,
+    rank_criterion_check, two_user_box_scan, two_user_singularity_test,
+    valuation_split_check, write_curve_files, zero_det_witness_2user,
+    _laplace_det,
 )
-from macdecay.kernels import IntKernel, OverflowRisk
+from macdecay.kernels import IntKernel, OverflowRisk, coeff_grid, grid_size
+from macdecay.quadratic import QuadElem, RingTag
 
 from util import rand_box, rand_elem
 
@@ -285,6 +288,30 @@ class TestMinAbsDetEngine:
         assert det_value(quartic_spec, num, s) == rep.exact_det
         assert abs_sq_of_det(quartic_spec, num, s) == rep.abs_sq
 
+    def test_exact_stage_object_fallback_matches_int64(
+        self, golden_spec, monkeypatch
+    ):
+        boxes = ((2, 1), (1, 2))
+        wants = [min_abs_det(golden_spec, b) for b in boxes]
+        exact_calls = []
+
+        def counting_det_exact(A):
+            exact_calls.append(A)
+            return det_exact(A)
+
+        # every int64 determinant batch now fails its overflow audit
+        monkeypatch.setattr(kernels, "INT64_LIMIT", 1)
+        monkeypatch.setattr(decay, "det_exact", counting_det_exact)
+        for bounds, want in zip(boxes, wants):
+            exact_calls.clear()
+            got = min_abs_det(golden_spec, bounds)
+            assert exact_calls  # the object path decided this report
+            assert got.D_value == want.D_value
+            assert got.argmin == want.argmin
+            assert got.det_numerator == want.det_numerator
+            assert got.det_p_exponent == want.det_p_exponent
+            assert got.evaluated == want.evaluated
+
 
 class TestNaiveOracle:
     def test_engine_matches_naive_enumeration(self, golden_spec):
@@ -296,6 +323,81 @@ class TestNaiveOracle:
         assert slow.det_numerator == fast.det_numerator
         assert slow.det_p_exponent == fast.det_p_exponent
         assert slow.evaluated == fast.evaluated == 6400
+
+
+# ---------------------------------------------------------------------------
+# unit-orbit reduction of the exhaustive scan
+
+
+def unit_image(vec, mat):
+    """A coefficient vector with every antenna slot's block multiplied by
+    the unit whose gamma-basis matrix is mat."""
+    dim = mat.shape[0]
+    image = np.array(vec, dtype=np.int64).reshape(-1, dim) @ mat
+    return tuple(int(c) for c in image.ravel())
+
+
+class TestOrbitReduction:
+    UNITS = {
+        RingTag.GAUSSIAN: [(-1, 0), (0, -1), (0, 1)],
+        RingTag.EISENSTEIN: [(-1, 0)],
+    }
+
+    @pytest.mark.parametrize("spec_name", ["golden_spec", "cubic_spec", "quartic_spec"])
+    def test_unit_scales_determinant_by_its_n_t_power(self, spec_name, request):
+        spec = request.getfixturevalue(spec_name)
+        tower = spec.tower
+        kern = IntKernel(tower)
+        units = orbit_units(kern)
+        zetas = [QuadElem(x, y, tower.tag) for x, y in self.UNITS[tower.tag]]
+        # row 0 of a multiplication matrix is the unit times gamma_0 = 1
+        assert [kern.vec_to_fe(mat[0]) for mat in units] == [
+            tower.one() * zeta for zeta in zetas
+        ]
+        rng = random.Random(307)
+        for _ in range(3):
+            box = rand_box(spec, rng, 2)
+            num, s = det_exact(assemble_codeword(spec, box))
+            base = det_value(spec, num, s)
+            for j in range(spec.U):
+                for mat, zeta in zip(units, zetas):
+                    vecs = list(box.vectors)
+                    vecs[j] = unit_image(vecs[j], mat)
+                    assert max(map(abs, vecs[j])) <= 2  # the box maps onto itself
+                    image = CoefficientBox(box.bounds, tuple(vecs))
+                    num2, s2 = det_exact(assemble_codeword(spec, image))
+                    scale = tower.one() * zeta**spec.n_t
+                    assert det_value(spec, num2, s2) == scale * base
+
+    @pytest.mark.parametrize(
+        "tower_name, N",
+        [("golden_tower", 1), ("golden_tower", 2), ("cubic_tower", 1),
+         ("eisenstein_tower", 2)],
+    )
+    def test_representatives_are_orbit_minima(self, tower_name, N, request):
+        tower = request.getfixturevalue(tower_name)
+        kern = IntKernel(tower)
+        units = orbit_units(kern)
+        r = tower.n_t * kern.dim
+        grid = coeff_grid(N, r)
+        reps = orbit_representatives(grid, N, units)
+        assert reps.shape[0] * (len(units) + 1) == grid_size(N, r)
+        brute = [
+            row
+            for row in map(tuple, grid.tolist())
+            if row == min([row] + [unit_image(row, mat) for mat in units])
+        ]
+        assert list(map(tuple, reps.tolist())) == brute
+
+    def test_eisenstein_engine_matches_naive(self, eisenstein_spec):
+        fast = min_abs_det(eisenstein_spec, (1, 1))
+        slow = naive_min_abs_det(eisenstein_spec, (1, 1))
+        assert fast.D_value == slow.D_value
+        assert fast.argmin == slow.argmin
+        assert fast.abs_sq == slow.abs_sq
+        assert fast.det_numerator == slow.det_numerator
+        assert fast.det_p_exponent == slow.det_p_exponent
+        assert fast.evaluated == slow.evaluated == 6400
 
 
 # ---------------------------------------------------------------------------
