@@ -3,7 +3,8 @@
 Every command is a pure function of (config, seed): identical inputs give
 byte-identical stdout and files.  Wall-clock timing goes to stderr only.
 Exit codes: 0 success / criteria met, 1 criteria violated, 2 usage or
-config error, 3 enumeration budget exceeded.
+config error, 3 enumeration budget exceeded or a worker process died,
+130 interrupted.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import random
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 from .catalog import (
     build_tower, catalog_rows, find_inert_primes, standard_generators,
@@ -426,6 +428,12 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except BrokenProcessPool as exc:
+        print(f"worker process died: {exc}", file=sys.stderr)
+        return 3
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

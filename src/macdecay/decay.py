@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import signal
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,7 +306,7 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
             [ctx.uts[j].blocks_int(vec_arrays[j]) for j in range(ctx.spec.U)]
         )
         nums, s = det_int_batch(ctx.spec, ctx.kern, stacked)
-        return [list(map(int, row)) for row in nums], s
+        return [tuple(row) for row in nums.tolist()], s
     except OverflowRisk:
         out = []
         s_ref = None
@@ -323,14 +325,21 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
                 raise AssertionError("structural exponent varied across a batch")
             if ctx.kern.entry_scale != 1:
                 num = num * ctx.kern.entry_scale
-            out.append(ctx.kern.fe_to_vec(num))
+            out.append(tuple(ctx.kern.fe_to_vec(num)))
         return out, s_ref
 
 
 def _pick_chunk_min(ctx: _SearchContext, nums, s, boxes: list[tuple]):
-    """Exact local minimum of |det|^2 over candidates, first index wins ties."""
+    """Exact local minimum of |det|^2 over candidates, first index wins ties.
+
+    Equal numerators give equal |det|^2 and the first one already wins the
+    tie, so each distinct numerator is decided once."""
     best = None
+    seen = set()
     for vec, box in zip(nums, boxes):
+        if vec in seen:
+            continue
+        seen.add(vec)
         num_fe = ctx.kern.vec_to_num(vec)
         absq = abs_sq_of_det(ctx.spec, num_fe, s)
         if best is None or absq < best[0]:
@@ -418,16 +427,21 @@ def _worker_init(payload: str) -> None:
     _WORKER_CTX = _SearchContext(spec, tuple(data["bounds"]), data["mode"])
 
 
+def _pool_worker_init(payload: str) -> None:
+    # Ctrl-C reaches the whole process group; the parent alone handles it
+    # and shuts the pool down once the running chunks are done
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_init(payload)
+
+
 def _worker_chunk(task) -> dict:
     ctx = _WORKER_CTX
     if task["kind"] == "E":
         count, s, best = _scan_exhaustive_chunk(ctx, task["start"], task["stop"])
     else:
-        vec_arrays = [np.array(v, dtype=np.int64) for v in task["vecs"]]
-        count, s, best = _scan_sampled_chunk(ctx, vec_arrays)
+        count, s, best = _scan_sampled_chunk(ctx, task["vecs"])
     absq, vec, box = best
     return {
-        "chunk": task["chunk"],
         "count": count,
         "s": s,
         "num": [int(v) for v in vec],
@@ -436,16 +450,69 @@ def _worker_chunk(task) -> dict:
 
 
 def _draw_samples(rng: random.Random, bounds, lengths, count: int):
-    """Centrally drawn per-user coefficient vectors, all users nonzero."""
-    per_user: list[list[list[int]]] = [[] for _ in bounds]
+    """Per-user (count, r) int64 arrays of coefficient vectors, every user
+    nonzero, drawn sample by sample and user by user.
+
+    Each coefficient runs the loop CPython's rng.randint(-N, N) runs:
+    getrandbits(k) with k = (2N + 1).bit_length(), drawn again while it is
+    >= 2N + 1.  So this consumes the same Mersenne Twister words and gives
+    the same vectors as calling randint per coefficient."""
+    draws = [
+        (N, 2 * N + 1, (2 * N + 1).bit_length(), r)
+        for N, r in zip(bounds, lengths)
+    ]
+    flat: list[list[int]] = [[] for _ in bounds]
+    getrandbits = rng.getrandbits
     for _ in range(count):
-        for j, (N, r) in enumerate(zip(bounds, lengths)):
+        for out, (N, n, k, r) in zip(flat, draws):
             while True:
-                vec = [rng.randint(-N, N) for _ in range(r)]
+                vec = []
+                for _ in range(r):
+                    v = getrandbits(k)
+                    while v >= n:
+                        v = getrandbits(k)
+                    vec.append(v - N)
                 if any(vec):
-                    per_user[j].append(vec)
+                    out.extend(vec)
                     break
-    return per_user
+    return [
+        np.array(u, dtype=np.int64).reshape(count, r)
+        for u, r in zip(flat, lengths)
+    ]
+
+
+def _sample_chunks(seed: int, bounds, lengths, samples: int):
+    """SAMPLE_CHUNK-sized draws from one random.Random(seed), in order."""
+    rng = random.Random(seed)
+    for start in range(0, samples, SAMPLE_CHUNK):
+        count = min(SAMPLE_CHUNK, samples - start)
+        yield _draw_samples(rng, bounds, lengths, count)
+
+
+def _chunk_results(tasks, ntasks: int, payload: str, workers: int | None):
+    """Worker results in task order.  Tasks are consumed lazily: the pool
+    holds at most workers + 1 outstanding, so the parent builds the next
+    task while the workers scan and memory stays at a few chunks."""
+    if not (workers and workers > 1 and ntasks > 1):
+        _worker_init(payload)
+        for task in tasks:
+            yield _worker_chunk(task)
+        return
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_pool_worker_init, initargs=(payload,)
+    ) as pool:
+        pending: deque = deque()
+        try:
+            for task in tasks:
+                pending.append(pool.submit(_worker_chunk, task))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        except BaseException:
+            for fut in pending:
+                fut.cancel()
+            raise
 
 
 def min_abs_det(
@@ -461,12 +528,15 @@ def min_abs_det(
 
     EXHAUSTIVE scans the whole box (refused above the codeword budget or
     the coefficient-grid row cap); SAMPLED draws boxes from the recorded
-    seed and yields an upper bound.  The exhaustive scan covers one
-    coefficient vector per unit orbit of each user (|det| is the same on
-    the whole orbit), and ``evaluated`` still counts every covered codeword.
+    seed and yields an upper bound.  Samples are drawn chunk by chunk from
+    the seed's stream while workers scan earlier chunks, so memory does not
+    grow with ``samples`` and the drawn boxes are the same as one draw.
+    The exhaustive scan covers one coefficient vector per unit orbit of
+    each user (|det| is the same on the whole orbit), and ``evaluated``
+    still counts every covered codeword.
     The result is deterministic for any worker count: the grid is split
-    into fixed chunks by user-1 prefix, each chunk's minimum is exact, and
-    the final merge compares exactly in chunk order.
+    into fixed chunks by user-1 prefix (or sample index), each chunk's
+    minimum is exact, and the merge compares exactly in chunk order.
     """
     t0 = time.perf_counter()
     bounds = tuple(int(N) for N in bounds)
@@ -479,7 +549,6 @@ def min_abs_det(
     lengths = [spec.r_per_user for _ in bounds]
     kern = IntKernel(spec.tower)
 
-    tasks = []
     if mode == EXHAUSTIVE:
         total = 1
         for N, r in zip(bounds, lengths):
@@ -497,17 +566,12 @@ def min_abs_det(
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
         g1 = grid_size(bounds[0], lengths[0]) // (len(orbit_units(kern)) + 1)
-        ci = 0
-        for start in range(0, g1, CHUNK_U1_ROWS):
-            tasks.append(
-                {
-                    "kind": "E",
-                    "chunk": ci,
-                    "start": start,
-                    "stop": min(start + CHUNK_U1_ROWS, g1),
-                }
-            )
-            ci += 1
+        starts = range(0, g1, CHUNK_U1_ROWS)
+        tasks = (
+            {"kind": "E", "start": start, "stop": min(start + CHUNK_U1_ROWS, g1)}
+            for start in starts
+        )
+        ntasks = len(starts)
         samples_used = None
         seed_used = None
         evaluated = total
@@ -519,37 +583,19 @@ def min_abs_det(
                 f"sample count {samples} exceeds budget {budget}"
             )
         seed_used = 0 if seed is None else int(seed)
-        rng = random.Random(seed_used)
-        per_user = _draw_samples(rng, bounds, lengths, samples)
-        ci = 0
-        for start in range(0, samples, SAMPLE_CHUNK):
-            stop = min(start + SAMPLE_CHUNK, samples)
-            tasks.append(
-                {
-                    "kind": "S",
-                    "chunk": ci,
-                    "vecs": [per_user[j][start:stop] for j in range(spec.U)],
-                }
-            )
-            ci += 1
+        tasks = (
+            {"kind": "S", "vecs": vecs}
+            for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
+        )
+        ntasks = -(-samples // SAMPLE_CHUNK)
         samples_used = samples
         evaluated = samples
 
     payload = json.dumps(
         {"spec": spec.to_json_dict(), "bounds": list(bounds), "mode": mode}
     )
-    if workers and workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(payload,)
-        ) as pool:
-            results = list(pool.map(_worker_chunk, tasks))
-    else:
-        _worker_init(payload)
-        results = [_worker_chunk(t) for t in tasks]
-
-    results.sort(key=lambda r: r["chunk"])
     best = None
-    for res in results:
+    for res in _chunk_results(tasks, ntasks, payload, workers):
         num_fe = kern.vec_to_num(res["num"])
         absq = abs_sq_of_det(spec, num_fe, res["s"])
         if best is None or absq < best[0]:

@@ -1,5 +1,8 @@
+import functools
 import json
+import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -7,6 +10,11 @@ from macdecay import cli, decay
 
 
 GOLDEN_CODE = {"K": "Q(i)", "U": 2, "n_t": 1, "p": [1, 1]}
+
+
+def die(task):
+    """A worker chunk that kills its process, as an out-of-memory kill would."""
+    os._exit(9)
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -133,6 +141,37 @@ class TestDecayCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("budget exceeded: coefficient grid of 387420489")
+
+    def test_dead_worker_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        # fork, so the worker finds the patched chunk function and this module
+        fork_pool = functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        )
+        monkeypatch.setattr(decay, "ProcessPoolExecutor", fork_pool)
+        monkeypatch.setattr(decay, "_worker_chunk", die)
+        cfg = write_config(
+            tmp_path, {"code": dict(GOLDEN_CODE), "samples": 70000}
+        )
+        rc = cli.main(
+            ["decay", "--config", cfg, "--mode", "sampled", "--nmax", "1",
+             "--workers", "2"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("worker process died: ")
+
+    def test_interrupt_is_exit_130(self, tmp_path, capsys, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "decay_curve", interrupted)
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE)})
+        rc = cli.main(["decay", "--config", cfg, "--nmax", "1"])
+        captured = capsys.readouterr()
+        assert rc == 130
+        assert captured.err.splitlines() == ["interrupted"]
 
     def test_env_budget_applies_and_flag_wins(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE)})

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from macdecay.decay import (
 from macdecay.kernels import IntKernel, OverflowRisk, coeff_grid, grid_size
 from macdecay.quadratic import QuadElem, RingTag
 
-from util import rand_box, rand_elem
+from util import draw_samples_reference, rand_box, rand_elem
 
 
 def coords_str(fe):
@@ -398,6 +399,162 @@ class TestOrbitReduction:
         assert fast.det_numerator == slow.det_numerator
         assert fast.det_p_exponent == slow.det_p_exponent
         assert fast.evaluated == slow.evaluated == 6400
+
+
+# ---------------------------------------------------------------------------
+# streamed SAMPLED search
+
+
+def same_report(a, b):
+    """Every field of two reports but the wall time agrees."""
+    for field in (
+        "bounds", "mode", "samples", "seed", "D_value", "error_radius",
+        "argmin", "exact_det", "det_numerator", "det_p_exponent", "abs_sq",
+        "evaluated",
+    ):
+        assert getattr(a, field) == getattr(b, field), field
+
+
+class RecordingPool(ThreadPoolExecutor):
+    """Thread stand-in for ProcessPoolExecutor counting futures submitted
+    whose result the caller has not read yet."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        # the pool initializer ignores SIGINT, which only the main thread
+        # may do; the plain context set-up is all a thread needs
+        decay._worker_init(*initargs)
+        super().__init__(max_workers=max_workers)
+        self.outstanding = 0
+        self.peak = 0
+
+    def submit(self, fn, *args):
+        fut = super().submit(fn, *args)
+        self.outstanding += 1
+        self.peak = max(self.peak, self.outstanding)
+        read = fut.result
+
+        def result(timeout=None):
+            self.outstanding -= 1
+            return read(timeout)
+
+        fut.result = result
+        return fut
+
+
+class TestSampledStream:
+    @pytest.mark.parametrize(
+        "spec_name,bounds",
+        [
+            ("golden_spec", (1, 1)),
+            ("golden_spec", (3, 1)),
+            ("golden_spec", (2, 2)),
+            ("cubic_spec", (2, 1, 3)),
+            ("quartic_spec", (1, 1)),
+        ],
+    )
+    def test_draw_matches_randint_reference(self, spec_name, bounds, request):
+        spec = request.getfixturevalue(spec_name)
+        lengths = [spec.r_per_user] * spec.U
+        for seed in (0, 11, -7, 2**63):
+            for count in (1, 7, 500):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                got = decay._draw_samples(rng, bounds, lengths, count)
+                want = draw_samples_reference(ref_rng, bounds, lengths, count)
+                assert len(got) == spec.U
+                for arr, vecs in zip(got, want):
+                    assert arr.dtype == np.int64
+                    assert arr.shape == (count, spec.r_per_user)
+                    assert arr.tolist() == vecs
+                # the same Mersenne Twister words were consumed
+                assert rng.getstate() == ref_rng.getstate()
+
+    def test_chunks_concatenate_to_one_draw(self):
+        bounds, lengths = (2, 1), [4, 4]
+        samples = decay.SAMPLE_CHUNK + 5
+        chunks = list(decay._sample_chunks(3, bounds, lengths, samples))
+        assert [c[0].shape[0] for c in chunks] == [decay.SAMPLE_CHUNK, 5]
+        want = draw_samples_reference(random.Random(3), bounds, lengths, samples)
+        for j in range(2):
+            assert np.concatenate([c[j] for c in chunks]).tolist() == want[j]
+
+    def test_pool_draws_at_most_one_chunk_ahead(self, golden_spec, monkeypatch):
+        want = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
+        pools = []
+
+        def recording_pool(**kwargs):
+            pools.append(RecordingPool(**kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr(decay, "SAMPLE_CHUNK", 50)
+        monkeypatch.setattr(decay, "ProcessPoolExecutor", recording_pool)
+        got = min_abs_det(
+            golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11, workers=2
+        )
+        assert len(pools) == 1
+        assert pools[0].peak == 2 + 1  # workers + 1, reached and never passed
+        assert pools[0].outstanding == 0
+        same_report(got, want)
+
+    def test_single_worker_scans_each_chunk_before_the_next_draw(
+        self, golden_spec, monkeypatch
+    ):
+        want = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
+        events = []
+        draw, scan = decay._draw_samples, decay._scan_sampled_chunk
+
+        def logged_draw(*args):
+            events.append("draw")
+            return draw(*args)
+
+        def logged_scan(*args):
+            events.append("scan")
+            return scan(*args)
+
+        monkeypatch.setattr(decay, "SAMPLE_CHUNK", 50)
+        monkeypatch.setattr(decay, "_draw_samples", logged_draw)
+        monkeypatch.setattr(decay, "_scan_sampled_chunk", logged_scan)
+        got = min_abs_det(
+            golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11, workers=1
+        )
+        assert events == ["draw", "scan"] * 8
+        same_report(got, want)
+
+    @pytest.mark.parametrize(
+        "bounds,samples,D_value,argmin",
+        [
+            ((1, 1), 2000, 0.2245139882897927, ((0, 1, -1, 1), (0, 0, -1, 1))),
+            # the frozen point of test_sampled_seeded_frozen
+            ((2, 2), 400, 0.6350214543637981, ((2, 2, -2, -2), (-1, -1, 1, 0))),
+        ],
+    )
+    def test_exact_stage_decides_each_numerator_once(
+        self, golden_spec, monkeypatch, bounds, samples, D_value, argmin
+    ):
+        stage, abs_sq = decay._exact_stage, decay.abs_sq_of_det
+        candidates, distinct, calls = [], [], []
+
+        def recorded_stage(ctx, vec_arrays):
+            nums, s = stage(ctx, vec_arrays)
+            candidates.append(len(nums))
+            distinct.append(len(set(nums)))
+            return nums, s
+
+        def counted_abs_sq(*args):
+            calls.append(args)
+            return abs_sq(*args)
+
+        monkeypatch.setattr(decay, "_exact_stage", recorded_stage)
+        monkeypatch.setattr(decay, "abs_sq_of_det", counted_abs_sq)
+        rep = min_abs_det(
+            golden_spec, bounds, mode=SAMPLED, samples=samples, seed=11
+        )
+        chunks = len(candidates)
+        assert chunks == 1
+        # one call per distinct numerator of a chunk, one per chunk in the merge
+        assert len(calls) == sum(distinct) + chunks
+        assert rep.D_value == D_value
+        assert rep.argmin.vectors == argmin
+        assert rep.evaluated == samples
 
 
 # ---------------------------------------------------------------------------

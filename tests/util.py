@@ -47,3 +47,18 @@ def rand_val0_elem(spec: CodeSpec, rng, bound=2):
         x = rand_elem(spec.tower, rng, bound, nonzero=True)
         if x.valuation(spec.p) == 0:
             return x
+
+
+def draw_samples_reference(rng, bounds, lengths, count):
+    """Per-user coefficient vectors drawn with rng.randint, sample by sample
+    and user by user, an all-zero vector drawn again.  The reference the
+    engine's SAMPLED draw must reproduce word for word."""
+    per_user = [[] for _ in bounds]
+    for _ in range(count):
+        for j, (N, r) in enumerate(zip(bounds, lengths)):
+            while True:
+                vec = [rng.randint(-N, N) for _ in range(r)]
+                if any(vec):
+                    per_user[j].append(vec)
+                    break
+    return per_user
