@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -23,8 +22,9 @@ from .catalog import (
 from .construction import CodeSpec, CoefficientBox, gamma_basis, lattice_basis
 from .decay import (
     ALL_USERS, DEFAULT_BUDGET, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded,
-    DecayReport, curve_csv_text, curve_json_obj, decay_curve, fit_decay_exponent,
-    rank_criterion_check, two_user_singularity_test, zero_det_witness_2user,
+    DecayReport, _sample_chunks, curve_csv_text, curve_json_obj, decay_curve,
+    fit_decay_exponent, rank_criterion_check, two_user_singularity_test,
+    zero_det_witness_2user,
 )
 from .number_field import Tower
 from .quadratic import QuadElem, RingTag
@@ -216,19 +216,15 @@ def cmd_rank_check(args, cfg: dict) -> int:
     seed = int(_pick(args.seed, "", cfg, "seed", 0))
     samples = int(cfg.get("samples", DEFAULT_SAMPLES))
     bound = int(_pick(args.nmax, "", cfg, "nmax", 2))
-    rng = random.Random(seed)
-    r = spec.r_per_user
+    if bound < 1:
+        raise ValueError("nmax must be positive")
+    bounds = (bound,) * spec.U
 
     def boxes():
-        for _ in range(samples):
-            vecs = []
-            for _j in range(spec.U):
-                while True:
-                    v = tuple(rng.randint(-bound, bound) for _ in range(r))
-                    if any(v):
-                        break
-                vecs.append(v)
-            yield CoefficientBox((bound,) * spec.U, tuple(vecs))
+        lengths = (spec.r_per_user,) * spec.U
+        for vecs in _sample_chunks(seed, bounds, lengths, samples):
+            for row in zip(*(v.tolist() for v in vecs)):
+                yield CoefficientBox(bounds, tuple(map(tuple, row)))
 
     report = rank_criterion_check(spec, boxes())
     resolved = _resolved_config_obj(

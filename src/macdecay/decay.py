@@ -26,9 +26,9 @@ from .construction import (
     codeword_from_coeffs,
 )
 from .kernels import (
-    GRID_ROW_CAP, INT64_LIMIT, IntKernel, OverflowRisk, UserTensors,
-    coeff_grid, det_float_batch, det_int_batch, det_slack_batch, grid_size,
-    stack_users,
+    GRID_ROW_CAP, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
+    UserTensors, coeff_grid, det_float_batch, det_int_batch, det_slack_batch,
+    grid_size, stack_users,
 )
 from .number_field import FieldElem, RealAlgebraic
 from .quadratic import QuadElem
@@ -144,7 +144,9 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     """Exact nonzero-determinant check over a stream of coefficient boxes.
 
     Also records tau-fixedness of every determinant numerator, so one sweep
-    certifies both the rank criterion and membership of det(A) in F."""
+    certifies both the rank criterion and membership of det(A) in F.  Every
+    box must hold spec.U vectors of length spec.r_per_user, each nonzero;
+    otherwise ValueError."""
     kern = IntKernel(spec.tower)
     uts = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
     tau = kern.sigma_vec_mat(spec.U)
@@ -158,12 +160,21 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
         nonlocal total
         if not batch:
             return
-        arrs = []
-        for j in range(spec.U):
-            arrs.append(
-                np.array([b.vectors[j] for b in batch], dtype=np.int64)
+        shape = (len(batch), spec.U, spec.r_per_user)
+        try:
+            coeffs = np.array([b.vectors for b in batch], dtype=np.int64)
+        except ValueError:  # ragged vectors
+            coeffs = None
+        if coeffs is None or coeffs.shape != shape:
+            raise ValueError(
+                f"rank criterion needs {spec.U} coefficient vectors of length "
+                f"{spec.r_per_user} per box"
             )
-        stacked = stack_users([uts[j].blocks_int(arrs[j]) for j in range(spec.U)])
+        if not coeffs.any(axis=2).all():
+            raise ValueError("rank criterion requires every user active")
+        stacked = stack_users(
+            [uts[j].blocks_int(coeffs[:, j]) for j in range(spec.U)]
+        )
         try:
             nums, _ = det_int_batch(spec, kern, stacked)
             if nums.size and int(np.abs(nums).max()) * tau_colsum >= INT64_LIMIT:
@@ -190,8 +201,6 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
         batch.clear()
 
     for box in boxes:
-        if not box.all_users_nonzero():
-            raise ValueError("rank criterion requires every user active")
         batch.append(box)
         if len(batch) >= SUB_BATCH:
             flush()
@@ -854,16 +863,19 @@ def two_user_box_scan(
     if max(x + y for x, y in zip(t1, t2)) > INT64_LIMIT:
         raise OverflowRisk("box scan bound exceeds the int64 budget")
 
-    grid = coeff_grid(bound, kern.dim)
-    sgrid = grid @ sig
+    grid = coeff_grid(bound, kern.dim).T  # coordinate-major (dim, count)
+    sgrid = SparseMap(sig)(grid)
+    ad_map, bc_map = SparseMap(mat_ad), SparseMap(mat_bc)
+    count = grid.shape[1]
     zeros = 0
-    step = max(1, 4_000_000 // (grid.shape[0] * kern.dim))
-    for start in range(0, grid.shape[0], step):
-        x = grid[start : start + step]
-        sx = sgrid[start : start + step]
-        det = kern.pairwise_mul(x, sgrid) @ mat_ad
-        det -= kern.pairwise_mul(sx, grid) @ mat_bc
-        zeros += int(np.count_nonzero(~np.any(det, axis=2)))
+    # kern.mul builds a (dim, dim, step, count) outer product
+    step = max(1, 4_000_000 // (count * kern.dim**2))
+    for start in range(0, count, step):
+        x = grid[:, start : start + step, None]
+        sx = sgrid[:, start : start + step, None]
+        det = ad_map(kern.mul(x, sgrid[:, None]))
+        det -= bc_map(kern.mul(sx, grid[:, None]))
+        zeros += int(np.count_nonzero(~np.any(det, axis=0)))
     return zeros
 
 

@@ -1,8 +1,12 @@
 """Batched integer and float fast paths for codeword determinants.
 
 Elements of O_L are flattened to integer vectors over the 2d-element basis
-mu^b theta^a, so determinant sweeps run as vectorized int64 tensor
-contractions.  Every int64 batch is preceded by an exact overflow audit on
+mu^b theta^a.  Batches are coordinate-major: an array of shape (dim, ...)
+holds coordinate g of every element in row g, so each arithmetic step is a
+numpy operation over a whole batch.  Multiplication runs through the
+nonzero entries of the basis structure tensor only (one multiply-add per
+entry on the outer product of the two factors), in int64 and without
+BLAS.  Every int64 batch is preceded by an exact overflow audit on
 per-coordinate magnitude bounds; every float screen carries a rigorous
 slack so it can only propose candidates, never decide a comparison.
 """
@@ -29,17 +33,50 @@ class OverflowRisk(ArithmeticError):
     """An int64 batch could exceed 2^62; caller must take the object path."""
 
 
+class SparseMap:
+    """The integer linear map x -> x @ mat on coordinate-major batches.
+
+    x has shape (rows, ...) and the result (cols, ...).  Output coordinate c
+    is accumulated from the nonzero entries of column c only, one int64
+    multiply-add each; the caller's overflow audit bounds every partial
+    sum, since each is a sum of terms the audit counts in absolute value."""
+
+    def __init__(self, mat: np.ndarray):
+        self.cols = [
+            [(int(g), int(mat[g, c])) for g in np.flatnonzero(mat[:, c])]
+            for c in range(mat.shape[1])
+        ]
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(self.cols),) + x.shape[1:], dtype=np.int64)
+        for acc, terms in zip(out, self.cols):
+            for g, w in terms:
+                if w == 1:
+                    acc += x[g]
+                elif w == -1:
+                    acc -= x[g]
+                else:
+                    acc += w * x[g]
+        return out
+
+
 class IntKernel:
     """Integer-coordinate arithmetic of O_L bound to one tower.
 
-    Vectors are coordinates over the mu^b theta^a basis.  That basis spans a
-    finite-index subring of O_L; when the index is not 1 (the degree-4 tower
-    is the shipped example), sigma-images of basis elements pick up bounded
-    denominators.  ``entry_scale`` is the least common denominator over all
-    sigma-images of the basis: codeword entry numerators are stored times
-    entry_scale, and det_int_batch returns entry_scale * (true numerator),
-    which vec_to_num undoes.  Towers whose basis is sigma-stable have
-    entry_scale == 1 and the scaling is the identity throughout."""
+    Vectors are coordinates over the mu^b theta^a basis; batched methods
+    take and return them coordinate-major, shape (dim, ...).  ``mul`` is the
+    one product: the SparseMap of the structure tensor ``mul_tensor``
+    (gamma_a * gamma_b = sum_c mul_tensor[a, b, c] gamma_c) applied to the
+    (dim, dim, ...) outer product of its factors.
+
+    The basis spans a finite-index subring of O_L; when the index is not 1
+    (the degree-4 tower is the shipped example), sigma-images of basis
+    elements pick up bounded denominators.  ``entry_scale`` is the least
+    common denominator over all sigma-images of the basis: codeword entry
+    numerators are stored times entry_scale, and det_int_batch returns
+    entry_scale * (true numerator), which vec_to_num undoes.  Towers whose
+    basis is sigma-stable have entry_scale == 1 and the scaling is the
+    identity throughout."""
 
     def __init__(self, tower: Tower):
         self.tower = tower
@@ -54,17 +91,18 @@ class IntKernel:
                 tens[i, j] = vec
                 tens[j, i] = vec
         self.mul_tensor = tens
+        self._mul_map = SparseMap(tens.reshape(dim * dim, dim))
         self._abs_tensor = [
             [[abs(int(tens[a, b, c])) for c in range(dim)] for b in range(dim)]
             for a in range(dim)
         ]
         self._sigma_cache: dict[int, np.ndarray] = {}
         self._mult_cache: dict = {}
+        self._power_cache: dict = {}
         emb = np.empty(dim, dtype=np.complex128)
         for g, el in enumerate(self.gamma):
             emb[g] = el.embed(50).mid()
         self.emb = emb
-        self.emb_abs = np.abs(emb)
         scale = 1
         for t in range(1, self.d):
             for g in self.gamma:
@@ -120,20 +158,26 @@ class IntKernel:
             self._mult_cache[key] = np.array(rows, dtype=np.int64)
         return self._mult_cache[key]
 
-    def rowwise_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(n, dim) x (n, dim) -> (n, dim), products row by row."""
-        tmp = u @ self.mul_tensor.reshape(self.dim, self.dim * self.dim)
-        tmp = tmp.reshape(-1, self.dim, self.dim)
-        return np.einsum("nbc,nb->nc", tmp, v)
+    def power_maps(self, elem, top: int) -> tuple[list, list]:
+        """Right-multiplication matrices of elem^0, ..., elem^top and their
+        SparseMaps, built once per kernel and (elem, top)."""
+        key = (elem, top)
+        if key not in self._power_cache:
+            mat = self.mult_vec_mat(elem)
+            mats = [np.eye(self.dim, dtype=np.int64)]
+            for _ in range(top):
+                mats.append(mats[-1] @ mat)
+            self._power_cache[key] = (mats, [SparseMap(m) for m in mats])
+        return self._power_cache[key]
 
-    def pairwise_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(n, dim) x (m, dim) -> (n, m, dim), all cross products."""
-        tmp = u @ self.mul_tensor.reshape(self.dim, self.dim * self.dim)
-        tmp = tmp.reshape(-1, self.dim, self.dim)
-        return np.einsum("nbc,mb->nmc", tmp, v)
+    def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Products of coordinate-major batches: (dim, ...) x (dim, ...) ->
+        (dim, ...), the trailing axes broadcast as in u * v."""
+        outer = u[:, None] * v[None, :]
+        return self._mul_map(outer.reshape((self.dim**2,) + outer.shape[2:]))
 
     def product_bound(self, ub_u, ub_v) -> list[int]:
-        """Exact per-coordinate magnitude bound for rowwise products."""
+        """Exact per-coordinate magnitude bound for products."""
         dim = self.dim
         out = [0] * dim
         absT = self._abs_tensor
@@ -250,33 +294,27 @@ def det_int_batch(
     entry_scale so it stays integral even when the true numerator has
     denominators over the basis.  Raises OverflowRisk if the audited bounds
     could leave int64.
+
+    The subset DP runs coordinate-major on one transposed copy of stacked;
+    a term whose sub-minor is the empty one (= 1) is the entry itself.
     """
     sched = det_schedule(spec)
     n = sched.n
     if stacked.shape[1:] != (n, n, kern.dim):
         raise ValueError("stacked batch has wrong shape")
-    pmat = kern.mult_vec_mat(spec.p)
-    pmats = [np.eye(kern.dim, dtype=np.int64)]
-    for _ in range(sched.max_pad):
-        pmats.append(pmats[-1] @ pmat)
+    pmats, pmaps = kern.power_maps(spec.p, sched.max_pad)
 
-    ub_entry = [
-        [[int(v) for v in np.max(np.abs(stacked[:, i, c, :]), axis=0)] for c in range(n)]
-        for i in range(n)
-    ]
-    ub = {0: None}
-    dp = {0: None}
+    entries = np.ascontiguousarray(stacked.transpose(1, 2, 3, 0))
+    ub_entry = np.abs(entries).max(axis=3).tolist()
+    ub = {0: [1] + [0] * (kern.dim - 1)}
+    dp = {}
     batch = stacked.shape[0]
-    ones = np.zeros((batch, kern.dim), dtype=np.int64)
-    ones[:, 0] = 1
-    dp[0] = ones
-    ub[0] = [1] + [0] * (kern.dim - 1)
     for level in sched.steps:
         i = bin(level[0][0]).count("1") - 1
         new_dp = {}
         new_ub = {}
         for mask, terms in level:
-            acc = None
+            acc = np.zeros((kern.dim, batch), dtype=np.int64)
             bound = [0] * kern.dim
             for c, sign, pad in terms:
                 sub = mask ^ (1 << c)
@@ -288,18 +326,19 @@ def det_int_batch(
                     raise OverflowRisk(
                         f"determinant DP bound exceeds int64 at subset {mask:b}"
                     )
-                term = kern.rowwise_mul(stacked[:, i, c, :], dp[sub])
+                term = entries[i, c]
+                if sub:
+                    term = kern.mul(term, dp[sub])
                 if pad:
-                    term = term @ pmats[pad]
+                    term = pmaps[pad](term)
                 if sign < 0:
-                    term = -term
-                acc = term if acc is None else acc + term
+                    acc -= term
+                else:
+                    acc += term
             new_dp[mask] = acc
             new_ub[mask] = bound
         dp = new_dp
         ub = new_ub
-        dp[0] = ones
-        ub[0] = [1] + [0] * (kern.dim - 1)
     full = (1 << n) - 1
     nums = dp[full]
     if kern.entry_scale != 1:
@@ -310,7 +349,7 @@ def det_int_batch(
         if r.any():
             raise AssertionError("determinant fails the entry-scale division")
         nums = q
-    return nums, sched.total_exp
+    return np.ascontiguousarray(nums.T), sched.total_exp
 
 
 def det_float_batch(mats: np.ndarray) -> np.ndarray:
@@ -384,23 +423,6 @@ class UserTensors:
         """(n, r) int coefficients -> (n, n_t, width, dim) numerator vectors,
         scaled by the kernel's entry_scale (1 on sigma-stable towers)."""
         out = np.tensordot(vecs, self.numv, axes=([1], [0]))
-        return out
-
-    def blocks_int_bound(self, max_abs_coeff: int) -> list[list[list[int]]]:
-        """Per-entry-coordinate magnitude bounds for blocks_int outputs."""
-        r, n_t, width, dim = self.numv.shape
-        out = []
-        for rr in range(n_t):
-            row = []
-            for cc in range(width):
-                row.append(
-                    [
-                        int(max_abs_coeff)
-                        * int(np.sum(np.abs(self.numv[:, rr, cc, g])))
-                        for g in range(dim)
-                    ]
-                )
-            out.append(row)
         return out
 
 

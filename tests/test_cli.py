@@ -2,11 +2,14 @@ import functools
 import json
 import multiprocessing
 import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from macdecay import cli, decay
+
+from util import draw_samples_reference
 
 
 GOLDEN_CODE = {"K": "Q(i)", "U": 2, "n_t": 1, "p": [1, 1]}
@@ -79,6 +82,38 @@ class TestRankCheckCommand:
         result = json.loads((out / "rank_check.json").read_text())
         assert result["total"] == 50 and result["passed"] is True
         assert result["zero_failures"] == [] and result["tau_failures"] == []
+
+    @pytest.mark.parametrize("seed, nmax", [(3, 2), (17, 1)])
+    def test_boxes_follow_the_randint_reference(
+        self, seed, nmax, tmp_path, capsys, monkeypatch
+    ):
+        swept = []
+
+        def capture(spec, boxes):
+            swept.extend(boxes)
+            return decay.RankReport(len(swept), [], [])
+
+        monkeypatch.setattr(cli, "rank_criterion_check", capture)
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 300})
+        rc = cli.main(
+            ["rank-check", "--config", cfg, "--seed", str(seed),
+             "--nmax", str(nmax)]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        want = draw_samples_reference(random.Random(seed), (nmax,) * 2, (4, 4), 300)
+        assert [box.vectors for box in swept] == [
+            tuple(map(tuple, vecs)) for vecs in zip(*want)
+        ]
+        assert {box.bounds for box in swept} == {(nmax, nmax)}
+
+    @pytest.mark.parametrize("nmax", ["0", "-1"])
+    def test_nonpositive_nmax_is_exit_2(self, nmax, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 5})
+        rc = cli.main(["rank-check", "--config", cfg, "--nmax", nmax])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "invalid configuration: nmax must be positive\n"
 
 
 class TestDecayCommand:

@@ -183,6 +183,20 @@ class TestRankCriterion:
         box = CoefficientBox((1, 1), ((1, 0, 0, 0), (0, 0, 0, 0)))
         with pytest.raises(ValueError):
             rank_criterion_check(golden_spec, [box])
+        good = CoefficientBox((1, 1), ((1, 0, 0, 0), (0, 1, 0, 0)))
+        # the first SUB_BATCH boxes are swept before the bad one is read
+        with pytest.raises(ValueError, match="every user active"):
+            rank_criterion_check(golden_spec, [good] * decay.SUB_BATCH + [box])
+        misshapen = [
+            CoefficientBox((1, 1), ((1, 0, 0), (0, 1, 0))),
+            CoefficientBox((1, 1), ((1, 0, 0, 0), (0, 1, 0))),
+            CoefficientBox((1, 1), ((1, 0, 0, 0, 1), (0, 1, 0, 0, 1))),
+            CoefficientBox((1, 1, 1), ((1, 0, 0, 0),) * 3),
+        ]
+        for bad in misshapen:
+            for boxes in ([bad], [good, bad]):
+                with pytest.raises(ValueError, match="vectors of length 4"):
+                    rank_criterion_check(golden_spec, boxes)
 
     def test_p_scaled_data_keeps_full_rank(self, golden_spec):
         # multiplying every user's data by p leaves determinants nonzero and
@@ -203,6 +217,31 @@ class TestRankCriterion:
         assert report.passed and report.total == 50
         num, _ = det_exact(assemble_codeword(golden_spec, boxes[0]))
         assert num.valuation(golden_spec.p) >= golden_spec.U
+
+    @pytest.mark.parametrize(
+        "module", [kernels, decay], ids=["dp-audit", "tau-guard"]
+    )
+    def test_overflow_fallback_matches_int64(
+        self, module, golden_spec, cubic_spec, quartic_spec, monkeypatch
+    ):
+        rng = random.Random(243)
+        sizes = ((golden_spec, 40), (cubic_spec, 20), (quartic_spec, 10))
+        sweeps = [(spec, random_boxes(spec, rng, n)) for spec, n in sizes]
+        wants = [rank_criterion_check(spec, boxes) for spec, boxes in sweeps]
+        exact_calls = []
+
+        def counting_det_exact(A):
+            exact_calls.append(A)
+            return det_exact(A)
+
+        # kernels: the DP audit fails; decay: the tau-product guard fails
+        monkeypatch.setattr(module, "INT64_LIMIT", 1)
+        monkeypatch.setattr(decay, "det_exact", counting_det_exact)
+        for (spec, boxes), want in zip(sweeps, wants):
+            exact_calls.clear()
+            got = rank_criterion_check(spec, boxes)
+            assert len(exact_calls) == len(boxes)  # the object path decided
+            assert got == want
 
     def test_report_passed_property(self, golden_spec):
         box = CoefficientBox((1, 1), ((1, 0, 0, 0), (1, 0, 0, 0)))

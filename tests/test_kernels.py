@@ -14,6 +14,12 @@ from macdecay.kernels import (
 
 from util import rand_box, rand_elem
 
+ALL_TOWERS = [
+    "golden_tower", "cubic_tower", "quartic_tower", "miso_tower",
+    "eisenstein_tower",
+]
+ALL_SPECS = [name.replace("_tower", "_spec") for name in ALL_TOWERS]
+
 
 @pytest.fixture(scope="module")
 def golden_kern(golden_tower):
@@ -65,27 +71,34 @@ class TestIntKernel:
             vec = np.array(quartic_kern.fe_to_vec(x), dtype=np.int64)
             assert quartic_kern.vec_to_fe(vec @ M) == x * y
 
-    def test_rowwise_mul_matches_field(self, golden_kern, golden_tower):
+    @pytest.mark.parametrize("tower_name", ALL_TOWERS)
+    def test_mul_matches_field(self, tower_name, request):
+        tower = request.getfixturevalue(tower_name)
+        kern = IntKernel(tower)
         rng = random.Random(131)
-        xs = [rand_elem(golden_tower, rng, 4) for _ in range(16)]
-        ys = [rand_elem(golden_tower, rng, 4) for _ in range(16)]
-        u = np.array([golden_kern.fe_to_vec(x) for x in xs], dtype=np.int64)
-        v = np.array([golden_kern.fe_to_vec(y) for y in ys], dtype=np.int64)
-        prod = golden_kern.rowwise_mul(u, v)
-        for row, x, y in zip(prod, xs, ys):
-            assert golden_kern.vec_to_fe(row) == x * y
+        xs = [rand_elem(tower, rng, 4) for _ in range(16)]
+        ys = [rand_elem(tower, rng, 4) for _ in range(16)]
+        u = np.array([kern.fe_to_vec(x) for x in xs], dtype=np.int64).T
+        v = np.array([kern.fe_to_vec(y) for y in ys], dtype=np.int64).T
+        prod = kern.mul(u, v)
+        assert prod.shape == (kern.dim, 16)
+        for col, x, y in zip(prod.T, xs, ys):
+            assert kern.vec_to_fe(col) == x * y
 
-    def test_pairwise_mul_matches_field(self, quartic_kern, quartic_tower):
+    @pytest.mark.parametrize("tower_name", ALL_TOWERS)
+    def test_broadcast_mul_matches_field(self, tower_name, request):
+        tower = request.getfixturevalue(tower_name)
+        kern = IntKernel(tower)
         rng = random.Random(137)
-        xs = [rand_elem(quartic_tower, rng, 2) for _ in range(5)]
-        ys = [rand_elem(quartic_tower, rng, 2) for _ in range(4)]
-        u = np.array([quartic_kern.fe_to_vec(x) for x in xs], dtype=np.int64)
-        v = np.array([quartic_kern.fe_to_vec(y) for y in ys], dtype=np.int64)
-        prod = quartic_kern.pairwise_mul(u, v)
-        assert prod.shape == (5, 4, quartic_kern.dim)
+        xs = [rand_elem(tower, rng, 2) for _ in range(5)]
+        ys = [rand_elem(tower, rng, 2) for _ in range(4)]
+        u = np.array([kern.fe_to_vec(x) for x in xs], dtype=np.int64).T
+        v = np.array([kern.fe_to_vec(y) for y in ys], dtype=np.int64).T
+        prod = kern.mul(u[:, :, None], v[:, None, :])
+        assert prod.shape == (kern.dim, 5, 4)
         for a, x in enumerate(xs):
             for b, y in enumerate(ys):
-                assert quartic_kern.vec_to_fe(prod[a, b]) == x * y
+                assert kern.vec_to_fe(prod[:, a, b]) == x * y
 
     def test_product_bound_sound(self, quartic_kern, quartic_tower):
         rng = random.Random(139)
@@ -179,18 +192,21 @@ class TestBatchedDeterminants:
             blocks.append(ut.blocks_int(vecs))
         return stack_users(blocks)
 
-    def test_matches_exact_determinant(self, golden_spec, quartic_spec):
+    def test_matches_exact_determinant(self, request):
         rng = random.Random(149)
-        for spec in (golden_spec, quartic_spec):
+        for spec_name in ALL_SPECS:
+            spec = request.getfixturevalue(spec_name)
             kern = IntKernel(spec.tower)
-            boxes = [rand_box(spec, rng, 2) for _ in range(24)]
-            stacked = self._batch(spec, kern, boxes)
-            nums, s = det_int_batch(spec, kern, stacked)
-            assert s == det_schedule(spec).total_exp
-            for row, box in zip(nums, boxes):
-                num_ref, s_ref = det_exact(assemble_codeword(spec, box))
-                assert s_ref == s
-                assert kern.vec_to_num(row) == num_ref
+            for size in (1, 3, 200):
+                boxes = [rand_box(spec, rng, 2) for _ in range(size)]
+                stacked = self._batch(spec, kern, boxes)
+                nums, s = det_int_batch(spec, kern, stacked)
+                assert nums.shape == (size, kern.dim)
+                assert s == det_schedule(spec).total_exp
+                for row, box in zip(nums, boxes):
+                    num_ref, s_ref = det_exact(assemble_codeword(spec, box))
+                    assert s_ref == s
+                    assert kern.vec_to_num(row) == num_ref, (spec_name, box)
 
     def test_overflow_risk_raised(self, quartic_spec):
         kern = IntKernel(quartic_spec.tower)
