@@ -15,7 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .finite_fields import InertnessInconclusive, is_irreducible_mod_p
+from .finite_fields import (
+    InertnessInconclusive, _is_rational_prime, _prime_factors,
+    is_irreducible_mod_p,
+)
 from .number_field import Tower
 from .polynomials import Poly
 from .quadratic import QuadElem, RingTag, enumerate_primes
@@ -273,7 +276,7 @@ def standard_period_spec(degree: int) -> PeriodSpec:
         raise ValueError("degree must be at least 2")
     m = 2 * degree + 1
     while True:
-        if _is_prime(m) and (m - 1) % (2 * degree) == 0:
+        if _is_rational_prime(m) and (m - 1) % (2 * degree) == 0:
             break
         m += 2 * degree
     return PeriodSpec(m, standard_generators(m, degree))
@@ -282,7 +285,7 @@ def standard_period_spec(degree: int) -> PeriodSpec:
 def standard_generators(m: int, degree: int) -> tuple[int, ...]:
     """Generators of the index-degree subgroup of (Z/m)* for prime m.
     Requires 2*degree | m-1 so that -1 lands in the subgroup (real periods)."""
-    if not _is_prime(m):
+    if not _is_rational_prime(m):
         raise ValueError(f"conductor {m} must be prime")
     if (m - 1) % (2 * degree) != 0:
         raise ValueError(
@@ -292,29 +295,9 @@ def standard_generators(m: int, degree: int) -> tuple[int, ...]:
     return (pow(g, degree, m),)
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _primitive_root(m: int) -> int:
     order = m - 1
-    factors = []
-    n, q = order, 2
-    while q * q <= n:
-        if n % q == 0:
-            factors.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        factors.append(n)
+    factors = _prime_factors(order)
     for g in range(2, m):
         if all(pow(g, order // f, m) != 1 for f in factors):
             return g
@@ -328,7 +311,6 @@ def build_tower(
     m: int | None = None,
     generators: tuple[int, ...] | None = None,
     g0: int | None = None,
-    precision_bits: int = 256,
 ) -> Tower:
     """Construct the tower K(eta_1) for a U*n_t degree period field.
 
@@ -358,7 +340,6 @@ def build_tower(
         U,
         n_t,
         (ps.m, ps.coset_of(1)),
-        precision_bits=precision_bits,
     )
 
 

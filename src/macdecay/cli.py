@@ -19,10 +19,12 @@ from concurrent.futures.process import BrokenProcessPool
 from .catalog import (
     build_tower, catalog_rows, find_inert_primes, standard_generators,
 )
-from .construction import CodeSpec, CoefficientBox, gamma_basis, lattice_basis
+from .construction import (
+    CodeSpec, CoefficientBox, gamma_basis, gamma_elements, lattice_basis,
+)
 from .decay import (
     ALL_USERS, DEFAULT_BUDGET, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded,
-    DecayReport, _sample_chunks, curve_csv_text, curve_json_obj, decay_curve,
+    _sample_chunks, curve_csv_text, curve_json_obj, decay_curve,
     fit_decay_exponent, rank_criterion_check, two_user_singularity_test,
     zero_det_witness_2user,
 )
@@ -332,18 +334,12 @@ def cmd_witness2(args, cfg: dict) -> int:
     if not abcd or len(abcd) != 4:
         raise ConfigError("config key 'abcd' must hold four coordinate vectors")
     basis = gamma_basis(tower)
-    elems = []
     for vec in abcd:
         if len(vec) != len(basis):
             raise ConfigError(
                 f"each coordinate vector needs {len(basis)} integers"
             )
-        acc = tower.zero()
-        for c, g in zip(vec, basis):
-            if c:
-                acc = acc + g * int(c)
-        elems.append(acc)
-    a, b, c, d = elems
+    a, b, c, d = gamma_elements(basis, [c for vec in abcd for c in vec])
     singular = two_user_singularity_test(a, b, c, d)
     resolved = _resolved_config_obj("witness2", cfg, tower=tower, abcd=abcd)
     from .number_field import L_OVER_K

@@ -10,8 +10,6 @@ as explicit integer exponents next to integral numerators.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -139,11 +137,6 @@ class CodeMatrix:
     def __sub__(self, other: CodeMatrix) -> CodeMatrix:
         return self + (-other)
 
-    def scale_int(self, c: int) -> CodeMatrix:
-        return CodeMatrix(
-            self.spec, [[(n * c, e) for n, e in row] for row in self.entries]
-        )
-
     def apply_sigma_entrywise(self, t: int) -> CodeMatrix:
         """sigma^t of every numerator; p is in K so exponents ride along."""
         return CodeMatrix(
@@ -247,6 +240,22 @@ def gamma_basis(tower: Tower) -> list[FieldElem]:
     return th_pows + [mu * t for t in th_pows]
 
 
+def gamma_elements(basis: list[FieldElem], coeffs) -> list[FieldElem]:
+    """The elements sum_g c_g gamma_g, one per run of len(basis) integer
+    gamma-coordinates in coeffs; basis is gamma_basis of their tower."""
+    width = len(basis)
+    if len(coeffs) % width:
+        raise ValueError(f"coordinate count must be a multiple of {width}")
+    out = []
+    for start in range(0, len(coeffs), width):
+        acc = basis[0].tower.zero()
+        for base, c in zip(basis, coeffs[start : start + width]):
+            if c:
+                acc = acc + base * int(c)
+        out.append(acc)
+    return out
+
+
 def lattice_basis(spec: CodeSpec, j: int) -> list[CodeMatrix]:
     """The r = 2Un_t^2 generator matrices of user j's lattice: for each data
     slot l and each integral basis element gamma, the block with x_l = gamma.
@@ -301,15 +310,7 @@ def codeword_from_coeffs(spec: CodeSpec, j: int, b) -> CodeMatrix:
         raise ValueError(f"coefficient vector must have length {spec.n_t * width}")
     if not any(b):
         return zero_matrix(spec, spec.n_t, spec.U * spec.n_t)
-    xs = []
-    for slot in range(spec.n_t):
-        acc = spec.tower.zero()
-        for g, base in enumerate(basis):
-            c = b[slot * width + g]
-            if c:
-                acc = acc + base * c
-        xs.append(acc)
-    return build_user_block(spec, j, xs)
+    return build_user_block(spec, j, gamma_elements(basis, b))
 
 
 @dataclass(frozen=True)
@@ -332,9 +333,6 @@ class CoefficientBox:
     def users(self) -> int:
         return len(self.vectors)
 
-    def all_users_nonzero(self) -> bool:
-        return all(any(v) for v in self.vectors)
-
     def lex_key(self) -> tuple[int, ...]:
         out: tuple[int, ...] = ()
         for v in self.vectors:
@@ -351,32 +349,3 @@ def assemble_codeword(spec: CodeSpec, box: CoefficientBox) -> CodeMatrix:
     ]
     return build_A(spec, blocks)
 
-
-def codeword_to_json(j: int, coeffs) -> str:
-    return json.dumps({"user": j, "coeffs": list(coeffs)})
-
-
-def codeword_from_json(text: str) -> tuple[int, list[int]]:
-    data = json.loads(text)
-    return int(data["user"]), [int(c) for c in data["coeffs"]]
-
-
-def write_coeff_csv(path, rows) -> None:
-    """Batch coefficient vectors: one row per (user, coeffs...)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "coeffs"])
-        for j, coeffs in rows:
-            writer.writerow([j, ";".join(str(c) for c in coeffs)])
-
-
-def read_coeff_csv(path) -> list[tuple[int, list[int]]]:
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user", "coeffs"]:
-            raise ValueError("unrecognized coefficient CSV header")
-        for row in reader:
-            out.append((int(row[0]), [int(c) for c in row[1].split(";") if c]))
-    return out

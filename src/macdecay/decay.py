@@ -23,12 +23,12 @@ import numpy as np
 
 from .construction import (
     CodeMatrix, CodeSpec, CoefficientBox, assemble_codeword, build_M,
-    codeword_from_coeffs,
+    gamma_basis, gamma_elements,
 )
 from .kernels import (
     GRID_ROW_CAP, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
-    UserTensors, coeff_grid, det_float_batch, det_int_batch, det_slack_batch,
-    grid_size, stack_users,
+    UserTensors, coeff_grid, det_float_batch, det_int_batch, det_schedule,
+    det_slack_batch, grid_size, stack_users,
 )
 from .number_field import FieldElem, RealAlgebraic
 from .quadratic import QuadElem
@@ -73,7 +73,8 @@ class DecayReport:
 
 def det_exact(A: CodeMatrix) -> tuple[FieldElem, int]:
     """Exact determinant of a codeword matrix as (numerator, s) with
-    det = numerator * p^(-s), by fraction-free column-subset expansion.
+    det = numerator * p^(-s), by fraction-free column-subset expansion over
+    the DetSchedule of the matrix's own p-exponents.
 
     The numerator is asserted to be fixed by tau = sigma^U (the determinant
     lies in the intermediate field F)."""
@@ -82,35 +83,24 @@ def det_exact(A: CodeMatrix) -> tuple[FieldElem, int]:
         raise ValueError("determinant of a non-square matrix")
     spec = A.spec
     p = spec.p
-    E = [[e for _, e in row] for row in A.entries]
-    X = {0: 0}
+    sched = det_schedule([[e for _, e in row] for row in A.entries])
     dp: dict[int, FieldElem] = {0: spec.tower.one()}
-    masks_by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        masks_by_size[bin(mask).count("1")].append(mask)
-    for size in range(1, n + 1):
-        i = size - 1
+    for i, level in enumerate(sched.steps):
         new_dp: dict[int, FieldElem] = {}
-        for mask in masks_by_size[size]:
-            cols = [c for c in range(n) if mask >> c & 1]
-            x = max(E[i][c] + X[mask ^ (1 << c)] for c in cols)
-            X[mask] = x
+        for mask, terms in level:
             acc = spec.tower.zero()
-            for pos, c in enumerate(cols):
-                num, _ = A.entries[i][c]
-                term = num * dp[mask ^ (1 << c)]
-                pad = x - E[i][c] - X[mask ^ (1 << c)]
+            for c, sign, pad in terms:
+                term = A.entries[i][c][0] * dp[mask ^ (1 << c)]
                 if pad:
                     term = term * p**pad
-                acc = acc + term if (i + pos) % 2 == 0 else acc - term
+                acc = acc + term if sign > 0 else acc - term
             new_dp[mask] = acc
         dp = new_dp
         dp[0] = spec.tower.one()
-    full = (1 << n) - 1
-    num = dp[full]
+    num = dp[(1 << n) - 1]
     if not num.apply_sigma(spec.U) == num:
         raise ArithmeticError("determinant is not fixed by tau = sigma^U")
-    return num, X[full]
+    return num, sched.total_exp
 
 
 def det_value(spec: CodeSpec, num: FieldElem, s: int) -> FieldElem:
@@ -356,74 +346,32 @@ def _pick_chunk_min(ctx: _SearchContext, nums, s, boxes: list[tuple]):
     return best
 
 
-def _scan_exhaustive_chunk(ctx: _SearchContext, start_row: int, stop_row: int):
-    spec = ctx.spec
-    o_sizes = [g.shape[0] for g in ctx.grids[1:]]
-    others_total = 1
-    for v in o_sizes:
-        others_total *= v
-    npairs = (stop_row - start_row) * others_total
+def _scan_chunk(ctx: _SearchContext, blocks, errs, vecs, count: int, rows_of):
+    """Exact minimum over `count` codewords: a float screen in SUB_BATCH
+    pieces, then every codeword whose lower bound reaches the least upper
+    bound goes to the exact stage.
+
+    rows_of maps flat codeword indices (a slice for each screen piece, an
+    index array for the candidates) to one row index per user; codeword k
+    stacks row rows_of(k)[j] of user j's blocks/errs (float screen) and
+    vecs (coefficient vectors)."""
     lo2_parts = []
     up2_min = np.inf
-    for off in range(0, npairs, SUB_BATCH):
-        flat = np.arange(off, min(off + SUB_BATCH, npairs), dtype=np.int64)
-        u1 = start_row + flat // others_total
-        rows = [u1] + _mixed_radix_rows(flat % others_total, o_sizes)
-        mats = np.concatenate(
-            [ctx.blocks[j][rows[j]] for j in range(spec.U)], axis=1
-        )
-        errs = np.concatenate(
-            [ctx.errs[j][rows[j]] for j in range(spec.U)], axis=1
-        )
-        lo2, up2 = _screen_sub(mats, errs)
-        m = up2.min()
-        if m < up2_min:
-            up2_min = m
-        lo2_parts.append(lo2)
-    lo2 = np.concatenate(lo2_parts)
-    cands = np.nonzero(lo2 <= up2_min)[0]
-    u1 = start_row + cands // others_total
-    rows = [u1] + _mixed_radix_rows(cands % others_total, o_sizes)
-    vec_arrays = [ctx.grids[j][rows[j]] for j in range(spec.U)]
-    nums, s = _exact_stage(ctx, vec_arrays)
-    boxes = [
-        tuple(tuple(int(c) for c in vec_arrays[j][i]) for j in range(spec.U))
-        for i in range(len(cands))
-    ]
-    best = _pick_chunk_min(ctx, nums, s, boxes)
-    return npairs, s, best
-
-
-def _scan_sampled_chunk(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
-    spec = ctx.spec
-    n = vec_arrays[0].shape[0]
-    blocks = []
-    errs = []
-    for j in range(spec.U):
-        bf, ef = ctx.uts[j].blocks_float(vec_arrays[j])
-        blocks.append(bf)
-        errs.append(ef)
-    lo2_parts = []
-    up2_min = np.inf
-    for off in range(0, n, SUB_BATCH):
-        sl = slice(off, min(off + SUB_BATCH, n))
-        mats = np.concatenate([b[sl] for b in blocks], axis=1)
-        ers = np.concatenate([e[sl] for e in errs], axis=1)
+    for off in range(0, count, SUB_BATCH):
+        rows = rows_of(slice(off, min(off + SUB_BATCH, count)))
+        mats = np.concatenate([b[r] for b, r in zip(blocks, rows)], axis=1)
+        ers = np.concatenate([e[r] for e, r in zip(errs, rows)], axis=1)
         lo2, up2 = _screen_sub(mats, ers)
-        m = up2.min()
-        if m < up2_min:
-            up2_min = m
+        up2_min = min(up2_min, up2.min())
         lo2_parts.append(lo2)
-    lo2 = np.concatenate(lo2_parts)
-    cands = np.nonzero(lo2 <= up2_min)[0]
-    cand_arrays = [vec_arrays[j][cands] for j in range(spec.U)]
-    nums, s = _exact_stage(ctx, cand_arrays)
+    cands = np.nonzero(np.concatenate(lo2_parts) <= up2_min)[0]
+    cand_vecs = [v[r] for v, r in zip(vecs, rows_of(cands))]
+    nums, s = _exact_stage(ctx, cand_vecs)
     boxes = [
-        tuple(tuple(int(c) for c in cand_arrays[j][i]) for j in range(spec.U))
+        tuple(tuple(int(c) for c in v[i]) for v in cand_vecs)
         for i in range(len(cands))
     ]
-    best = _pick_chunk_min(ctx, nums, s, boxes)
-    return n, s, best
+    return count, s, _pick_chunk_min(ctx, nums, s, boxes)
 
 
 _WORKER_CTX: _SearchContext | None = None
@@ -446,9 +394,28 @@ def _pool_worker_init(payload: str) -> None:
 def _worker_chunk(task) -> dict:
     ctx = _WORKER_CTX
     if task["kind"] == "E":
-        count, s, best = _scan_exhaustive_chunk(ctx, task["start"], task["stop"])
+        # user-1 rows start..stop of its grid against every other-user row,
+        # the last user fastest
+        start = task["start"]
+        o_sizes = [g.shape[0] for g in ctx.grids[1:]]
+        others = math.prod(o_sizes)
+
+        def rows_of(idx):
+            if isinstance(idx, slice):
+                idx = np.arange(idx.start, idx.stop, dtype=np.int64)
+            return [start + idx // others] + _mixed_radix_rows(idx % others, o_sizes)
+
+        count = (task["stop"] - start) * others
+        blocks, errs, vecs = ctx.blocks, ctx.errs, ctx.grids
     else:
-        count, s, best = _scan_sampled_chunk(ctx, task["vecs"])
+        vecs = task["vecs"]
+        blocks, errs = zip(*(ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)))
+        count = vecs[0].shape[0]
+
+        def rows_of(idx):
+            return [idx] * len(vecs)
+
+    count, s, best = _scan_chunk(ctx, blocks, errs, vecs, count, rows_of)
     absq, vec, box = best
     return {
         "count": count,
@@ -755,16 +722,6 @@ def curve_json_obj(spec: CodeSpec, reports: list[DecayReport]) -> dict:
     return {"spec": spec.to_json_dict(), "points": pts}
 
 
-def write_curve_files(spec, reports, csv_path=None, json_path=None) -> None:
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            fh.write(curve_csv_text(reports))
-    if json_path:
-        with open(json_path, "w") as fh:
-            json.dump(curve_json_obj(spec, reports), fh, indent=1, sort_keys=True)
-            fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
 # two-user singularity criterion and Hilbert-90 witnesses
 
@@ -890,10 +847,10 @@ def valuation_split_check(spec: CodeSpec, box: CoefficientBox) -> tuple:
     Requires every user's data vector to have minimum valuation 0; raises
     if the input violates that or the inequality chain fails."""
     U, n_t, k, p = spec.U, spec.n_t, spec.k, spec.p
+    basis = gamma_basis(spec.tower)
     lead_num = spec.tower.one()
     for j in range(U):
-        vec = box.vectors[j]
-        xs = _user_data(spec, vec)
+        xs = gamma_elements(basis, box.vectors[j])
         vmin = min((x.valuation(p) for x in xs if x), default=math.inf)
         if vmin != 0:
             raise ValueError("each user needs minimum valuation 0")
@@ -915,22 +872,6 @@ def valuation_split_check(spec: CodeSpec, box: CoefficientBox) -> tuple:
             f"valuation split failed: v(lead)={v_lead}, bound {lo} < {hi}, v(y)={v_y}"
         )
     return v_lead, lo, hi, v_y
-
-
-def _user_data(spec: CodeSpec, vec) -> list[FieldElem]:
-    from .construction import gamma_basis
-
-    basis = gamma_basis(spec.tower)
-    width = len(basis)
-    xs = []
-    for slot in range(spec.n_t):
-        acc = spec.tower.zero()
-        for g, base in enumerate(basis):
-            c = vec[slot * width + g]
-            if c:
-                acc = acc + base * c
-        xs.append(acc)
-    return xs
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from math import lcm
 
 import numpy as np
 
-from .construction import CodeSpec, gamma_basis, lattice_basis
+from .construction import CodeSpec, gamma_basis, gamma_elements, lattice_basis
 from .number_field import FieldElem, Tower
 
 INT64_LIMIT = 1 << 62
@@ -99,10 +99,6 @@ class IntKernel:
         self._sigma_cache: dict[int, np.ndarray] = {}
         self._mult_cache: dict = {}
         self._power_cache: dict = {}
-        emb = np.empty(dim, dtype=np.complex128)
-        for g, el in enumerate(self.gamma):
-            emb[g] = el.embed(50).mid()
-        self.emb = emb
         scale = 1
         for t in range(1, self.d):
             for g in self.gamma:
@@ -120,12 +116,7 @@ class IntKernel:
         return out
 
     def vec_to_fe(self, vec) -> FieldElem:
-        acc = self.tower.zero()
-        for g, c in enumerate(vec):
-            c = int(c)
-            if c:
-                acc = acc + self.gamma[g] * c
-        return acc
+        return gamma_elements(self.gamma, vec)[0]
 
     def vec_to_num(self, vec) -> FieldElem:
         """True determinant numerator from a det_int_batch output vector."""
@@ -238,12 +229,17 @@ def exponent_matrix(spec: CodeSpec) -> list[list[int]]:
 
 
 class DetSchedule:
-    """Fraction-free Laplace DP plan over column subsets with all p-power
-    alignment decided structurally (exponents do not depend on data)."""
+    """Fraction-free Laplace DP plan over column subsets of an n x n matrix
+    whose entry (r, c) is numer * p^(-E[r][c]).  All p-power alignment is
+    decided from the exponents alone, never from the numerators.
 
-    def __init__(self, spec: CodeSpec):
-        n = spec.U * spec.n_t
-        E = exponent_matrix(spec)
+    steps[i] lists, for every column subset of size i + 1, its terms
+    (c, sign, pad): entry (i, c) times the minor of the subset without c,
+    times p^pad.  The determinant is the full-subset value * p^(-total_exp).
+    """
+
+    def __init__(self, E):
+        n = len(E)
         X = {0: 0}
         steps = []
         masks_by_size = [[] for _ in range(n + 1)]
@@ -275,10 +271,11 @@ class DetSchedule:
 _SCHED_CACHE: dict = {}
 
 
-def det_schedule(spec: CodeSpec) -> DetSchedule:
-    key = (spec.tower.key, spec.U, spec.n_t, spec.k)
+def det_schedule(E) -> DetSchedule:
+    """The DetSchedule of exponent matrix E, built once per distinct E."""
+    key = tuple(map(tuple, E))
     if key not in _SCHED_CACHE:
-        _SCHED_CACHE[key] = DetSchedule(spec)
+        _SCHED_CACHE[key] = DetSchedule(key)
     return _SCHED_CACHE[key]
 
 
@@ -298,7 +295,7 @@ def det_int_batch(
     The subset DP runs coordinate-major on one transposed copy of stacked;
     a term whose sub-minor is the empty one (= 1) is the entry itself.
     """
-    sched = det_schedule(spec)
+    sched = det_schedule(exponent_matrix(spec))
     n = sched.n
     if stacked.shape[1:] != (n, n, kern.dim):
         raise ValueError("stacked batch has wrong shape")

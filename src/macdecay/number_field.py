@@ -19,13 +19,7 @@ import math
 from fractions import Fraction
 
 from .polynomials import Poly, poly_discriminant
-from .quadratic import (
-    EISENSTEIN,
-    GAUSSIAN,
-    QuadElem,
-    RingTag,
-    ok_valuation,
-)
+from .quadratic import QuadElem, RingTag, ok_valuation
 
 L_OVER_F = "L/F"
 L_OVER_K = "L/K"
@@ -53,16 +47,6 @@ def _ival_horner(coeffs, x: tuple[Fraction, Fraction]):
         lo, hi = _ival_mul((lo, hi), x)
         lo, hi = lo + c, hi + c
     return (lo, hi)
-
-
-def _ival_square(a):
-    lo, hi = a
-    if lo >= 0:
-        return (lo * lo, hi * hi)
-    if hi <= 0:
-        return (hi * hi, lo * lo)
-    m = max(-lo, hi)
-    return (Fraction(0), m * m)
 
 
 def _dyadic_floor(x: Fraction, k: int) -> Fraction:
@@ -192,14 +176,6 @@ class ComplexEnclosure:
         """Bound on |true - mid|; uses |.|_1 / 2 >= Euclidean half-diagonal."""
         return ((self.re_hi - self.re_lo) + (self.im_hi - self.im_lo)) / 2
 
-    def abs_sq_bounds(self) -> tuple[Fraction, Fraction]:
-        rlo, rhi = _ival_square((self.re_lo, self.re_hi))
-        ilo, ihi = _ival_square((self.im_lo, self.im_hi))
-        return (rlo + ilo, rhi + ihi)
-
-    def contains_zero(self) -> bool:
-        return self.re_lo <= 0 <= self.re_hi and self.im_lo <= 0 <= self.im_hi
-
     def __repr__(self) -> str:
         m = self.mid()
         return f"ComplexEnclosure(~{m.real:.12g}{m.imag:+.12g}j, r<={float(self.radius()):.3g})"
@@ -227,19 +203,17 @@ class Tower:
         "f_coeffs",
         "sigma_coeffs",
         "period_hint",
-        "precision_bits",
         "f_poly",
         "disc",
         "_red_rows",
         "_sig_mats",
-        "_sig_int_mats",
         "_root",
         "_sqrt3",
         "_pmax_cache",
         "key",
     )
 
-    def __init__(self, tag, f_coeffs, sigma_coeffs, U, n_t, period_hint, precision_bits=256):
+    def __init__(self, tag, f_coeffs, sigma_coeffs, U, n_t, period_hint):
         if tag not in (RingTag.GAUSSIAN, RingTag.EISENSTEIN):
             raise ValueError("base field must be Q(i) or Q(sqrt-3)")
         if U < 1 or n_t < 1:
@@ -259,7 +233,6 @@ class Tower:
         self.f_coeffs = fc
         self.sigma_coeffs = sc
         self.period_hint = (int(period_hint[0]), tuple(int(h) for h in period_hint[1]))
-        self.precision_bits = int(precision_bits)
         self.f_poly = Poly([QuadElem(c) for c in fc])
         disc = poly_discriminant(self.f_poly)
         self.disc = disc.a
@@ -267,7 +240,6 @@ class Tower:
             raise ValueError("f has a repeated root")
         self._red_rows = self._build_reduction_rows()
         self._sig_mats = self._build_sigma_matrices()
-        self._sig_int_mats = self._integer_matrices()
         self._root = None
         self._sqrt3 = Sqrt3Enclosure() if tag is RingTag.EISENSTEIN else None
         self._pmax_cache: dict = {}
@@ -294,7 +266,7 @@ class Tower:
         x = Poly([Fraction(0), Fraction(1)])
         g1 = Poly(list(self.sigma_coeffs))
         # consistency: f(sigma(theta)) must vanish in Q[x]/(f)
-        if self.f_poly_frac_compose(fpoly, g1, fpoly):
+        if fpoly.compose_mod(g1, fpoly):
             raise ValueError("sigma image is not a root of f")
         images = [x]
         g = g1
@@ -317,27 +289,6 @@ class Tower:
             mat = tuple(tuple(cols[k][i] for k in range(d)) for i in range(d))
             mats.append(mat)
         return tuple(mats)
-
-    @staticmethod
-    def f_poly_frac_compose(f: Poly, g: Poly, modulus: Poly) -> Poly:
-        return f.compose_mod(g, modulus)
-
-    def _integer_matrices(self):
-        mats = []
-        for mat in self._sig_mats:
-            rows = []
-            for row in mat:
-                if any(c.denominator != 1 for c in row):
-                    return None
-                rows.append(tuple(int(c) for c in row))
-            mats.append(tuple(rows))
-        return tuple(mats)
-
-    @property
-    def sigma_integer_matrices(self):
-        """Integer sigma-power matrices, or None when sigma is not integral
-        on the power basis."""
-        return self._sig_int_mats
 
     # -- element constructors ----------------------------------------------
 
@@ -368,14 +319,6 @@ class Tower:
 
     def from_rational(self, x) -> FieldElem:
         return self.from_coords([x] + [0] * (self.d - 1))
-
-    def tau_trace_theta(self) -> FieldElem:
-        """Sum of the tau-conjugates of theta; a generator-level element of F."""
-        acc = self.zero()
-        th = self.theta()
-        for i in range(self.n_t):
-            acc = acc + th.apply_sigma(i * self.U)
-        return acc
 
     # -- numerics ------------------------------------------------------------
 
@@ -435,7 +378,7 @@ class Tower:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict, precision_bits: int = 256) -> Tower:
+    def from_json_dict(cls, data: dict) -> Tower:
         tag = {"Q(i)": RingTag.GAUSSIAN, "Q(sqrt-3)": RingTag.EISENSTEIN}.get(data["K"])
         if tag is None:
             raise ValueError(f"unknown base field {data['K']!r}")
@@ -447,7 +390,6 @@ class Tower:
             int(data["U"]),
             int(data["n_t"]),
             (hint["m"], hint["coset"]),
-            precision_bits=precision_bits,
         )
 
     def __eq__(self, other) -> bool:
@@ -773,37 +715,3 @@ def _sqrt_interval(lo: Fraction, hi: Fraction, rel_bits: int) -> tuple[Fraction,
         shi_num += 1
     return Fraction(slo_num, 1 << k), Fraction(shi_num, 1 << k)
 
-
-# -- module-level operation names ------------------------------------------
-
-
-def fe_add(x: FieldElem, y: FieldElem) -> FieldElem:
-    return x + y
-
-
-def fe_mul(x: FieldElem, y: FieldElem) -> FieldElem:
-    return x * y
-
-
-def fe_inv(x: FieldElem) -> FieldElem:
-    return x.inverse()
-
-
-def apply_sigma(x: FieldElem, j: int = 1) -> FieldElem:
-    return x.apply_sigma(j)
-
-
-def rel_norm(x: FieldElem, level: str = L_OVER_K) -> FieldElem:
-    return x.rel_norm(level)
-
-
-def valuation(x: FieldElem, p: QuadElem) -> int | float:
-    return x.valuation(p)
-
-
-def conj_complex(x: FieldElem) -> FieldElem:
-    return x.conj_complex()
-
-
-def embed_numeric(x: FieldElem, rel_bits: int | None = None) -> ComplexEnclosure:
-    return x.embed(rel_bits)

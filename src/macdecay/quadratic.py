@@ -88,9 +88,6 @@ class QuadElem:
     def is_integral(self) -> bool:
         return self.a.denominator == 1 and self.b.denominator == 1
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def is_unit(self) -> bool:
         return self.is_integral() and self.norm() == 1
 
@@ -244,14 +241,6 @@ def units(tag: RingTag) -> tuple[QuadElem, ...]:
         m = mu(tag)
         return (one, m, m - 1, -one, -m, QuadElem(1, -1, tag))
     return (one, -one)
-
-
-def quad_add(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x + y
-
-
-def quad_mul(x: QuadElem, y: QuadElem) -> QuadElem:
-    return x * y
 
 
 def quad_div_exact(x: QuadElem, y: QuadElem) -> QuadElem:

@@ -6,9 +6,8 @@ import pytest
 
 from macdecay.construction import (
     CodeMatrix, CodeSpec, CoefficientBox, assemble_codeword, build_A,
-    build_M, build_user_block, choose_k, codeword_from_coeffs,
-    codeword_from_json, codeword_to_json, gamma_basis, lattice_basis,
-    read_coeff_csv, write_coeff_csv, zero_matrix,
+    build_M, build_user_block, choose_k, codeword_from_coeffs, gamma_basis,
+    lattice_basis, zero_matrix,
 )
 from macdecay.quadratic import GAUSSIAN, QuadElem, sqrt_minus3
 
@@ -263,7 +262,6 @@ class TestCoefficientBox:
     def test_predicates(self):
         box = CoefficientBox((2, 2), ((1, 0, 0, 0), (0, 0, 0, 0)))
         assert box.users == 2
-        assert not box.all_users_nonzero()
         assert box.lex_key() == (1, 0, 0, 0, 0, 0, 0, 0)
 
     def test_assemble_codeword_shape(self, quartic_spec):
@@ -276,16 +274,3 @@ class TestCoefficientBox:
         box = CoefficientBox((1,), ((1, 0, 0, 0),))
         with pytest.raises(ValueError):
             assemble_codeword(golden_spec, box)
-
-
-class TestSerializationHelpers:
-    def test_codeword_json_round_trip(self):
-        text = codeword_to_json(2, [1, -3, 0, 5])
-        j, coeffs = codeword_from_json(text)
-        assert (j, coeffs) == (2, [1, -3, 0, 5])
-
-    def test_coeff_csv_round_trip(self, tmp_path):
-        rows = [(1, [0, -2, 1]), (2, [3, 3, -3])]
-        path = tmp_path / "coeffs.csv"
-        write_coeff_csv(path, rows)
-        assert read_coeff_csv(path) == rows

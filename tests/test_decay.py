@@ -18,13 +18,18 @@ from macdecay.decay import (
     decay_curve, det_exact, det_value, fit_decay_exponent, min_abs_det,
     naive_min_abs_det, orbit_representatives, orbit_units,
     rank_criterion_check, two_user_box_scan, two_user_singularity_test,
-    valuation_split_check, write_curve_files, zero_det_witness_2user,
+    valuation_split_check, zero_det_witness_2user,
     _laplace_det,
 )
 from macdecay.kernels import IntKernel, OverflowRisk, coeff_grid, grid_size
 from macdecay.quadratic import QuadElem, RingTag
 
 from util import draw_samples_reference, rand_box, rand_elem
+
+
+ALL_SPECS = [
+    "golden_spec", "cubic_spec", "quartic_spec", "miso_spec", "eisenstein_spec",
+]
 
 
 def coords_str(fe):
@@ -55,9 +60,10 @@ class TestExactDeterminants:
         lo, hi = absq.sqrt_bounds(60)
         assert float((lo + hi) / 2) == pytest.approx(math.sqrt(5), rel=1e-12)
 
-    def test_matches_cofactor_expansion(self, golden_spec, cubic_spec):
+    def test_matches_cofactor_expansion(self, request):
         rng = random.Random(211)
-        for spec in (golden_spec, cubic_spec):
+        for spec_name in ALL_SPECS:
+            spec = request.getfixturevalue(spec_name)
             for _ in range(6):
                 box = rand_box(spec, rng, 2)
                 A = assemble_codeword(spec, box)
@@ -539,7 +545,7 @@ class TestSampledStream:
     ):
         want = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
         events = []
-        draw, scan = decay._draw_samples, decay._scan_sampled_chunk
+        draw, scan = decay._draw_samples, decay._scan_chunk
 
         def logged_draw(*args):
             events.append("draw")
@@ -551,7 +557,7 @@ class TestSampledStream:
 
         monkeypatch.setattr(decay, "SAMPLE_CHUNK", 50)
         monkeypatch.setattr(decay, "_draw_samples", logged_draw)
-        monkeypatch.setattr(decay, "_scan_sampled_chunk", logged_scan)
+        monkeypatch.setattr(decay, "_scan_chunk", logged_scan)
         got = min_abs_det(
             golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11, workers=1
         )
@@ -721,15 +727,6 @@ class TestCurveSerialization:
         assert pt["argmin"] == [[-1, -1, 0, 0], [-1, -1, 1, 0]]
         assert pt["exact_det"]["p_exponent"] == 2
         json.dumps(obj)  # must be serializable as-is
-
-    def test_write_curve_files(self, golden_spec, tmp_path):
-        curve = decay_curve(golden_spec, 1)
-        csv_path = tmp_path / "curve.csv"
-        json_path = tmp_path / "curve.json"
-        write_curve_files(golden_spec, curve, str(csv_path), str(json_path))
-        assert csv_path.read_text() == curve_csv_text(curve)
-        data = json.loads(json_path.read_text())
-        assert data["points"][0]["evaluated"] == 6400
 
 
 # ---------------------------------------------------------------------------

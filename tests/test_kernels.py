@@ -118,13 +118,6 @@ class TestIntKernel:
         vec = np.full(golden_kern.dim, 3, dtype=np.int64)
         assert all(abs(int(v)) <= b for v, b in zip(vec @ S, bound))
 
-    def test_embedding_accuracy(self, golden_kern, golden_tower):
-        th = golden_tower.theta()
-        vec = np.array([golden_kern.fe_to_vec(th)], dtype=np.int64)
-        # emb rows are the gamma basis embeddings
-        approx = vec.astype(np.complex128) @ golden_kern.emb
-        assert abs(approx[0] - 0.6180339887498949) < 1e-12
-
 
 class TestGrids:
     def test_small_grid_frozen(self):
@@ -169,12 +162,12 @@ class TestSchedule:
 
     def test_total_exponent(self, golden_spec, quartic_spec, cubic_spec):
         # the alignment schedule clears exactly k * U * n_t powers of p
-        assert det_schedule(golden_spec).total_exp == 2
-        assert det_schedule(quartic_spec).total_exp == 8
-        assert det_schedule(cubic_spec).total_exp == 3
+        assert det_schedule(exponent_matrix(golden_spec)).total_exp == 2
+        assert det_schedule(exponent_matrix(quartic_spec)).total_exp == 8
+        assert det_schedule(exponent_matrix(cubic_spec)).total_exp == 3
 
     def test_pads_nonnegative(self, quartic_spec):
-        sched = det_schedule(quartic_spec)
+        sched = det_schedule(exponent_matrix(quartic_spec))
         assert sched.max_pad >= 0
         for level in sched.steps:
             for _, terms in level:
@@ -202,7 +195,7 @@ class TestBatchedDeterminants:
                 stacked = self._batch(spec, kern, boxes)
                 nums, s = det_int_batch(spec, kern, stacked)
                 assert nums.shape == (size, kern.dim)
-                assert s == det_schedule(spec).total_exp
+                assert s == det_schedule(exponent_matrix(spec)).total_exp
                 for row, box in zip(nums, boxes):
                     num_ref, s_ref = det_exact(assemble_codeword(spec, box))
                     assert s_ref == s
@@ -217,30 +210,30 @@ class TestBatchedDeterminants:
         with pytest.raises(OverflowRisk):
             det_int_batch(quartic_spec, kern, stacked)
 
-    def test_float_screen_brackets_exact(self, quartic_spec):
+    def test_float_screen_brackets_exact(self, request):
         from macdecay.decay import det_value
 
         rng = random.Random(151)
-        kern = IntKernel(quartic_spec.tower)
-        tensors = [UserTensors(quartic_spec, kern, j + 1) for j in range(2)]
-        boxes = [rand_box(quartic_spec, rng, 2) for _ in range(40)]
-        fblocks, ferrs = [], []
-        for j, ut in enumerate(tensors):
-            vecs = np.array([b.vectors[j] for b in boxes], dtype=np.int64)
-            fb, fe = ut.blocks_float(vecs)
-            fblocks.append(fb)
-            ferrs.append(fe)
-        mats = stack_users(fblocks)
-        errs = stack_users(ferrs)
-        approx = det_float_batch(mats)
-        slack = det_slack_batch(mats, errs)
-        stacked = self._batch(quartic_spec, kern, boxes)
-        nums, s = det_int_batch(quartic_spec, kern, stacked)
-        for a, sl, num, box in zip(approx, slack, nums, boxes):
-            exact = det_value(
-                quartic_spec, kern.vec_to_num(num), s
-            ).embed(70).mid()
-            assert abs(a - exact) <= sl + 1e-25, box.vectors
+        for spec_name in ALL_SPECS:
+            spec = request.getfixturevalue(spec_name)
+            kern = IntKernel(spec.tower)
+            tensors = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
+            boxes = [rand_box(spec, rng, 2) for _ in range(40)]
+            fblocks, ferrs = [], []
+            for j, ut in enumerate(tensors):
+                vecs = np.array([b.vectors[j] for b in boxes], dtype=np.int64)
+                fb, fe = ut.blocks_float(vecs)
+                fblocks.append(fb)
+                ferrs.append(fe)
+            mats = stack_users(fblocks)
+            errs = stack_users(ferrs)
+            approx = det_float_batch(mats)
+            slack = det_slack_batch(mats, errs)
+            stacked = self._batch(spec, kern, boxes)
+            nums, s = det_int_batch(spec, kern, stacked)
+            for a, sl, num, box in zip(approx, slack, nums, boxes):
+                exact = det_value(spec, kern.vec_to_num(num), s).embed(70).mid()
+                assert abs(a - exact) <= sl + 1e-25, (spec_name, box.vectors)
 
     def test_user_tensors_reject_wrong_shape(self, golden_spec):
         kern = IntKernel(golden_spec.tower)
