@@ -227,20 +227,23 @@ def build_A(spec: CodeSpec, blocks) -> CodeMatrix:
     return CodeMatrix.vstack(list(blocks))
 
 
-def gamma_basis(tower: Tower) -> list[FieldElem]:
+def gamma_basis(tower: Tower) -> tuple[FieldElem, ...]:
     """The 2*U*n_t integral basis mu^b theta^a of O_L as a Z-module,
-    ordered a = 0..d-1 for b = 0 then b = 1."""
-    th_pows = []
-    acc = tower.one()
-    th = tower.theta()
-    for _ in range(tower.d):
-        th_pows.append(acc)
-        acc = acc * th
-    mu = tower.mu_elem()
-    return th_pows + [mu * t for t in th_pows]
+    ordered a = 0..d-1 for b = 0 then b = 1.  Built once per tower; every
+    caller shares the one tuple."""
+    if tower._gamma is None:
+        th_pows = []
+        acc = tower.one()
+        th = tower.theta()
+        for _ in range(tower.d):
+            th_pows.append(acc)
+            acc = acc * th
+        mu = tower.mu_elem()
+        tower._gamma = tuple(th_pows + [mu * t for t in th_pows])
+    return tower._gamma
 
 
-def gamma_elements(basis: list[FieldElem], coeffs) -> list[FieldElem]:
+def gamma_elements(basis: tuple[FieldElem, ...], coeffs) -> list[FieldElem]:
     """The elements sum_g c_g gamma_g, one per run of len(basis) integer
     gamma-coordinates in coeffs; basis is gamma_basis of their tower."""
     width = len(basis)

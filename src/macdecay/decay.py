@@ -14,6 +14,7 @@ import math
 import random
 import signal
 import time
+from array import array
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ ALL_USERS = "ALL_USERS"
 DEFAULT_BUDGET = 10**8
 CHUNK_U1_ROWS = 512  # user-1 rows per work unit, fixed regardless of workers
 SAMPLE_CHUNK = 32768
+DRAW_WORDS = 1 << 13  # fresh stream words one numpy pass of the draw parses
 SUB_BATCH = 16384
 
 CSV_HEADER = "N,D_value,error_radius,mode,samples,argmin_coeffs,wall_time_ms"
@@ -425,36 +427,127 @@ def _worker_chunk(task) -> dict:
     }
 
 
+def _attempt_words(N: int) -> int:
+    """Mersenne Twister words one getrandbits((2N + 1).bit_length()) reads."""
+    return -(-(2 * N + 1).bit_length() // 32)
+
+
+def _vector_maps(words: np.ndarray, N: int, r: int):
+    """Where a nonzero coefficient vector of bound N and length r falls in
+    a run of stream words, for every word it could begin at.
+
+    Returns (coef, at, nxt): a vector begun at word i (0 <= i <= len(words))
+    has the coefficients coef[at[i]:at[i] + r], and the stream goes on at
+    word nxt[i], which is len(words) + 1 where the words run out first.
+    An attempt getrandbits(k) reads w words, so the attempts of a vector
+    begun at i are those at words i, i + w, ...; each residue class of
+    word positions mod w is parsed on its own."""
+    n = 2 * N + 1
+    k = n.bit_length()
+    w = _attempt_words(N)
+    L = words.shape[0]
+    if w == 1:
+        v = words >> np.uint32(32 - k)
+        below = np.uint32(n)
+    else:
+        # low word first, the top word shifted right to its k - 32 bits
+        v = words[: L - 1].astype(np.uint64)
+        v |= (words[1:].astype(np.uint64) >> np.uint64(64 - k)) << np.uint64(32)
+        below = np.uint64(n)
+    at = np.zeros(L + 2, dtype=np.int64)
+    nxt = np.full(L + 2, L + 1, dtype=np.int64)
+    coefs = []
+    base = 0
+    for c in range(w):
+        vc = v[c::w]
+        acc = vc < below
+        pos = np.flatnonzero(acc)
+        # accepted values are < 2N + 1 <= 2**64 - 1; v - N wraps into int64
+        coef = (vc[pos].astype(np.uint64) - np.uint64(N)).view(np.int64)
+        A = coef.shape[0]
+        # accepted attempts m..m+r-1 make a whole vector if m <= A - r, and
+        # a nonzero one if any of them is nonzero; an all-zero vector is
+        # drawn again from m + r.  g[m] is where the nonzero one begins.
+        q = max(A - r + 1, 0)
+        nonzero = coef != 0
+        stop = np.ones(A + 1, dtype=bool)
+        stop[:q] = nonzero[:q]
+        for t in range(1, r):
+            stop[:q] |= nonzero[t : t + q]
+        g = np.arange(A + 1)
+        redo = np.flatnonzero(~stop)
+        while redo.size:
+            g[redo] = np.minimum(g[redo] + r, A)
+            redo = redo[~stop[g[redo]]]
+        first = np.zeros(vc.shape[0] + 1, dtype=np.int64)
+        np.cumsum(acc, out=first[1:])
+        m = g[first]
+        ends = np.full(A + r, L + 1, dtype=np.int64)
+        ends[:A] = c + w * (pos + 1)
+        span = slice(c, c + w * m.shape[0], w)
+        at[span] = m + base
+        nxt[span] = ends[m + (r - 1)]
+        coefs.append(coef)
+        base += A
+    return np.concatenate(coefs), at, nxt
+
+
 def _draw_samples(rng: random.Random, bounds, lengths, count: int):
     """Per-user (count, r) int64 arrays of coefficient vectors, every user
     nonzero, drawn sample by sample and user by user.
 
-    Each coefficient runs the loop CPython's rng.randint(-N, N) runs:
-    getrandbits(k) with k = (2N + 1).bit_length(), drawn again while it is
-    >= 2N + 1.  So this consumes the same Mersenne Twister words and gives
-    the same vectors as calling randint per coefficient."""
-    draws = [
-        (N, 2 * N + 1, (2 * N + 1).bit_length(), r)
-        for N, r in zip(bounds, lengths)
-    ]
-    flat: list[list[int]] = [[] for _ in bounds]
-    getrandbits = rng.getrandbits
-    for _ in range(count):
-        for out, (N, n, k, r) in zip(flat, draws):
-            while True:
-                vec = []
-                for _ in range(r):
-                    v = getrandbits(k)
-                    while v >= n:
-                        v = getrandbits(k)
-                    vec.append(v - N)
-                if any(vec):
-                    out.extend(vec)
-                    break
-    return [
-        np.array(u, dtype=np.int64).reshape(count, r)
-        for u, r in zip(flat, lengths)
-    ]
+    Each coefficient is what CPython's rng.randint(-N, N) returns: with
+    k = (2N + 1).bit_length(), getrandbits(k) drawn again while it is
+    >= 2N + 1, where getrandbits(k) reads ceil(k / 32) Mersenne Twister
+    words, low word first, and keeps the top k bits of the last one.
+    The words are read whole, m at a time with one getrandbits(32 m), and
+    parsed in numpy, a piece of DRAW_WORDS fresh words at a time (or one
+    sample's fewest words, if more).  A piece reads only words the
+    remaining samples certainly consume (every coefficient reads at least
+    one attempt), and the unfinished sample's words carry over to the next
+    piece.  So this consumes the same words,
+    leaves rng in the same state and gives the same vectors as calling
+    randint per coefficient."""
+    if any(N >= 2**63 for N in bounds):
+        raise ValueError("sampled coefficient bounds must be below 2**63")
+    users = list(zip(bounds, lengths))
+    least = sum(r * _attempt_words(N) for N, r in users)
+    piece = max(1, DRAW_WORDS // least)
+    out = [np.empty((count, r), dtype=np.int64) for r in lengths]
+    starts = array("q", bytes(8 * piece))
+    tail = np.empty(0, dtype=np.uint32)
+    done = 0
+    while done < count:
+        want = min(count - done, piece)
+        # a nonempty tail is one sample that needs more than its words
+        fresh = max(1, least - tail.shape[0]) + (want - 1) * least
+        words = np.concatenate([
+            tail,
+            np.frombuffer(
+                rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little"),
+                dtype="<u4",
+            ),
+        ])
+        L = words.shape[0]
+        parsed = {u: _vector_maps(words, *u) for u in set(users)}
+        maps = [parsed[u] for u in users]
+        step = maps[0][2]
+        for _, _, nxt in maps[1:]:
+            step = nxt[step]
+        # the one pass in Python: the sample starts, each from the last
+        step = memoryview(step)
+        i = got = 0
+        while got < want and step[i] <= L:
+            starts[got] = i
+            i = step[i]
+            got += 1
+        a = np.frombuffer(starts, dtype=np.int64, count=got)
+        for o, (coef, at, nxt) in zip(out, maps):
+            o[done : done + got] = coef[at[a][:, None] + np.arange(o.shape[1])]
+            a = nxt[a]
+        done += got
+        tail = words[i:]
+    return out
 
 
 def _sample_chunks(seed: int, bounds, lengths, samples: int):

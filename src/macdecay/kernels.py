@@ -407,11 +407,18 @@ class UserTensors:
         self.numv = numv
         self.emb = emb
         self.emb_err = np.abs(emb) * EMB_REL_ERR + 1e-290
+        # emb's real and imaginary parts interleaved, one column each
+        self._emb_re_im = emb.view(np.float64).reshape(r, -1)
 
     def blocks_float(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(n, r) int coefficients -> (n, n_t, width) complex blocks + errors."""
+        """(n, r) int coefficients -> (n, n_t, width) complex blocks + errors.
+
+        The coefficients are real, so the blocks are the real products
+        v @ emb.real and v @ emb.imag, taken in one product against the
+        interleaved parts and read back as complex128."""
         v = vecs.astype(np.float64)
-        blocks = np.tensordot(v.astype(np.complex128), self.emb, axes=([1], [0]))
+        blocks = (v @ self._emb_re_im).view(np.complex128)
+        blocks = blocks.reshape((v.shape[0],) + self.emb.shape[1:])
         errs = np.tensordot(np.abs(v), self.emb_err, axes=([1], [0]))
         errs = errs + np.abs(blocks) * EMB_REL_ERR
         return blocks, errs

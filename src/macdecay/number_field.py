@@ -210,6 +210,7 @@ class Tower:
         "_root",
         "_sqrt3",
         "_pmax_cache",
+        "_gamma",
         "key",
     )
 
@@ -243,6 +244,7 @@ class Tower:
         self._root = None
         self._sqrt3 = Sqrt3Enclosure() if tag is RingTag.EISENSTEIN else None
         self._pmax_cache: dict = {}
+        self._gamma = None  # construction.gamma_basis, built on first use
         self.key = (tag, fc, sc, U, n_t)
 
     # -- structural caches -------------------------------------------------

@@ -115,6 +115,15 @@ class TestRankCheckCommand:
         assert rc == 2
         assert err == "invalid configuration: nmax must be positive\n"
 
+    def test_nmax_beyond_int64_is_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 5})
+        rc = cli.main(["rank-check", "--config", cfg, "--nmax", str(2**63)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (
+            "invalid configuration: sampled coefficient bounds must be below 2**63\n"
+        )
+
 
 class TestDecayCommand:
     def test_exhaustive_curve_passes_default_tolerance(self, tmp_path, capsys):

@@ -7,11 +7,11 @@ import pytest
 from macdecay.construction import (
     CodeMatrix, CodeSpec, CoefficientBox, assemble_codeword, build_A,
     build_M, build_user_block, choose_k, codeword_from_coeffs, gamma_basis,
-    lattice_basis, zero_matrix,
+    lattice_basis,
 )
 from macdecay.quadratic import GAUSSIAN, QuadElem, sqrt_minus3
 
-from util import elem_from_gamma, rand_box, rand_elem
+from util import rand_box, rand_elem
 
 
 def scaled(x, p, exp):
@@ -215,6 +215,11 @@ class TestLattices:
             assert basis[a] == acc
             assert basis[d + a] == mu * acc
             acc = acc * th
+
+    def test_gamma_basis_built_once_per_tower(self, quartic_tower):
+        basis = gamma_basis(quartic_tower)
+        assert isinstance(basis, tuple)
+        assert gamma_basis(quartic_tower) is basis
 
     def test_codeword_linearity(self, golden_spec, quartic_spec):
         rng = random.Random(103)

@@ -1,8 +1,8 @@
 import json
 import math
 import random
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +24,7 @@ from macdecay.decay import (
 from macdecay.kernels import IntKernel, OverflowRisk, coeff_grid, grid_size
 from macdecay.quadratic import QuadElem, RingTag
 
-from util import draw_samples_reference, rand_box, rand_elem
+from util import draw_samples_reference, rand_box
 
 
 ALL_SPECS = [
@@ -495,23 +495,53 @@ class TestSampledStream:
             ("golden_spec", (2, 2)),
             ("cubic_spec", (2, 1, 3)),
             ("quartic_spec", (1, 1)),
+            # 2N + 1 = 9 < 2**4: 7/16 of the attempts are drawn again
+            ("golden_spec", (4, 4)),
+            # k = 33 and 42 bits: two words per attempt, low word first
+            ("golden_spec", (2**31, 4)),
+            ("golden_spec", (1, 2**40)),
+            # k = 32 (the whole word), 4 and 42 bits
+            ("cubic_spec", (2**31 - 1, 4, 2**40)),
         ],
     )
     def test_draw_matches_randint_reference(self, spec_name, bounds, request):
         spec = request.getfixturevalue(spec_name)
         lengths = [spec.r_per_user] * spec.U
-        for seed in (0, 11, -7, 2**63):
-            for count in (1, 7, 500):
-                rng, ref_rng = random.Random(seed), random.Random(seed)
-                got = decay._draw_samples(rng, bounds, lengths, count)
-                want = draw_samples_reference(ref_rng, bounds, lengths, count)
-                assert len(got) == spec.U
-                for arr, vecs in zip(got, want):
-                    assert arr.dtype == np.int64
-                    assert arr.shape == (count, spec.r_per_user)
-                    assert arr.tolist() == vecs
-                # the same Mersenne Twister words were consumed
-                assert rng.getstate() == ref_rng.getstate()
+        # samples per parsed piece: DRAW_WORDS over the fewest words a
+        # sample can read
+        least = sum(decay._attempt_words(N) for N in bounds) * spec.r_per_user
+        piece = decay.DRAW_WORDS // least
+        cases = [(seed, count) for seed in (0, 11, -7, 2**63) for count in (1, 7, 500)]
+        cases += [(5, piece - 1), (5, piece), (5, piece + 1), (5, decay.SAMPLE_CHUNK)]
+        for seed, count in cases:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = decay._draw_samples(rng, bounds, lengths, count)
+            want = draw_samples_reference(ref_rng, bounds, lengths, count)
+            assert len(got) == spec.U
+            for arr, vecs in zip(got, want):
+                assert arr.dtype == np.int64
+                assert arr.shape == (count, spec.r_per_user)
+                assert arr.tolist() == vecs
+            # the same Mersenne Twister words were consumed
+            assert rng.getstate() == ref_rng.getstate()
+
+    def test_draw_refuses_bounds_beyond_int64(self):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match="below 2\\*\\*63"):
+            decay._draw_samples(rng, (2**63, 1), [4, 4], 10)
+        assert rng.getstate() == state
+
+    def test_draw_memory_is_bounded(self):
+        # the output is 2 MiB and a piece's temporaries a few more; parsing
+        # a whole 32,768-sample chunk at once allocated about 40 MB
+        tracemalloc.start()
+        try:
+            decay._draw_samples(random.Random(7), (3, 1), [4, 4], decay.SAMPLE_CHUNK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_chunks_concatenate_to_one_draw(self):
         bounds, lengths = (2, 1), [4, 4]

@@ -7,12 +7,12 @@ import pytest
 from macdecay.construction import assemble_codeword
 from macdecay.decay import det_exact
 from macdecay.kernels import (
-    EMB_REL_ERR, INT64_LIMIT, IntKernel, OverflowRisk, UserTensors,
+    IntKernel, OverflowRisk, UserTensors,
     coeff_grid, det_float_batch, det_int_batch, det_schedule,
     det_slack_batch, exponent_matrix, grid_size, stack_users,
 )
 
-from util import rand_box, rand_elem
+from util import blocks_float_reference, rand_box, rand_elem
 
 ALL_TOWERS = [
     "golden_tower", "cubic_tower", "quartic_tower", "miso_tower",
@@ -234,6 +234,30 @@ class TestBatchedDeterminants:
             for a, sl, num, box in zip(approx, slack, nums, boxes):
                 exact = det_value(spec, kern.vec_to_num(num), s).embed(70).mid()
                 assert abs(a - exact) <= sl + 1e-25, (spec_name, box.vectors)
+
+    def test_blocks_float_matches_complex_tensordot(self, request):
+        # The two forms round alike only where BLAS sums them in the same
+        # order.  Every code is held to the error bound the screen carries;
+        # the golden code, whose screen counts the benchmark pins, to the bit.
+        rng = np.random.default_rng(167)
+        for spec_name in ALL_SPECS:
+            spec = request.getfixturevalue(spec_name)
+            kern = IntKernel(spec.tower)
+            for j in range(spec.U):
+                ut = UserTensors(spec, kern, j + 1)
+                batches = [coeff_grid(1, ut.r)] if ut.r <= 6 else []
+                for N, rows in ((1, 1), (3, 7), (2, 4096), (2**31, 1000)):
+                    batches.append(rng.integers(-N, N + 1, (rows, ut.r)))
+                for vecs in batches:
+                    blocks, errs = ut.blocks_float(vecs)
+                    want_blocks, want_errs = blocks_float_reference(ut, vecs)
+                    assert blocks.dtype == np.complex128
+                    assert blocks.shape == want_blocks.shape
+                    assert np.all(np.abs(blocks - want_blocks) <= errs), spec_name
+                    assert np.all(np.abs(errs - want_errs) <= 1e-12 * errs)
+                    if spec_name == "golden_spec":
+                        assert np.array_equal(blocks, want_blocks)
+                        assert np.array_equal(errs, want_errs)
 
     def test_user_tensors_reject_wrong_shape(self, golden_spec):
         kern = IntKernel(golden_spec.tower)

@@ -4,11 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from macdecay.catalog import build_tower
-from macdecay.number_field import (
-    L_OVER_F, L_OVER_K, FieldElem, RealAlgebraic, Tower,
-)
-from macdecay.quadratic import GAUSSIAN, EISENSTEIN, QuadElem, RingTag, sqrt_minus3
+from macdecay.number_field import L_OVER_F, L_OVER_K, RealAlgebraic, Tower
+from macdecay.quadratic import GAUSSIAN, QuadElem, sqrt_minus3
 
 from util import rand_elem
 

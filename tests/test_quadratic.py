@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from macdecay.quadratic import (
-    GAUSSIAN, EISENSTEIN, RATIONAL, NonExactDivision, QuadElem, RingTag,
+    GAUSSIAN, EISENSTEIN, NonExactDivision, QuadElem, RingTag,
     canonical_associate, divides, enumerate_primes, is_associate, mu,
     ok_valuation, primes_above, quad_div_exact, quad_gcd, sqrt_minus3, units,
 )

@@ -1,7 +1,10 @@
 """Shared helpers for the test suite: deterministic random elements and
 coefficient boxes over a tower's integral basis."""
 
+import numpy as np
+
 from macdecay.construction import CodeSpec, CoefficientBox, gamma_basis
+from macdecay.kernels import EMB_REL_ERR
 
 
 def elem_from_gamma(tower, vec):
@@ -62,3 +65,12 @@ def draw_samples_reference(rng, bounds, lengths, count):
                     per_user[j].append(vec)
                     break
     return per_user
+
+
+def blocks_float_reference(ut, vecs):
+    """UserTensors.blocks_float as a complex tensordot of the coefficients
+    cast to complex128, the form its real products replace."""
+    v = vecs.astype(np.float64)
+    blocks = np.tensordot(v.astype(np.complex128), ut.emb, axes=([1], [0]))
+    errs = np.tensordot(np.abs(v), ut.emb_err, axes=([1], [0]))
+    return blocks, errs + np.abs(blocks) * EMB_REL_ERR
