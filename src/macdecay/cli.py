@@ -44,6 +44,14 @@ class ConfigError(ValueError):
 # config resolution
 
 
+def _config_int(value, key: str) -> int:
+    """value if it is a JSON integer; a float or a bool is refused, never
+    truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"config key {key!r} needs integers, got {value!r}")
+    return value
+
+
 def _tag_from_string(s: str) -> RingTag:
     try:
         return RingTag(s)
@@ -91,9 +99,9 @@ def resolve_spec(code: dict) -> CodeSpec:
         p = _auto_prime(tower)
     else:
         a, b = p_cfg
-        p = QuadElem(int(a), int(b), tower.tag)
+        p = QuadElem(_config_int(a, "p"), _config_int(b, "p"), tower.tag)
     k_cfg = code.get("k", "auto")
-    k = None if k_cfg == "auto" else int(k_cfg)
+    k = None if k_cfg == "auto" else _config_int(k_cfg, "k")
     return CodeSpec(tower, p, k)
 
 
@@ -339,7 +347,8 @@ def cmd_witness2(args, cfg: dict) -> int:
             raise ConfigError(
                 f"each coordinate vector needs {len(basis)} integers"
             )
-    a, b, c, d = gamma_elements(basis, [c for vec in abcd for c in vec])
+    coeffs = [_config_int(c, "abcd") for vec in abcd for c in vec]
+    a, b, c, d = gamma_elements(basis, coeffs)
     singular = two_user_singularity_test(a, b, c, d)
     resolved = _resolved_config_obj("witness2", cfg, tower=tower, abcd=abcd)
     from .number_field import L_OVER_K

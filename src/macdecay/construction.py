@@ -28,7 +28,7 @@ def choose_k(U: int, n_t: int) -> int:
 class CodeSpec:
     """A tower, a certified inert prime p, and the denominator exponent k."""
 
-    __slots__ = ("tower", "p", "k", "U", "n_t", "d", "norm_p", "r_per_user")
+    __slots__ = ("tower", "p", "p_inv", "k", "U", "n_t", "d", "norm_p", "r_per_user")
 
     def __init__(self, tower: Tower, p: QuadElem, k: int | None = None):
         self.tower = tower
@@ -50,6 +50,7 @@ class CodeSpec:
         if not inert:
             raise ValueError(f"{p} is not inert in L/K (f reducible mod p)")
         self.p = p
+        self.p_inv = tower.one() * p.inverse()  # p^-1 as an element of L
         self.norm_p = int(p.norm())
         self.r_per_user = 2 * self.U * self.n_t**2
 
@@ -102,11 +103,9 @@ class CodeMatrix:
     def entry_value(self, r: int, c: int) -> FieldElem:
         """The exact value numer * p^(-exp) as a FieldElem over L."""
         num, exp = self.entries[r][c]
-        if exp == 0:
-            return num
-        p = self.spec.p
-        scale = (p.conj() ** exp) * Fraction(1, self.spec.norm_p**exp)
-        return num * scale
+        for _ in range(exp):
+            num = num * self.spec.p_inv
+        return num
 
     def values(self) -> list[list[FieldElem]]:
         rows, cols = self.shape
@@ -229,34 +228,26 @@ def build_A(spec: CodeSpec, blocks) -> CodeMatrix:
 
 def gamma_basis(tower: Tower) -> tuple[FieldElem, ...]:
     """The 2*U*n_t integral basis mu^b theta^a of O_L as a Z-module,
-    ordered a = 0..d-1 for b = 0 then b = 1.  Built once per tower; every
-    caller shares the one tuple."""
+    ordered a = 0..d-1 for b = 0 then b = 1: the unit gamma-coordinate
+    vectors.  Built once per tower; every caller shares the one tuple."""
     if tower._gamma is None:
-        th_pows = []
-        acc = tower.one()
-        th = tower.theta()
-        for _ in range(tower.d):
-            th_pows.append(acc)
-            acc = acc * th
-        mu = tower.mu_elem()
-        tower._gamma = tuple(th_pows + [mu * t for t in th_pows])
+        tower._gamma = tuple(tower._unit_vector(g) for g in range(2 * tower.d))
     return tower._gamma
 
 
 def gamma_elements(basis: tuple[FieldElem, ...], coeffs) -> list[FieldElem]:
     """The elements sum_g c_g gamma_g, one per run of len(basis) integer
-    gamma-coordinates in coeffs; basis is gamma_basis of their tower."""
+    gamma-coordinates in coeffs; basis is gamma_basis of their tower.
+    Each run is the element's numerator vector over denominator 1, and a
+    coordinate that is not an integer is refused."""
     width = len(basis)
     if len(coeffs) % width:
         raise ValueError(f"coordinate count must be a multiple of {width}")
-    out = []
-    for start in range(0, len(coeffs), width):
-        acc = basis[0].tower.zero()
-        for base, c in zip(basis, coeffs[start : start + width]):
-            if c:
-                acc = acc + base * int(c)
-        out.append(acc)
-    return out
+    tower = basis[0].tower
+    return [
+        FieldElem(tower, coeffs[start : start + width])
+        for start in range(0, len(coeffs), width)
+    ]
 
 
 def lattice_basis(spec: CodeSpec, j: int) -> list[CodeMatrix]:

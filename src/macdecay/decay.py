@@ -107,9 +107,9 @@ def det_exact(A: CodeMatrix) -> tuple[FieldElem, int]:
 
 def det_value(spec: CodeSpec, num: FieldElem, s: int) -> FieldElem:
     """The exact field value numerator * p^(-s)."""
-    if s == 0:
-        return num
-    return num * (spec.p.conj() ** s * Fraction(1, spec.norm_p**s))
+    for _ in range(s):
+        num = num * spec.p_inv
+    return num
 
 
 def abs_sq_of_det(spec: CodeSpec, num: FieldElem, s: int) -> RealAlgebraic:
@@ -324,9 +324,10 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
                 s_ref = s
             elif s != s_ref:
                 raise AssertionError("structural exponent varied across a batch")
-            if ctx.kern.entry_scale != 1:
-                num = num * ctx.kern.entry_scale
-            out.append(tuple(ctx.kern.fe_to_vec(num)))
+            num = num * ctx.kern.entry_scale
+            if num.den != 1:
+                raise AssertionError("scaled determinant numerator is not integral")
+            out.append(num.num)
         return out, s_ref
 
 
@@ -341,7 +342,7 @@ def _pick_chunk_min(ctx: _SearchContext, nums, s, boxes: list[tuple]):
         if vec in seen:
             continue
         seen.add(vec)
-        num_fe = ctx.kern.vec_to_num(vec)
+        num_fe = FieldElem(ctx.spec.tower, vec, ctx.kern.entry_scale)
         absq = abs_sq_of_det(ctx.spec, num_fe, s)
         if best is None or absq < best[0]:
             best = (absq, vec, box)
@@ -665,7 +666,7 @@ def min_abs_det(
     )
     best = None
     for res in _chunk_results(tasks, ntasks, payload, workers):
-        num_fe = kern.vec_to_num(res["num"])
+        num_fe = FieldElem(spec.tower, res["num"], kern.entry_scale)
         absq = abs_sq_of_det(spec, num_fe, res["s"])
         if best is None or absq < best[0]:
             best = (absq, num_fe, res["s"], res["box"])
@@ -819,12 +820,6 @@ def curve_json_obj(spec: CodeSpec, reports: list[DecayReport]) -> dict:
 # two-user singularity criterion and Hilbert-90 witnesses
 
 
-def _full_norm(x: FieldElem) -> FieldElem:
-    from .number_field import L_OVER_K
-
-    return x.rel_norm(L_OVER_K)
-
-
 def two_user_singularity_test(
     a: FieldElem, b: FieldElem, c: FieldElem, d: FieldElem
 ) -> bool:
@@ -834,7 +829,7 @@ def two_user_singularity_test(
     tower = a.tower
     if tower.d != 2:
         raise ValueError("criterion applies to degree-2 extensions only")
-    lhs = _full_norm(a) * _full_norm(d) - _full_norm(b) * _full_norm(c)
+    lhs = a.rel_norm() * d.rel_norm() - b.rel_norm() * c.rel_norm()
     return not lhs
 
 
@@ -858,7 +853,7 @@ def zero_det_witness_2user(a, b, c, d):
             raise AssertionError("norm-1 criterion violated in degenerate branch")
         return one, one
     alpha = bc / ad
-    if not _full_norm(alpha) == one:
+    if not alpha.rel_norm() == one:
         raise AssertionError("bc/ad must have norm 1 when the test passes")
     z = None
     for gamma in (one, tower.theta(), tower.mu_elem(), tower.mu_elem() * tower.theta()):
@@ -868,18 +863,9 @@ def zero_det_witness_2user(a, b, c, d):
             break
     if z is None:
         raise ArithmeticError("Hilbert-90 element vanished on the whole basis")
-    # clear denominators with a rational integer, then strip the content
-    mult = 1
-    for q in z.coords:
-        mult = math.lcm(mult, q.a.denominator, q.b.denominator)
-    w = z * mult
-    if not w.is_integral():
-        raise AssertionError("denominator clearing failed")
-    content = 0
-    for q in w.coords:
-        content = math.gcd(content, abs(int(q.a)), abs(int(q.b)))
-    if content > 1:
-        w = w * Fraction(1, content)
+    # clear the denominator (a rational integer), then strip the content
+    content = math.gcd(*z.num)
+    w = FieldElem(tower, [c // content for c in z.num])
     det = ad * w - bc * w.apply_sigma(1)
     if det:
         raise AssertionError("constructed witness does not kill the determinant")

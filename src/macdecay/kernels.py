@@ -1,24 +1,22 @@
 """Batched integer and float fast paths for codeword determinants.
 
-Elements of O_L are flattened to integer vectors over the 2d-element basis
-mu^b theta^a.  Batches are coordinate-major: an array of shape (dim, ...)
-holds coordinate g of every element in row g, so each arithmetic step is a
-numpy operation over a whole batch.  Multiplication runs through the
-nonzero entries of the basis structure tensor only (one multiply-add per
-entry on the outer product of the two factors), in int64 and without
-BLAS.  Every int64 batch is preceded by an exact overflow audit on
-per-coordinate magnitude bounds; every float screen carries a rigorous
-slack so it can only propose candidates, never decide a comparison.
+Elements of O_L enter as their integer gamma-coordinates ``FieldElem.num``
+over the 2d-element basis mu^b theta^a, with no conversion.  Batches are
+coordinate-major: an array of shape (dim, ...) holds coordinate g of every
+element in row g, so each arithmetic step is a numpy operation over a whole
+batch.  Multiplication runs through the nonzero entries of the tower's
+structure tensor only (one multiply-add per entry on the outer product of
+the two factors), in int64 and without BLAS.  Every int64 batch is
+preceded by an exact overflow audit on per-coordinate magnitude bounds;
+every float screen carries a rigorous slack so it can only propose
+candidates, never decide a comparison.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
-
 import numpy as np
 
-from .construction import CodeSpec, gamma_basis, gamma_elements, lattice_basis
+from .construction import CodeSpec, gamma_basis, lattice_basis
 from .number_field import FieldElem, Tower
 
 INT64_LIMIT = 1 << 62
@@ -63,20 +61,18 @@ class SparseMap:
 class IntKernel:
     """Integer-coordinate arithmetic of O_L bound to one tower.
 
-    Vectors are coordinates over the mu^b theta^a basis; batched methods
-    take and return them coordinate-major, shape (dim, ...).  ``mul`` is the
-    one product: the SparseMap of the structure tensor ``mul_tensor``
-    (gamma_a * gamma_b = sum_c mul_tensor[a, b, c] gamma_c) applied to the
-    (dim, dim, ...) outer product of its factors.
+    Vectors are the gamma-coordinates of FieldElem numerators; batched
+    methods take and return them coordinate-major, shape (dim, ...).  ``mul``
+    is the one product: the SparseMap of the tower's structure tensor
+    ``mul_tensor`` (gamma_a * gamma_b = sum_c mul_tensor[a, b, c] gamma_c,
+    the dense form of ``Tower.mul_terms``) applied to the (dim, dim, ...)
+    outer product of its factors.
 
-    The basis spans a finite-index subring of O_L; when the index is not 1
-    (the degree-4 tower is the shipped example), sigma-images of basis
-    elements pick up bounded denominators.  ``entry_scale`` is the least
-    common denominator over all sigma-images of the basis: codeword entry
-    numerators are stored times entry_scale, and det_int_batch returns
-    entry_scale * (true numerator), which vec_to_num undoes.  Towers whose
-    basis is sigma-stable have entry_scale == 1 and the scaling is the
-    identity throughout."""
+    Codeword entry numerators are stored times the tower's ``entry_scale``
+    so they stay integral, and det_int_batch returns entry_scale * (true
+    numerator): the true numerator is FieldElem(tower, row, entry_scale).
+    Towers whose basis is sigma-stable have entry_scale == 1 and the
+    scaling is the identity throughout."""
 
     def __init__(self, tower: Tower):
         self.tower = tower
@@ -85,69 +81,41 @@ class IntKernel:
         self.gamma = gamma_basis(tower)
         dim = self.dim
         tens = np.zeros((dim, dim, dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(i, dim):
-                vec = self.fe_to_vec(self.gamma[i] * self.gamma[j])
-                tens[i, j] = vec
-                tens[j, i] = vec
+        for a, row in enumerate(tower.mul_terms):
+            for b, terms in enumerate(row):
+                for c, w in terms:
+                    tens[a, b, c] = w
         self.mul_tensor = tens
         self._mul_map = SparseMap(tens.reshape(dim * dim, dim))
-        self._abs_tensor = [
-            [[abs(int(tens[a, b, c])) for c in range(dim)] for b in range(dim)]
-            for a in range(dim)
-        ]
         self._sigma_cache: dict[int, np.ndarray] = {}
         self._mult_cache: dict = {}
         self._power_cache: dict = {}
-        scale = 1
-        for t in range(1, self.d):
-            for g in self.gamma:
-                for q in g.apply_sigma(t).coords:
-                    scale = lcm(scale, q.a.denominator, q.b.denominator)
-        self.entry_scale = scale
-
-    def fe_to_vec(self, fe: FieldElem) -> list[int]:
-        out = [0] * self.dim
-        for a, q in enumerate(fe.coords):
-            if q.a.denominator != 1 or q.b.denominator != 1:
-                raise ValueError("element is not integral over the basis")
-            out[a] = int(q.a)
-            out[self.d + a] = int(q.b)
-        return out
-
-    def vec_to_fe(self, vec) -> FieldElem:
-        return gamma_elements(self.gamma, vec)[0]
-
-    def vec_to_num(self, vec) -> FieldElem:
-        """True determinant numerator from a det_int_batch output vector."""
-        fe = self.vec_to_fe(vec)
-        if self.entry_scale != 1:
-            fe = fe * Fraction(1, self.entry_scale)
-        return fe
+        self.entry_scale = tower.entry_scale
 
     def sigma_vec_mat(self, t: int) -> np.ndarray:
         """Right-multiplication matrix: vecs @ S applies sigma^t.
 
         Only defined when sigma^t maps the basis ring into itself; otherwise
-        fe_to_vec raises.  tau = sigma^U is integral on every shipped tower,
-        so relative-norm checks always have their matrix."""
+        ValueError.  tau = sigma^U is integral on every shipped tower, so
+        relative-norm checks always have their matrix."""
         t %= self.d
         if t not in self._sigma_cache:
-            rows = [self.fe_to_vec(g.apply_sigma(t)) for g in self.gamma]
-            self._sigma_cache[t] = np.array(rows, dtype=np.int64)
+            images = [g.apply_sigma(t) for g in self.gamma]
+            if any(x.den != 1 for x in images):
+                raise ValueError(f"sigma^{t} does not map the basis ring into itself")
+            self._sigma_cache[t] = np.array([x.num for x in images], dtype=np.int64)
         return self._sigma_cache[t]
 
     def mult_vec_mat(self, elem) -> np.ndarray:
         """Right-multiplication matrix for a fixed integral element."""
-        if isinstance(elem, FieldElem):
-            key = tuple(self.fe_to_vec(elem))
-        else:
+        if not isinstance(elem, FieldElem):
             elem = self.tower.one() * elem
-            key = tuple(self.fe_to_vec(elem))
-        if key not in self._mult_cache:
-            rows = [self.fe_to_vec(elem * g) for g in self.gamma]
-            self._mult_cache[key] = np.array(rows, dtype=np.int64)
-        return self._mult_cache[key]
+        if elem.den != 1:
+            raise ValueError("element is not integral over the basis")
+        if elem.num not in self._mult_cache:
+            rows = [(elem * g).num for g in self.gamma]
+            self._mult_cache[elem.num] = np.array(rows, dtype=np.int64)
+        return self._mult_cache[elem.num]
 
     def power_maps(self, elem, top: int) -> tuple[list, list]:
         """Right-multiplication matrices of elem^0, ..., elem^top and their
@@ -168,24 +136,16 @@ class IntKernel:
         return self._mul_map(outer.reshape((self.dim**2,) + outer.shape[2:]))
 
     def product_bound(self, ub_u, ub_v) -> list[int]:
-        """Exact per-coordinate magnitude bound for products."""
-        dim = self.dim
-        out = [0] * dim
-        absT = self._abs_tensor
-        for a in range(dim):
-            ua = ub_u[a]
-            if not ua:
-                continue
-            row = absT[a]
-            for b in range(dim):
-                vb = ub_v[b]
-                if not vb:
-                    continue
-                w = ua * vb
-                cell = row[b]
-                for c in range(dim):
-                    if cell[c]:
-                        out[c] += cell[c] * w
+        """Exact per-coordinate magnitude bound for products, over the
+        nonzero terms of the structure tensor."""
+        out = [0] * self.dim
+        for ua, row in zip(ub_u, self.tower.mul_terms):
+            if ua:
+                for vb, terms in zip(ub_v, row):
+                    if vb:
+                        w = ua * vb
+                        for c, t in terms:
+                            out[c] += abs(t) * w
         return out
 
     @staticmethod
@@ -287,10 +247,10 @@ def det_int_batch(
     stacked has shape (batch, n, n, dim): integer numerator vectors scaled
     by kern.entry_scale, entry (r, c) meaning (numer / entry_scale) *
     p^(-E[r][c]) with the structural exponents.  Returns (nums, s) with
-    det = vec_to_num(nums) * p^(-s); nums itself carries one factor of
-    entry_scale so it stays integral even when the true numerator has
-    denominators over the basis.  Raises OverflowRisk if the audited bounds
-    could leave int64.
+    det = FieldElem(tower, row, entry_scale) * p^(-s) for each row of nums;
+    nums itself carries one factor of entry_scale so it stays integral even
+    when the true numerator has denominators over the basis.  Raises
+    OverflowRisk if the audited bounds could leave int64.
 
     The subset DP runs coordinate-major on one transposed copy of stacked;
     a term whose sub-minor is the empty one (= 1) is the entry itself.
@@ -397,9 +357,10 @@ class UserTensors:
                     num, exp = g.entries[rr][cc]
                     if exp != E[row_base + rr][cc]:
                         raise AssertionError("structural exponent mismatch")
-                    if kern.entry_scale != 1:
-                        num = num * kern.entry_scale
-                    numv[gi, rr, cc] = kern.fe_to_vec(num)
+                    num = num * kern.entry_scale
+                    if num.den != 1:
+                        raise ValueError("element is not integral over the basis")
+                    numv[gi, rr, cc] = num.num
                     enc = g.entry_value(rr, cc).embed(50)
                     emb[gi, rr, cc] = enc.mid()
         self.j = j

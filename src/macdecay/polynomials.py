@@ -127,15 +127,6 @@ class Poly:
         inv = _one_like(self.leading) / self.leading
         return Poly([c * inv for c in self.coeffs])
 
-    def compose_mod(self, g: Poly, modulus: Poly) -> Poly:
-        """self(g) reduced mod modulus, by Horner on polynomial values."""
-        if not self.coeffs:
-            return Poly(())
-        acc = Poly([self.coeffs[-1]])
-        for c in reversed(self.coeffs[:-1]):
-            acc = (acc * g + Poly([c])) % modulus
-        return acc
-
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
@@ -150,25 +141,6 @@ def _one_like_of(x):
     if isinstance(x, (int, Fraction, QuadElem)):
         return 1
     return _one_like(x)
-
-
-def poly_ext_gcd(a: Poly, b: Poly) -> tuple[Poly, Poly, Poly]:
-    """Extended gcd over the coefficient field: returns (g, s, t) with
-    s*a + t*b == g and g monic (or zero)."""
-    one = Poly([_one_like(a.leading if a else b.leading)])
-    zero = Poly(())
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0:
-        lead_inv = _one_like(r0.leading) / r0.leading
-        return r0 * lead_inv, s0 * lead_inv, t0 * lead_inv
-    return r0, s0, t0
 
 
 def _det_field(rows: list[list], one) -> object:

@@ -67,19 +67,6 @@ class QuadElem:
     def __setattr__(self, name, value):
         raise AttributeError("QuadElem is immutable")
 
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def rational(x) -> QuadElem:
-        return QuadElem(Fraction(x))
-
-    @staticmethod
-    def coerce(x, tag: RingTag) -> QuadElem:
-        if isinstance(x, QuadElem):
-            _combine_tags(x.tag, tag)
-            return x
-        return QuadElem(Fraction(x))
-
     # -- predicates ------------------------------------------------------
 
     def __bool__(self) -> bool:

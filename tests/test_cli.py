@@ -362,6 +362,38 @@ class TestConfigErrors:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("value", [[1.9, 1], [1, True]])
+    def test_non_integer_prime_refused(self, tmp_path, capsys, value):
+        # 1.9 used to be truncated, building the code for p = 1+1i
+        cfg = write_config(tmp_path, {"code": {**GOLDEN_CODE, "p": value}})
+        rc = cli.main(["build", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'p'" in captured.err
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_non_integer_exponent_k_refused(self, tmp_path, capsys, value):
+        cfg = write_config(tmp_path, {"code": {**GOLDEN_CODE, "k": value}})
+        rc = cli.main(["build", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'k'" in captured.err
+
+    @pytest.mark.parametrize("entry", [1.5, False])
+    def test_non_integer_abcd_refused(self, tmp_path, capsys, entry):
+        # 1.5 used to be truncated to 1 and the run exited 0
+        abcd = [[entry, 0, 0, 0]] + [[1, 0, 0, 0]] * 3
+        cfg = write_config(
+            tmp_path, {"code": {"K": "Q(i)", "U": 2, "n_t": 1}, "abcd": abcd}
+        )
+        rc = cli.main(["witness2", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "'abcd'" in captured.err
+
     def test_unknown_mode_string(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "mode": "psychic"})
         rc = cli.main(["decay", "--config", cfg, "--nmax", "1"])

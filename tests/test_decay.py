@@ -22,6 +22,7 @@ from macdecay.decay import (
     _laplace_det,
 )
 from macdecay.kernels import IntKernel, OverflowRisk, coeff_grid, grid_size
+from macdecay.number_field import FieldElem
 from macdecay.quadratic import QuadElem, RingTag
 
 from util import draw_samples_reference, rand_box
@@ -397,7 +398,7 @@ class TestOrbitReduction:
         units = orbit_units(kern)
         zetas = [QuadElem(x, y, tower.tag) for x, y in self.UNITS[tower.tag]]
         # row 0 of a multiplication matrix is the unit times gamma_0 = 1
-        assert [kern.vec_to_fe(mat[0]) for mat in units] == [
+        assert [FieldElem(tower, mat[0]) for mat in units] == [
             tower.one() * zeta for zeta in zetas
         ]
         rng = random.Random(307)

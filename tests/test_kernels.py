@@ -11,6 +11,7 @@ from macdecay.kernels import (
     coeff_grid, det_float_batch, det_int_batch, det_schedule,
     det_slack_batch, exponent_matrix, grid_size, stack_users,
 )
+from macdecay.number_field import FieldElem
 
 from util import blocks_float_reference, rand_box, rand_elem
 
@@ -32,15 +33,18 @@ def quartic_kern(quartic_tower):
 
 
 class TestIntKernel:
-    def test_vec_round_trip(self, golden_kern, golden_tower):
+    def test_vec_round_trip(self, golden_tower):
         rng = random.Random(109)
         for _ in range(30):
             x = rand_elem(golden_tower, rng, 5)
-            assert golden_kern.vec_to_fe(golden_kern.fe_to_vec(x)) == x
+            assert x.den == 1
+            assert FieldElem(golden_tower, x.num) == x
 
     def test_non_integral_rejected(self, golden_kern, golden_tower):
+        third = golden_tower.theta() * Fraction(1, 3)
+        assert third.den == 3
         with pytest.raises(ValueError):
-            golden_kern.fe_to_vec(golden_tower.theta() * Fraction(1, 3))
+            golden_kern.mult_vec_mat(third)
 
     def test_sigma_matrix(self, quartic_kern, quartic_tower):
         rng = random.Random(113)
@@ -48,8 +52,8 @@ class TestIntKernel:
             S = quartic_kern.sigma_vec_mat(t)
             for _ in range(10):
                 x = rand_elem(quartic_tower, rng, 3)
-                vec = np.array(quartic_kern.fe_to_vec(x), dtype=np.int64)
-                assert quartic_kern.vec_to_fe(vec @ S) == x.apply_sigma(t)
+                vec = np.array(x.num, dtype=np.int64)
+                assert FieldElem(quartic_tower, vec @ S) == x.apply_sigma(t)
 
     def test_sigma_matrix_only_for_basis_stable_powers(self, quartic_kern):
         # sigma(theta) has half-integer coordinates on the degree-4 tower, so
@@ -68,8 +72,8 @@ class TestIntKernel:
         M = quartic_kern.mult_vec_mat(y)
         for _ in range(10):
             x = rand_elem(quartic_tower, rng, 3)
-            vec = np.array(quartic_kern.fe_to_vec(x), dtype=np.int64)
-            assert quartic_kern.vec_to_fe(vec @ M) == x * y
+            vec = np.array(x.num, dtype=np.int64)
+            assert FieldElem(quartic_tower, vec @ M) == x * y
 
     @pytest.mark.parametrize("tower_name", ALL_TOWERS)
     def test_mul_matches_field(self, tower_name, request):
@@ -78,12 +82,12 @@ class TestIntKernel:
         rng = random.Random(131)
         xs = [rand_elem(tower, rng, 4) for _ in range(16)]
         ys = [rand_elem(tower, rng, 4) for _ in range(16)]
-        u = np.array([kern.fe_to_vec(x) for x in xs], dtype=np.int64).T
-        v = np.array([kern.fe_to_vec(y) for y in ys], dtype=np.int64).T
+        u = np.array([x.num for x in xs], dtype=np.int64).T
+        v = np.array([y.num for y in ys], dtype=np.int64).T
         prod = kern.mul(u, v)
         assert prod.shape == (kern.dim, 16)
         for col, x, y in zip(prod.T, xs, ys):
-            assert kern.vec_to_fe(col) == x * y
+            assert FieldElem(tower, col) == x * y
 
     @pytest.mark.parametrize("tower_name", ALL_TOWERS)
     def test_broadcast_mul_matches_field(self, tower_name, request):
@@ -92,23 +96,23 @@ class TestIntKernel:
         rng = random.Random(137)
         xs = [rand_elem(tower, rng, 2) for _ in range(5)]
         ys = [rand_elem(tower, rng, 2) for _ in range(4)]
-        u = np.array([kern.fe_to_vec(x) for x in xs], dtype=np.int64).T
-        v = np.array([kern.fe_to_vec(y) for y in ys], dtype=np.int64).T
+        u = np.array([x.num for x in xs], dtype=np.int64).T
+        v = np.array([y.num for y in ys], dtype=np.int64).T
         prod = kern.mul(u[:, :, None], v[:, None, :])
         assert prod.shape == (kern.dim, 5, 4)
         for a, x in enumerate(xs):
             for b, y in enumerate(ys):
-                assert kern.vec_to_fe(prod[:, a, b]) == x * y
+                assert FieldElem(tower, prod[:, a, b]) == x * y
 
     def test_product_bound_sound(self, quartic_kern, quartic_tower):
         rng = random.Random(139)
         for _ in range(20):
             x = rand_elem(quartic_tower, rng, 6)
             y = rand_elem(quartic_tower, rng, 6)
-            ux = [abs(c) for c in quartic_kern.fe_to_vec(x)]
-            uy = [abs(c) for c in quartic_kern.fe_to_vec(y)]
+            ux = [abs(c) for c in x.num]
+            uy = [abs(c) for c in y.num]
             bound = quartic_kern.product_bound(ux, uy)
-            actual = quartic_kern.fe_to_vec(x * y)
+            actual = (x * y).num
             assert all(abs(a) <= b for a, b in zip(actual, bound))
 
     def test_mat_bound_sound(self, golden_kern):
@@ -199,7 +203,8 @@ class TestBatchedDeterminants:
                 for row, box in zip(nums, boxes):
                     num_ref, s_ref = det_exact(assemble_codeword(spec, box))
                     assert s_ref == s
-                    assert kern.vec_to_num(row) == num_ref, (spec_name, box)
+                    num = FieldElem(spec.tower, row, kern.entry_scale)
+                    assert num == num_ref, (spec_name, box)
 
     def test_overflow_risk_raised(self, quartic_spec):
         kern = IntKernel(quartic_spec.tower)
@@ -232,7 +237,8 @@ class TestBatchedDeterminants:
             stacked = self._batch(spec, kern, boxes)
             nums, s = det_int_batch(spec, kern, stacked)
             for a, sl, num, box in zip(approx, slack, nums, boxes):
-                exact = det_value(spec, kern.vec_to_num(num), s).embed(70).mid()
+                num = FieldElem(spec.tower, num, kern.entry_scale)
+                exact = det_value(spec, num, s).embed(70).mid()
                 assert abs(a - exact) <= sl + 1e-25, (spec_name, box.vectors)
 
     def test_blocks_float_matches_complex_tensordot(self, request):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from macdecay.polynomials import Poly, poly_discriminant, poly_ext_gcd, resultant
+from macdecay.polynomials import Poly, poly_discriminant, resultant
 from macdecay.quadratic import GAUSSIAN, QuadElem
 
 
@@ -76,29 +76,8 @@ class TestRingOps:
         g = Poly([-i, QuadElem(1)])  # x - i
         assert f * g == Poly([QuadElem(1), QuadElem(0), QuadElem(1)])
 
-    def test_compose_mod(self):
-        rng = random.Random(29)
-        modulus = P(-1, -2, 1, 1)
-        for _ in range(50):
-            g = rand_poly(rng, max_deg=2)
-            sq = P(0, 0, 1)
-            assert sq.compose_mod(g, modulus) == (g * g) % modulus
-
 
 class TestGcdResultantDiscriminant:
-    def test_ext_gcd_identity(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            a = rand_poly(rng)
-            b = rand_poly(rng)
-            if a.degree is None and b.degree is None:
-                continue
-            g, s, t = poly_ext_gcd(a, b)
-            assert s * a + t * b == g
-            assert (a % g).degree is None
-            assert (b % g).degree is None
-            assert g.is_monic()
-
     def test_resultant_of_coprime_quadratics(self):
         assert resultant(P(-2, 0, 1), P(-3, 0, 1)) == 1
 
