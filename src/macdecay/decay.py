@@ -29,7 +29,7 @@ from .construction import (
 from .kernels import (
     GRID_ROW_CAP, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
     UserTensors, coeff_grid, det_float_batch, det_int_batch, det_schedule,
-    det_slack_batch, grid_size, stack_users,
+    det_slack_batch, grid_size, laplace_terms, slack_factors, stack_users,
 )
 from .number_field import FieldElem, RealAlgebraic
 from .quadratic import QuadElem
@@ -260,6 +260,16 @@ def orbit_representatives(
 class _SearchContext:
     """Everything a scan needs, rebuilt once per worker process.
 
+    The float screen is factored by user.  A codeword's rows split into a
+    prefix block (users 1..U-1) and the last user's n_t rows, and both the
+    determinant (Laplace over the last user's rows, ``terms``) and the
+    slack (det_slack_batch) are products of one factor per block.
+    float_factors builds, for coefficient vectors of every user, each
+    prefix user's float blocks and slack factors, and the last user's
+    slack factors and n_t x n_t minors on every column set of ``terms``.
+    An EXHAUSTIVE context builds them once over the user grids, so a chunk
+    evaluates only its prefix rows; SAMPLED builds them per chunk.
+
     An EXHAUSTIVE grid holds one coefficient vector per unit orbit of its
     user (see orbit_units).  The set of minimizers is closed under the
     per-user unit action, so its lex-smallest member survives the reduction
@@ -271,6 +281,8 @@ class _SearchContext:
         self.mode = mode
         self.kern = IntKernel(spec.tower)
         self.uts = [UserTensors(spec, self.kern, j + 1) for j in range(spec.U)]
+        self.n = spec.U * spec.n_t
+        self.terms = laplace_terms(self.n, spec.n_t)
         if mode == EXHAUSTIVE:
             units = orbit_units(self.kern)
             self.grids = [
@@ -279,21 +291,55 @@ class _SearchContext:
                 )
                 for j in range(spec.U)
             ]
-            self.blocks = []
-            self.errs = []
-            for j in range(spec.U):
-                bf, ef = self.uts[j].blocks_float(self.grids[j])
-                self.blocks.append(bf)
-                self.errs.append(ef)
+            self.pre, self.last = self.float_factors(self.grids)
         else:
             self.grids = None
-            self.blocks = None
-            self.errs = None
+            self.pre = None
+            self.last = None
+
+    def float_factors(self, vecs: list[np.ndarray]):
+        """(pre, last) for per-user coefficient arrays: pre lists (blocks,
+        a, ab) of users 1..U-1, last is (minors, a, ab) of user U with
+        minors[t] the minor on column set S of terms[t]; a and ab are
+        slack_factors over each user's n_t rows."""
+        users = []
+        for ut, v in zip(self.uts, vecs):
+            blocks, errs = ut.blocks_float(v)
+            users.append((blocks, *slack_factors(blocks, errs, self.n)))
+        blocks, a, ab = users.pop()
+        minors = np.stack([det_float_batch(blocks[:, :, S]) for _, S, _ in self.terms])
+        return users, (minors, a, ab)
+
+    def prefix_factors(self, pre, rows, count: int):
+        """(minors, a, ab) of the prefix blocks of `count` codewords, user
+        j's rows being rows[j] of pre[j]; minors[t] is on column set C of
+        terms[t].  With one user the prefix block is empty, its minor 1."""
+        if not pre:
+            one = np.ones(count)
+            return np.ones((1, count), dtype=np.complex128), one, one
+        mats = np.concatenate([b[r] for (b, _, _), r in zip(pre, rows)], axis=1)
+        minors = np.stack([det_float_batch(mats[:, :, C]) for C, _, _ in self.terms])
+        (_, a, ab), r = pre[0], rows[0]
+        a, ab = a[r], ab[r]
+        for (_, a_j, ab_j), r in zip(pre[1:], rows[1:]):
+            a = a * a_j[r]
+            ab = ab * ab_j[r]
+        return minors, a, ab
 
 
-def _screen_sub(mats, errs):
-    d = det_float_batch(mats)
-    s = det_slack_batch(mats, errs)
+def _screen_sub(terms, pre, last):
+    """lo^2 and up^2 of |det| for prefix factors `pre` against last-user
+    factors `last`, as broadcast together: d by the Laplace terms, the
+    prefix minor first in each product, and the slack of both blocks."""
+    pm, pa, pab = pre
+    lm, la, lab = last
+    d = pm[0] * lm[0]
+    for (_, _, sign), p, l in zip(terms[1:], pm[1:], lm[1:]):
+        if sign > 0:
+            d += p * l
+        else:
+            d -= p * l
+    s = det_slack_batch((pa, pab), (la, lab))
     ad = np.abs(d)
     lo = np.maximum(ad - s, 0.0)
     up = ad + s
@@ -349,22 +395,61 @@ def _pick_chunk_min(ctx: _SearchContext, nums, s, boxes: list[tuple]):
     return best
 
 
-def _scan_chunk(ctx: _SearchContext, blocks, errs, vecs, count: int, rows_of):
+def _screen(ctx: _SearchContext, pre, last, count: int, rows_of):
+    """(lo^2, up^2) of a chunk's codewords in flat order, in pieces of at
+    most SUB_BATCH codewords (see _scan_chunk)."""
+    if ctx.mode == SAMPLED:
+        # codeword k pairs prefix k with last-user row k
+        for off in range(0, count, SUB_BATCH):
+            span = slice(off, min(off + SUB_BATCH, count))
+            p = ctx.prefix_factors(pre, rows_of(span)[:-1], span.stop - off)
+            yield _screen_sub(ctx.terms, p, [f[..., span] for f in last])
+        return
+    # codeword k = q * m + l pairs prefix q with last-user row l
+    m = last[1].shape[0]
+    step = max(1, SUB_BATCH // m)
+    for q0 in range(0, count // m, step):
+        q = np.arange(q0, min(q0 + step, count // m), dtype=np.int64)
+        p = ctx.prefix_factors(pre, rows_of(q * m)[:-1], q.shape[0])
+        p = [f[..., None] for f in p]
+        for l0 in range(0, m, SUB_BATCH):
+            lo2, up2 = _screen_sub(
+                ctx.terms, p, [f[..., None, l0 : l0 + SUB_BATCH] for f in last]
+            )
+            yield lo2.ravel(), up2.ravel()
+
+
+def _scan_chunk(ctx: _SearchContext, pre, last, vecs, count: int, rows_of):
     """Exact minimum over `count` codewords: a float screen in SUB_BATCH
     pieces, then every codeword whose lower bound reaches the least upper
     bound goes to the exact stage.
 
-    rows_of maps flat codeword indices (a slice for each screen piece, an
-    index array for the candidates) to one row index per user; codeword k
-    stacks row rows_of(k)[j] of user j's blocks/errs (float screen) and
-    vecs (coefficient vectors)."""
+    rows_of maps flat codeword indices (an index array, or a slice in
+    SAMPLED mode) to one row index per user; codeword k stacks row
+    rows_of(k)[j] of user j's coefficient vectors vecs.  The screen is factored by user (see
+    _SearchContext): `pre` holds the float factors of users 1..U-1, read
+    at rows_of of each prefix, and `last` those of the last user's rows.
+    EXHAUSTIVE broadcasts every prefix against every last-user row (the
+    last user fastest, so count = prefixes * rows); SAMPLED pairs them row
+    by row.
+
+    The float determinant is the Laplace expansion over the last user's
+    rows, a sum of C(n, n_t) products of two minors from det_float_batch
+    (closed forms up to 3 x 3) on float entries.  Like the cofactor and LU
+    forms it replaces, its rounding error is a small multiple of 2^-53 *
+    prod_r a_r: by Hadamard's inequality on each block, every product of
+    minors is at most prod_r a_r in size, and there are at most 6 of them
+    for n <= 4.  The slack already holds n^2 DET_EVAL_REL a_r in each b_r,
+    so it is at least n^3 DET_EVAL_REL prod_r a_r = n^3 2^9 * 2^-53 *
+    prod_r a_r (prod(a + b) - prod a >= sum_r b_r prod_(s != r) a_s),
+    which covers that rounding and the rounding of the norms, the factor
+    products and the squares many times over.  On the golden code (n = 2,
+    n_t = 1) the two terms are m00 m11 - m01 m10 on the same floats and
+    the slack products are those of the concatenated form, so lo^2 and
+    up^2 are the same to the bit."""
     lo2_parts = []
     up2_min = np.inf
-    for off in range(0, count, SUB_BATCH):
-        rows = rows_of(slice(off, min(off + SUB_BATCH, count)))
-        mats = np.concatenate([b[r] for b, r in zip(blocks, rows)], axis=1)
-        ers = np.concatenate([e[r] for e, r in zip(errs, rows)], axis=1)
-        lo2, up2 = _screen_sub(mats, ers)
+    for lo2, up2 in _screen(ctx, pre, last, count, rows_of):
         up2_min = min(up2_min, up2.min())
         lo2_parts.append(lo2)
     cands = np.nonzero(np.concatenate(lo2_parts) <= up2_min)[0]
@@ -394,31 +479,34 @@ def _pool_worker_init(payload: str) -> None:
     _worker_init(payload)
 
 
-def _worker_chunk(task) -> dict:
-    ctx = _WORKER_CTX
+def _chunk_args(ctx: _SearchContext, task):
+    """_scan_chunk's (pre, last, vecs, count, rows_of) for one task."""
     if task["kind"] == "E":
         # user-1 rows start..stop of its grid against every other-user row,
         # the last user fastest
-        start = task["start"]
+        start, stop = task["start"], task["stop"]
         o_sizes = [g.shape[0] for g in ctx.grids[1:]]
         others = math.prod(o_sizes)
 
         def rows_of(idx):
-            if isinstance(idx, slice):
-                idx = np.arange(idx.start, idx.stop, dtype=np.int64)
             return [start + idx // others] + _mixed_radix_rows(idx % others, o_sizes)
 
-        count = (task["stop"] - start) * others
-        blocks, errs, vecs = ctx.blocks, ctx.errs, ctx.grids
-    else:
-        vecs = task["vecs"]
-        blocks, errs = zip(*(ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)))
-        count = vecs[0].shape[0]
+        last = ctx.last
+        if not ctx.pre:
+            # one user: the chunk's own grid rows are the last-user rows
+            last = [f[..., start:stop] for f in last]
+        return ctx.pre, last, ctx.grids, (stop - start) * others, rows_of
+    vecs = task["vecs"]
 
-        def rows_of(idx):
-            return [idx] * len(vecs)
+    def rows_of(idx):
+        return [idx] * len(vecs)
 
-    count, s, best = _scan_chunk(ctx, blocks, errs, vecs, count, rows_of)
+    return (*ctx.float_factors(vecs), vecs, vecs[0].shape[0], rows_of)
+
+
+def _worker_chunk(task) -> dict:
+    ctx = _WORKER_CTX
+    count, s, best = _scan_chunk(ctx, *_chunk_args(ctx, task))
     absq, vec, box = best
     return {
         "count": count,

@@ -14,6 +14,8 @@ candidates, never decide a comparison.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 
 from .construction import CodeSpec, gamma_basis, lattice_basis
@@ -324,18 +326,51 @@ def det_float_batch(mats: np.ndarray) -> np.ndarray:
     return np.linalg.det(mats)
 
 
-def det_slack_batch(mats: np.ndarray, errs: np.ndarray) -> np.ndarray:
-    """Rigorous bound on |det(true) - det(mats)| given per-entry error bounds.
+def laplace_terms(n: int, k: int) -> list[tuple[list[int], list[int], int]]:
+    """The generalized Laplace expansion of an n x n determinant along its
+    last k rows: det A = sum of sign * det A[first n - k rows, C] *
+    det A[last k rows, S] over the k-column sets S, C the other columns.
+
+    Returns (C, S, sign) with C in lex order; the first term, whose S is
+    the last k columns, has sign +1."""
+    rows = sum(range(n - k, n))
+    out = []
+    for C in combinations(range(n), n - k):
+        S = [c for c in range(n) if c not in C]
+        out.append((list(C), S, -1 if (rows + sum(S)) % 2 else 1))
+    return out
+
+
+def slack_factors(
+    blocks: np.ndarray, errs: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row-block factors det_slack_batch multiplies together.
+
+    blocks (batch, k, n) holds k float rows of an n x n matrix and errs
+    their per-entry error bounds.  Returns the products over the k rows of
+    a_r = |row r| and of a_r + b_r, with b_r = |error row r| + n^2 *
+    DET_EVAL_REL * a_r: the evaluation error of the float determinant is
+    folded into the row error this way."""
+    a = np.sqrt(np.sum(np.abs(blocks) ** 2, axis=2))
+    b = np.sqrt(np.sum(errs.astype(np.float64) ** 2, axis=2))
+    b = b + (n * n) * DET_EVAL_REL * a
+    return np.prod(a, axis=1), np.prod(a + b, axis=1)
+
+
+def det_slack_batch(*row_blocks) -> np.ndarray:
+    """Rigorous bound on |det(true) - det(float)| given per-entry error bounds.
 
     Multilinearity in rows: the difference expands into determinants with at
     least one row replaced by its error row, so it is bounded by
-    prod(a_r + b_r) - prod(a_r) over row norms a and error norms b.  The
-    evaluation error of the float determinant itself is folded into b."""
-    a = np.sqrt(np.sum(np.abs(mats) ** 2, axis=2))
-    b = np.sqrt(np.sum(errs.astype(np.float64) ** 2, axis=2))
-    n = mats.shape[-1]
-    b = b + (n * n) * DET_EVAL_REL * a
-    slack = np.prod(a + b, axis=1) - np.prod(a, axis=1)
+    prod(a_r + b_r) - prod(a_r) over row norms a and error norms b.  Both
+    products factor over any split of the rows into blocks: each argument
+    is one block's (prod a_r, prod (a_r + b_r)) from slack_factors, and the
+    blocks' arrays broadcast together."""
+    a, ab = row_blocks[0]
+    for a_k, ab_k in row_blocks[1:]:
+        a = a * a_k
+        ab = ab * ab_k
+    slack = ab - a
     return slack * (1.0 + 2.0**-30) + 1e-300
 
 

@@ -88,10 +88,13 @@ class RootEnclosure:
     The invariants are f(lo) * f(hi) < 0 and f' nonzero on [lo, hi], so the
     bracket always contains exactly the designated root.  Refinement uses
     interval Newton steps with bisection fallback, rounding endpoints to
-    dyadic rationals to keep coordinate sizes bounded.
+    dyadic rationals to keep coordinate sizes bounded.  ``width`` is
+    hi - lo, kept with the bracket so that refine, which most callers
+    reach with the bracket already narrow enough, compares and does not
+    subtract.
     """
 
-    __slots__ = ("fc", "dfc", "lo", "hi", "sign_lo")
+    __slots__ = ("fc", "dfc", "lo", "hi", "width", "sign_lo")
 
     def __init__(self, fcoeffs, lo: Fraction, hi: Fraction):
         self.fc = tuple(fcoeffs)
@@ -104,16 +107,17 @@ class RootEnclosure:
         if dlo <= 0 <= dhi:
             raise ValueError("f' may vanish on the bracket; root not certified simple")
         self.lo, self.hi = lo, hi
+        self.width = hi - lo
         self.sign_lo = 1 if flo > 0 else -1
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        while self.hi - self.lo > width:
+        while self.width > width:
             self._step()
         return self.lo, self.hi
 
     def _step(self) -> None:
         lo, hi = self.lo, self.hi
-        w = hi - lo
+        w = self.width
         mid = (lo + hi) / 2
         fm = _ival(self.fc, 1, mid, mid)[0]
         if fm == 0:
@@ -136,6 +140,7 @@ class RootEnclosure:
         rlo = max(lo, _dyadic_floor(cand_lo, k))
         rhi = min(hi, _dyadic_ceil(cand_hi, k))
         self.lo, self.hi = rlo, rhi
+        self.width = rhi - rlo
 
 
 def _frac_bits(w: Fraction) -> int:

@@ -92,12 +92,6 @@ class Poly:
     def derivative(self) -> Poly:
         return Poly([c * i for i, c in enumerate(self.coeffs) if i > 0])
 
-    def shift_mul_x(self, n: int = 1) -> Poly:
-        if not self.coeffs:
-            return self
-        zero = self.coeffs[0] * 0
-        return Poly([zero] * n + list(self.coeffs))
-
     def __divmod__(self, other: Poly) -> tuple[Poly, Poly]:
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
@@ -120,12 +114,6 @@ class Poly:
 
     def __mod__(self, other: Poly) -> Poly:
         return divmod(self, other)[1]
-
-    def monic(self) -> Poly:
-        if not self:
-            raise ValueError("cannot normalize the zero polynomial")
-        inv = _one_like(self.leading) / self.leading
-        return Poly([c * inv for c in self.coeffs])
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"

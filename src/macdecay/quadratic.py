@@ -30,10 +30,6 @@ RATIONAL = RingTag.RATIONAL
 _MU_SYMBOL = {RingTag.GAUSSIAN: "i", RingTag.EISENSTEIN: "w", RingTag.RATIONAL: "?"}
 
 
-class NonExactDivision(ArithmeticError):
-    """Raised when an exact O_K division leaves a remainder."""
-
-
 def _combine_tags(t1: RingTag, t2: RingTag) -> RingTag:
     if t1 is t2:
         return t1
@@ -230,17 +226,6 @@ def units(tag: RingTag) -> tuple[QuadElem, ...]:
     return (one, -one)
 
 
-def quad_div_exact(x: QuadElem, y: QuadElem) -> QuadElem:
-    """Return q with q*y == x, refusing when x, y are integral but y does
-    not divide x in O_K."""
-    if not y:
-        raise ZeroDivisionError("division by zero")
-    q = x * y.inverse()
-    if x.is_integral() and y.is_integral() and not q.is_integral():
-        raise NonExactDivision(f"{y} does not divide {x} in O_K")
-    return q
-
-
 def divides(p: QuadElem, x: QuadElem) -> bool:
     """Whether p | x in O_K.  Both arguments must be integral."""
     if not (p.is_integral() and x.is_integral()):
@@ -248,15 +233,6 @@ def divides(p: QuadElem, x: QuadElem) -> bool:
     if not p:
         return not x
     return (x * p.inverse()).is_integral()
-
-
-def quad_gcd(x: QuadElem, y: QuadElem) -> QuadElem:
-    """A gcd of two integral elements, unique up to units."""
-    if not (x.is_integral() and y.is_integral()):
-        raise ValueError("gcd is only defined for integral elements")
-    while y:
-        x, y = y, x % y
-    return x
 
 
 def ok_valuation(x: QuadElem, p: QuadElem) -> int | float:
@@ -279,16 +255,6 @@ def ok_valuation(x: QuadElem, p: QuadElem) -> int | float:
             return e
         x = q
         e += 1
-
-
-def is_associate(x: QuadElem, y: QuadElem) -> bool:
-    """Whether x and y generate the same ideal of O_K."""
-    if not x or not y:
-        return (not x) and (not y)
-    if x.norm() != y.norm():
-        return False
-    q = x * y.inverse()
-    return q.is_integral() and q.norm() == 1
 
 
 def canonical_associate(x: QuadElem) -> QuadElem:

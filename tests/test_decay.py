@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from macdecay.decay import (
     valuation_split_check, zero_det_witness_2user,
     _laplace_det,
 )
-from macdecay.kernels import IntKernel, OverflowRisk, coeff_grid, grid_size
+from macdecay.kernels import (
+    IntKernel, OverflowRisk, UserTensors, coeff_grid, det_int_batch, grid_size,
+    stack_users,
+)
 from macdecay.number_field import FieldElem
 from macdecay.quadratic import QuadElem, RingTag
 
-from util import draw_samples_reference, rand_box
+from util import draw_samples_reference, rand_box, screen_reference
 
 
 ALL_SPECS = [
@@ -358,6 +362,147 @@ class TestMinAbsDetEngine:
             assert got.det_numerator == want.det_numerator
             assert got.det_p_exponent == want.det_p_exponent
             assert got.evaluated == want.evaluated
+
+
+def screened_chunk(ctx, task):
+    """lo^2, up^2 and the per-user coefficient vectors of every codeword of
+    one chunk, in the engine's flat order."""
+    pre, last, vecs, count, rows_of = decay._chunk_args(ctx, task)
+    lo2, up2 = zip(*decay._screen(ctx, pre, last, count, rows_of))
+    rows = rows_of(np.arange(count, dtype=np.int64))
+    return np.concatenate(lo2), np.concatenate(up2), [v[r] for v, r in zip(vecs, rows)]
+
+
+def grid_context(spec, grids):
+    """An EXHAUSTIVE search context over the given per-user grids."""
+    ctx = decay._SearchContext(spec, (1,) * spec.U, SAMPLED)
+    ctx.mode = EXHAUSTIVE
+    ctx.grids = grids
+    ctx.pre, ctx.last = ctx.float_factors(grids)
+    return ctx
+
+
+def _sq_range(lo, hi):
+    lo2, hi2 = lo * lo, hi * hi
+    return (0 if lo <= 0 <= hi else min(lo2, hi2)), max(lo2, hi2)
+
+
+def assert_screen_brackets_exact(spec, lo2, up2, vecs):
+    """Every codeword's exact |det|^2, enclosed in rationals from a 70-bit
+    embedding of its exact determinant, meets [lo^2, up^2]."""
+    kern = IntKernel(spec.tower)
+    uts = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
+    stacked = stack_users([ut.blocks_int(v) for ut, v in zip(uts, vecs)])
+    nums, s = det_int_batch(spec, kern, stacked)
+    for lo, up, num in zip(lo2.tolist(), up2.tolist(), nums):
+        det = det_value(spec, FieldElem(spec.tower, num, kern.entry_scale), s)
+        box = det.embed(70)
+        re_min, re_max = _sq_range(box.re_lo, box.re_hi)
+        im_min, im_max = _sq_range(box.im_lo, box.im_hi)
+        assert Fraction(lo) <= re_max + im_max, (spec.U, num)
+        assert re_min + im_min <= Fraction(up), (spec.U, num)
+
+
+class TestFactoredScreen:
+    """The user-factored float screen against exact determinants and, on
+    the golden code, bit for bit against the concatenated form."""
+
+    @pytest.mark.parametrize("spec_name", ALL_SPECS)
+    def test_sampled_screen_is_sound(self, spec_name, request):
+        spec = request.getfixturevalue(spec_name)
+        rng = random.Random(173)
+        boxes = [rand_box(spec, rng, 3) for _ in range(40)]
+        vecs = [
+            np.array([b.vectors[j] for b in boxes], dtype=np.int64)
+            for j in range(spec.U)
+        ]
+        ctx = decay._SearchContext(spec, (3,) * spec.U, SAMPLED)
+        lo2, up2, got = screened_chunk(ctx, {"kind": "S", "vecs": vecs})
+        assert all(np.array_equal(g, v) for g, v in zip(got, vecs))
+        assert np.all(lo2 <= up2)
+        assert_screen_brackets_exact(spec, lo2, up2, vecs)
+
+    @pytest.mark.parametrize("spec_name", ALL_SPECS)
+    def test_exhaustive_screen_is_sound(self, spec_name, request):
+        # the full N = 1 cross product where the grids fit, small random
+        # grids elsewhere; with one user the chunk is a slice of the grid
+        spec = request.getfixturevalue(spec_name)
+        if grid_size(1, spec.r_per_user) <= 100:
+            ctx = decay._SearchContext(spec, (1,) * spec.U, EXHAUSTIVE)
+        else:
+            gen = np.random.default_rng(179)
+            grids = []
+            for _ in range(spec.U):
+                g = gen.integers(-2, 3, (5, spec.r_per_user))
+                g[:, 0] = np.where(g.any(axis=1), g[:, 0], 1)
+                grids.append(g)
+            ctx = grid_context(spec, grids)
+        rows = ctx.grids[0].shape[0]
+        start, stop = (1, rows - 1) if spec.U == 1 else (0, rows)
+        lo2, up2, vecs = screened_chunk(
+            ctx, {"kind": "E", "start": start, "stop": stop}
+        )
+        assert lo2.shape[0] == (stop - start) * math.prod(
+            g.shape[0] for g in ctx.grids[1:]
+        )
+        assert np.array_equal(vecs[0][0], ctx.grids[0][start])
+        assert_screen_brackets_exact(spec, lo2, up2, vecs)
+
+    @pytest.mark.parametrize("sub_batch", [7, 50, decay.SUB_BATCH])
+    def test_golden_exhaustive_matches_concatenated_form(
+        self, golden_spec, monkeypatch, sub_batch
+    ):
+        # pieces that split the last user's 20 rows, that hold two prefixes,
+        # and the default: the same lo^2 and up^2 to the bit
+        monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
+        ctx = decay._SearchContext(golden_spec, (2, 1), EXHAUSTIVE)
+        rows = ctx.grids[0].shape[0]
+        task = {"kind": "E", "start": 3, "stop": rows}
+        lo2, up2, _ = screened_chunk(ctx, task)
+        rows_of = decay._chunk_args(ctx, task)[4]
+        idx = rows_of(np.arange(lo2.shape[0], dtype=np.int64))
+        floats = [ut.blocks_float(g) for ut, g in zip(ctx.uts, ctx.grids)]
+        mats = stack_users([b[r] for (b, _), r in zip(floats, idx)])
+        errs = stack_users([e[r] for (_, e), r in zip(floats, idx)])
+        want_lo2, want_up2 = screen_reference(mats, errs)
+        assert np.array_equal(lo2, want_lo2)
+        assert np.array_equal(up2, want_up2)
+
+    def test_golden_sampled_matches_concatenated_form(self, golden_spec):
+        rng = random.Random(181)
+        vecs = decay._draw_samples(rng, (4, 4), (4, 4), 3000)
+        ctx = decay._SearchContext(golden_spec, (4, 4), SAMPLED)
+        lo2, up2, _ = screened_chunk(ctx, {"kind": "S", "vecs": vecs})
+        floats = [ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)]
+        want_lo2, want_up2 = screen_reference(
+            stack_users([b for b, _ in floats]), stack_users([e for _, e in floats])
+        )
+        assert np.array_equal(lo2, want_lo2)
+        assert np.array_equal(up2, want_up2)
+
+    def test_golden_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
+        # candidates each point of the benchmark's golden curves sends to
+        # the exact stage, over all its chunks; ALL_USERS N = 2 is box (2, 2)
+        stage, sizes = decay._exact_stage, []
+
+        def counted_stage(ctx, vec_arrays):
+            sizes.append(vec_arrays[0].shape[0])
+            return stage(ctx, vec_arrays)
+
+        monkeypatch.setattr(decay, "_exact_stage", counted_stage)
+        want = {
+            FIRST_USER: [6, 7, 8, 11, 13, 20, 33, 52],
+            ALL_USERS: [6, 2, 6],
+        }
+        for pattern, counts in want.items():
+            got = []
+            for N in range(1, len(counts) + 1):
+                sizes.clear()
+                min_abs_det(
+                    golden_spec, (N, 1) if pattern == FIRST_USER else (N, N)
+                )
+                got.append(sum(sizes))
+            assert got == counts, pattern
 
 
 class TestNaiveOracle:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,8 @@ from macdecay.decay import det_exact
 from macdecay.kernels import (
     IntKernel, OverflowRisk, UserTensors,
     coeff_grid, det_float_batch, det_int_batch, det_schedule,
-    det_slack_batch, exponent_matrix, grid_size, stack_users,
+    det_slack_batch, exponent_matrix, grid_size, laplace_terms,
+    slack_factors, stack_users,
 )
 from macdecay.number_field import FieldElem
 
@@ -233,7 +235,7 @@ class TestBatchedDeterminants:
             mats = stack_users(fblocks)
             errs = stack_users(ferrs)
             approx = det_float_batch(mats)
-            slack = det_slack_batch(mats, errs)
+            slack = det_slack_batch(slack_factors(mats, errs, mats.shape[1]))
             stacked = self._batch(spec, kern, boxes)
             nums, s = det_int_batch(spec, kern, stacked)
             for a, sl, num, box in zip(approx, slack, nums, boxes):
@@ -276,3 +278,18 @@ def test_stack_users_shapes(golden_spec):
     a = np.zeros((5, 1, 2, 4), dtype=np.int64)
     b = np.zeros((5, 1, 2, 4), dtype=np.int64)
     assert stack_users([a, b]).shape == (5, 2, 2, 4)
+
+
+def test_laplace_terms_expand_the_determinant():
+    rng = np.random.default_rng(191)
+    for n in range(1, 6):
+        for k in range(n + 1):
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            terms = laplace_terms(n, k)
+            assert len(terms) == math.comb(n, k)
+            assert terms[0][1] == list(range(n - k, n)) and terms[0][2] == 1
+            total = sum(
+                sign * np.linalg.det(A[: n - k][:, C]) * np.linalg.det(A[n - k :][:, S])
+                for C, S, sign in terms
+            )
+            assert abs(total - np.linalg.det(A)) <= 1e-9

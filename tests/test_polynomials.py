@@ -35,14 +35,6 @@ class TestBasics:
     def test_derivative(self):
         assert P(0, 2, 0, 1).derivative() == P(2, 0, 3)
 
-    def test_shift_mul_x(self):
-        assert P(1, 2).shift_mul_x(2) == P(0, 0, 1, 2)
-
-    def test_monic(self):
-        f = P(2, 4, 2)
-        assert f.monic() == P(1, 2, 1)
-        assert f.monic().is_monic()
-
     def test_immutable(self):
         f = P(1, 1)
         with pytest.raises(AttributeError):

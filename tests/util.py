@@ -4,7 +4,7 @@ coefficient boxes over a tower's integral basis."""
 import numpy as np
 
 from macdecay.construction import CodeSpec, CoefficientBox, gamma_basis
-from macdecay.kernels import EMB_REL_ERR
+from macdecay.kernels import DET_EVAL_REL, EMB_REL_ERR, det_float_batch
 
 
 def elem_from_gamma(tower, vec):
@@ -74,3 +74,20 @@ def blocks_float_reference(ut, vecs):
     blocks = np.tensordot(v.astype(np.complex128), ut.emb, axes=([1], [0]))
     errs = np.tensordot(np.abs(v), ut.emb_err, axes=([1], [0]))
     return blocks, errs + np.abs(blocks) * EMB_REL_ERR
+
+
+def screen_reference(mats, errs):
+    """The float screen's lo^2 and up^2 on whole stacked codewords: the
+    determinant and the row-norm slack of the concatenated (batch, n, n)
+    blocks and errors, the form the user-factored screen replaces."""
+    d = det_float_batch(mats)
+    a = np.sqrt(np.sum(np.abs(mats) ** 2, axis=2))
+    b = np.sqrt(np.sum(errs.astype(np.float64) ** 2, axis=2))
+    n = mats.shape[-1]
+    b = b + (n * n) * DET_EVAL_REL * a
+    slack = np.prod(a + b, axis=1) - np.prod(a, axis=1)
+    s = slack * (1.0 + 2.0**-30) + 1e-300
+    ad = np.abs(d)
+    lo = np.maximum(ad - s, 0.0)
+    up = ad + s
+    return lo * lo, up * up
