@@ -3,8 +3,7 @@
 Every command is a pure function of (config, seed): identical inputs give
 byte-identical stdout and files.  Wall-clock timing goes to stderr only.
 Exit codes: 0 success / criteria met, 1 criteria violated, 2 usage or
-config error, 3 enumeration budget exceeded or a worker process died,
-130 interrupted.
+config error, 3 enumeration budget exceeded, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 
 from .catalog import (
     build_tower, catalog_rows, find_inert_primes, standard_generators,
@@ -125,13 +123,8 @@ def _pick(args_value, env_name: str, cfg: dict, cfg_key: str, default):
         except ValueError:
             raise ConfigError(f"{env_name} must be an integer, got {env!r}")
     if cfg_key in cfg:
-        return cfg[cfg_key]
+        return _config_int(cfg[cfg_key], cfg_key)
     return default
-
-
-def _default_workers() -> int:
-    n = getattr(os, "process_cpu_count", os.cpu_count)()
-    return max(1, n or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +157,8 @@ def _resolved_config_obj(task: str, cfg: dict, spec=None, tower=None, **extra):
 
 
 def cmd_catalog(args, cfg: dict) -> int:
-    max_degree = int(_pick(args.nmax, "", cfg, "max_degree", 7))
-    norm_bound = int(cfg.get("norm_bound", 10))
+    max_degree = _pick(args.nmax, "", cfg, "max_degree", 7)
+    norm_bound = _pick(None, "", cfg, "norm_bound", 10)
     rows = catalog_rows(max_degree, norm_bound)
     resolved = _resolved_config_obj(
         "catalog", cfg, max_degree=max_degree, norm_bound=norm_bound
@@ -185,7 +178,7 @@ def cmd_catalog(args, cfg: dict) -> int:
 
 def cmd_inert_search(args, cfg: dict) -> int:
     tower = resolve_tower(cfg.get("code", {}))
-    norm_bound = int(_pick(args.nmax, "", cfg, "norm_bound", DEFAULT_NORM_BOUND))
+    norm_bound = _pick(args.nmax, "", cfg, "norm_bound", DEFAULT_NORM_BOUND)
     primes = find_inert_primes(tower, norm_bound)
     resolved = _resolved_config_obj(
         "inert-search", cfg, tower=tower, norm_bound=norm_bound
@@ -223,9 +216,9 @@ def cmd_build(args, cfg: dict) -> int:
 
 def cmd_rank_check(args, cfg: dict) -> int:
     spec = resolve_spec(cfg.get("code", {}))
-    seed = int(_pick(args.seed, "", cfg, "seed", 0))
-    samples = int(cfg.get("samples", DEFAULT_SAMPLES))
-    bound = int(_pick(args.nmax, "", cfg, "nmax", 2))
+    seed = _pick(args.seed, "", cfg, "seed", 0)
+    samples = _pick(None, "", cfg, "samples", DEFAULT_SAMPLES)
+    bound = _pick(args.nmax, "", cfg, "nmax", 2)
     if bound < 1:
         raise ValueError("nmax must be positive")
     bounds = (bound,) * spec.U
@@ -262,17 +255,10 @@ def cmd_decay(args, cfg: dict) -> int:
     pattern = {"first-user": FIRST_USER, "all-users": ALL_USERS}.get(pattern_raw)
     if pattern is None:
         raise ConfigError(f"unknown pattern {pattern_raw!r}")
-    n_max = int(_pick(args.nmax, "", cfg, "N_max", 4))
-    seed = int(_pick(args.seed, "", cfg, "seed", 0))
-    samples = cfg.get("samples")
-    if mode == SAMPLED:
-        samples = int(samples if samples is not None else 10000)
-    workers = int(
-        _pick(args.workers, "MACDECAY_WORKERS", cfg, "workers", _default_workers())
-    )
-    budget = int(
-        _pick(args.budget, "MACDECAY_BUDGET", cfg, "budget", DEFAULT_BUDGET)
-    )
+    n_max = _pick(args.nmax, "", cfg, "N_max", 4)
+    seed = _pick(args.seed, "", cfg, "seed", 0)
+    samples = _pick(None, "", cfg, "samples", 10000 if mode == SAMPLED else None)
+    budget = _pick(args.budget, "MACDECAY_BUDGET", cfg, "budget", DEFAULT_BUDGET)
     tolerance = float(
         args.tolerance if args.tolerance is not None else cfg.get("tolerance", DEFAULT_TOLERANCE)
     )
@@ -285,7 +271,6 @@ def cmd_decay(args, cfg: dict) -> int:
         mode=mode,
         samples=samples,
         seed=seed,
-        workers=workers,
         budget=budget,
     )
     elapsed = time.perf_counter() - t0
@@ -388,7 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--out", help="output directory")
-    common.add_argument("--workers", type=int, help="parallel worker count")
+    common.add_argument(
+        "--workers", type=int, help="accepted and ignored; every scan runs in-process"
+    )
     common.add_argument("--seed", type=int, help="64-bit seed for all randomness")
     common.add_argument("--budget", type=int, help="codeword-count budget")
     common.add_argument("--mode", choices=["exhaustive", "sampled"])
@@ -428,9 +415,6 @@ def main(argv=None) -> int:
         return _COMMANDS[args.task](args, cfg)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except BrokenProcessPool as exc:
-        print(f"worker process died: {exc}", file=sys.stderr)
         return 3
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

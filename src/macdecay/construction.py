@@ -111,55 +111,6 @@ class CodeMatrix:
         rows, cols = self.shape
         return [[self.entry_value(r, c) for c in range(cols)] for r in range(rows)]
 
-    def __add__(self, other: CodeMatrix) -> CodeMatrix:
-        if self.shape != other.shape or self.spec is not other.spec and self.spec != other.spec:
-            raise ValueError("matrix shapes or specs differ")
-        p = self.spec.p
-        out = []
-        for ra, rb in zip(self.entries, other.entries):
-            row = []
-            for (na, ea), (nb, eb) in zip(ra, rb):
-                e = max(ea, eb)
-                if ea < e:
-                    na = na * p ** (e - ea)
-                if eb < e:
-                    nb = nb * p ** (e - eb)
-                row.append((na + nb, e))
-            out.append(row)
-        return CodeMatrix(self.spec, out)
-
-    def __neg__(self) -> CodeMatrix:
-        return CodeMatrix(
-            self.spec, [[(-n, e) for n, e in row] for row in self.entries]
-        )
-
-    def __sub__(self, other: CodeMatrix) -> CodeMatrix:
-        return self + (-other)
-
-    def apply_sigma_entrywise(self, t: int) -> CodeMatrix:
-        """sigma^t of every numerator; p is in K so exponents ride along."""
-        return CodeMatrix(
-            self.spec,
-            [[(n.apply_sigma(t), e) for n, e in row] for row in self.entries],
-        )
-
-    def add_denominator(self, delta: int) -> CodeMatrix:
-        return CodeMatrix(
-            self.spec, [[(n, e + delta) for n, e in row] for row in self.entries]
-        )
-
-    @staticmethod
-    def hstack(blocks: list[CodeMatrix]) -> CodeMatrix:
-        spec = blocks[0].spec
-        rows = len(blocks[0].entries)
-        out = []
-        for r in range(rows):
-            row = []
-            for b in blocks:
-                row.extend(b.entries[r])
-            out.append(row)
-        return CodeMatrix(spec, out)
-
     @staticmethod
     def vstack(blocks: list[CodeMatrix]) -> CodeMatrix:
         out = []
@@ -203,14 +154,19 @@ def build_user_block(spec: CodeSpec, j: int, xs) -> CodeMatrix:
         raise ValueError(f"user index must be in 1..{spec.U}")
     if not any(xs):
         raise ValueError("user data must not be all zero")
-    m = build_M(spec, xs)
-    blocks = []
-    for t in range(spec.U):
-        b = m.apply_sigma_entrywise(t)
-        if t == j - 1:
-            b = b.add_denominator(spec.k)
-        blocks.append(b)
-    return CodeMatrix.hstack(blocks)
+    # block t is sigma^t of M entrywise; p is in K, so exponents ride along
+    rows = build_M(spec, xs).entries
+    return CodeMatrix(
+        spec,
+        [
+            [
+                (n.apply_sigma(t), e + (spec.k if t == j - 1 else 0))
+                for t in range(spec.U)
+                for n, e in row
+            ]
+            for row in rows
+        ],
+    )
 
 
 def build_A(spec: CodeSpec, blocks) -> CodeMatrix:

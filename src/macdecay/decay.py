@@ -9,14 +9,10 @@ and comparisons happen in the number field, never in floating point.
 
 from __future__ import annotations
 
-import json
 import math
 import random
-import signal
 import time
 from array import array
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -40,7 +36,9 @@ FIRST_USER = "FIRST_USER"
 ALL_USERS = "ALL_USERS"
 
 DEFAULT_BUDGET = 10**8
-CHUNK_U1_ROWS = 512  # user-1 rows per work unit, fixed regardless of workers
+# user-1 grid rows per EXHAUSTIVE chunk; each chunk sends its own screen
+# candidates to the exact stage, so the chunking fixes the candidate counts
+CHUNK_U1_ROWS = 512
 SAMPLE_CHUNK = 32768
 DRAW_WORDS = 1 << 13  # fresh stream words one numpy pass of the draw parses
 SUB_BATCH = 16384
@@ -258,7 +256,7 @@ def orbit_representatives(
 
 
 class _SearchContext:
-    """Everything a scan needs, rebuilt once per worker process.
+    """Everything a scan of one box needs, built once per min_abs_det call.
 
     The float screen is factored by user.  A codeword's rows split into a
     prefix block (users 1..U-1) and the last user's n_t rows, and both the
@@ -420,7 +418,8 @@ def _screen(ctx: _SearchContext, pre, last, count: int, rows_of):
 
 
 def _scan_chunk(ctx: _SearchContext, pre, last, vecs, count: int, rows_of):
-    """Exact minimum over `count` codewords: a float screen in SUB_BATCH
+    """Exact minimum over `count` codewords as (s, (|det|^2, numerator,
+    box)), the latter from _pick_chunk_min: a float screen in SUB_BATCH
     pieces, then every codeword whose lower bound reaches the least upper
     bound goes to the exact stage.
 
@@ -459,61 +458,33 @@ def _scan_chunk(ctx: _SearchContext, pre, last, vecs, count: int, rows_of):
         tuple(tuple(int(c) for c in v[i]) for v in cand_vecs)
         for i in range(len(cands))
     ]
-    return count, s, _pick_chunk_min(ctx, nums, s, boxes)
+    return s, _pick_chunk_min(ctx, nums, s, boxes)
 
 
-_WORKER_CTX: _SearchContext | None = None
+def _exhaustive_chunk(ctx: _SearchContext, start: int, stop: int):
+    """_scan_chunk's (pre, last, vecs, count, rows_of) for user-1 grid rows
+    start..stop against every other-user row, the last user fastest."""
+    o_sizes = [g.shape[0] for g in ctx.grids[1:]]
+    others = math.prod(o_sizes)
+
+    def rows_of(idx):
+        return [start + idx // others] + _mixed_radix_rows(idx % others, o_sizes)
+
+    last = ctx.last
+    if not ctx.pre:
+        # one user: the chunk's own grid rows are the last-user rows
+        last = [f[..., start:stop] for f in last]
+    return ctx.pre, last, ctx.grids, (stop - start) * others, rows_of
 
 
-def _worker_init(payload: str) -> None:
-    global _WORKER_CTX
-    data = json.loads(payload)
-    spec = CodeSpec.from_json_dict(data["spec"])
-    _WORKER_CTX = _SearchContext(spec, tuple(data["bounds"]), data["mode"])
-
-
-def _pool_worker_init(payload: str) -> None:
-    # Ctrl-C reaches the whole process group; the parent alone handles it
-    # and shuts the pool down once the running chunks are done
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _worker_init(payload)
-
-
-def _chunk_args(ctx: _SearchContext, task):
-    """_scan_chunk's (pre, last, vecs, count, rows_of) for one task."""
-    if task["kind"] == "E":
-        # user-1 rows start..stop of its grid against every other-user row,
-        # the last user fastest
-        start, stop = task["start"], task["stop"]
-        o_sizes = [g.shape[0] for g in ctx.grids[1:]]
-        others = math.prod(o_sizes)
-
-        def rows_of(idx):
-            return [start + idx // others] + _mixed_radix_rows(idx % others, o_sizes)
-
-        last = ctx.last
-        if not ctx.pre:
-            # one user: the chunk's own grid rows are the last-user rows
-            last = [f[..., start:stop] for f in last]
-        return ctx.pre, last, ctx.grids, (stop - start) * others, rows_of
-    vecs = task["vecs"]
+def _sampled_chunk(ctx: _SearchContext, vecs: list[np.ndarray]):
+    """_scan_chunk's (pre, last, vecs, count, rows_of) for one chunk of
+    drawn samples, codeword k stacking row k of every user."""
 
     def rows_of(idx):
         return [idx] * len(vecs)
 
     return (*ctx.float_factors(vecs), vecs, vecs[0].shape[0], rows_of)
-
-
-def _worker_chunk(task) -> dict:
-    ctx = _WORKER_CTX
-    count, s, best = _scan_chunk(ctx, *_chunk_args(ctx, task))
-    absq, vec, box = best
-    return {
-        "count": count,
-        "s": s,
-        "num": [int(v) for v in vec],
-        "box": [list(u) for u in box],
-    }
 
 
 def _attempt_words(N: int) -> int:
@@ -647,32 +618,6 @@ def _sample_chunks(seed: int, bounds, lengths, samples: int):
         yield _draw_samples(rng, bounds, lengths, count)
 
 
-def _chunk_results(tasks, ntasks: int, payload: str, workers: int | None):
-    """Worker results in task order.  Tasks are consumed lazily: the pool
-    holds at most workers + 1 outstanding, so the parent builds the next
-    task while the workers scan and memory stays at a few chunks."""
-    if not (workers and workers > 1 and ntasks > 1):
-        _worker_init(payload)
-        for task in tasks:
-            yield _worker_chunk(task)
-        return
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_worker_init, initargs=(payload,)
-    ) as pool:
-        pending: deque = deque()
-        try:
-            for task in tasks:
-                pending.append(pool.submit(_worker_chunk, task))
-                if len(pending) > workers:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        except BaseException:
-            for fut in pending:
-                fut.cancel()
-            raise
-
-
 def min_abs_det(
     spec: CodeSpec,
     bounds,
@@ -687,14 +632,16 @@ def min_abs_det(
     EXHAUSTIVE scans the whole box (refused above the codeword budget or
     the coefficient-grid row cap); SAMPLED draws boxes from the recorded
     seed and yields an upper bound.  Samples are drawn chunk by chunk from
-    the seed's stream while workers scan earlier chunks, so memory does not
-    grow with ``samples`` and the drawn boxes are the same as one draw.
+    the seed's stream, each chunk only after the previous one is scanned,
+    so memory does not grow with ``samples`` and the drawn boxes are the
+    same as one draw.
     The exhaustive scan covers one coefficient vector per unit orbit of
     each user (|det| is the same on the whole orbit), and ``evaluated``
     still counts every covered codeword.
-    The result is deterministic for any worker count: the grid is split
-    into fixed chunks by user-1 prefix (or sample index), each chunk's
-    minimum is exact, and the merge compares exactly in chunk order.
+    Every chunk is scanned in the calling process, from one search
+    context: the grid is split into fixed chunks by user-1 prefix (or
+    sample index), each chunk's minimum is exact, and the merge compares
+    exactly in chunk order.  ``workers`` is accepted and ignored.
     """
     t0 = time.perf_counter()
     bounds = tuple(int(N) for N in bounds)
@@ -705,7 +652,6 @@ def min_abs_det(
     if mode not in (EXHAUSTIVE, SAMPLED):
         raise ValueError(f"unknown mode {mode!r}")
     lengths = [spec.r_per_user for _ in bounds]
-    kern = IntKernel(spec.tower)
 
     if mode == EXHAUSTIVE:
         total = 1
@@ -723,13 +669,12 @@ def min_abs_det(
                     f"coefficient grid of {rows} rows exceeds the"
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
-        g1 = grid_size(bounds[0], lengths[0]) // (len(orbit_units(kern)) + 1)
-        starts = range(0, g1, CHUNK_U1_ROWS)
-        tasks = (
-            {"kind": "E", "start": start, "stop": min(start + CHUNK_U1_ROWS, g1)}
-            for start in starts
+        ctx = _SearchContext(spec, bounds, mode)
+        g1 = ctx.grids[0].shape[0]
+        chunks = (
+            _exhaustive_chunk(ctx, start, min(start + CHUNK_U1_ROWS, g1))
+            for start in range(0, g1, CHUNK_U1_ROWS)
         )
-        ntasks = len(starts)
         samples_used = None
         seed_used = None
         evaluated = total
@@ -741,25 +686,21 @@ def min_abs_det(
                 f"sample count {samples} exceeds budget {budget}"
             )
         seed_used = 0 if seed is None else int(seed)
-        tasks = (
-            {"kind": "S", "vecs": vecs}
+        ctx = _SearchContext(spec, bounds, mode)
+        chunks = (
+            _sampled_chunk(ctx, vecs)
             for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
         )
-        ntasks = -(-samples // SAMPLE_CHUNK)
         samples_used = samples
         evaluated = samples
 
-    payload = json.dumps(
-        {"spec": spec.to_json_dict(), "bounds": list(bounds), "mode": mode}
-    )
     best = None
-    for res in _chunk_results(tasks, ntasks, payload, workers):
-        num_fe = FieldElem(spec.tower, res["num"], kern.entry_scale)
-        absq = abs_sq_of_det(spec, num_fe, res["s"])
+    for chunk in chunks:
+        s, (absq, vec, box) = _scan_chunk(ctx, *chunk)
         if best is None or absq < best[0]:
-            best = (absq, num_fe, res["s"], res["box"])
-    absq, num_fe, s, box_lists = best
-    box = CoefficientBox(bounds, tuple(tuple(v) for v in box_lists))
+            best = (absq, vec, s, box)
+    absq, vec, s, box = best
+    num_fe = FieldElem(spec.tower, vec, ctx.kern.entry_scale)
     lo, hi = absq.sqrt_bounds(60)
     mid = (lo + hi) / 2
     d_value = float(mid)
@@ -768,10 +709,10 @@ def min_abs_det(
         bounds=bounds,
         mode=mode,
         samples=samples_used,
-        seed=seed_used if mode == SAMPLED else None,
+        seed=seed_used,
         D_value=d_value,
         error_radius=radius,
-        argmin=box,
+        argmin=CoefficientBox(bounds, box),
         exact_det=det_value(spec, num_fe, s),
         det_numerator=num_fe,
         det_p_exponent=s,
@@ -796,7 +737,8 @@ def decay_curve(
     budget: int = DEFAULT_BUDGET,
 ) -> list[DecayReport]:
     """D evaluated at N = 1..N_max with one user's box growing (FIRST_USER)
-    or every user's box growing together (ALL_USERS)."""
+    or every user's box growing together (ALL_USERS).  ``workers`` is
+    accepted and ignored (see min_abs_det)."""
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
     if pattern not in (FIRST_USER, ALL_USERS):
@@ -813,7 +755,6 @@ def decay_curve(
                 mode=mode,
                 samples=samples,
                 seed=seed,
-                workers=workers,
                 budget=budget,
             )
         )

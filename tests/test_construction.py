@@ -70,30 +70,6 @@ class TestCodeMatrix:
         val = m.entry_value(0, 0)
         assert val * (tower.one() * (p**2)) == x
 
-    def test_addition_aligns_exponents(self, golden_spec):
-        tower = golden_spec.tower
-        x, y = tower.theta(), tower.one()
-        a = CodeMatrix(golden_spec, [[(x, 2)]])
-        b = CodeMatrix(golden_spec, [[(y, 0)]])
-        s = a + b
-        assert s.entry_value(0, 0) == a.entry_value(0, 0) + b.entry_value(0, 0)
-
-    def test_sub_gives_zero(self, quartic_spec):
-        rng = random.Random(73)
-        xs = [rand_elem(quartic_spec.tower, rng, 2, nonzero=True) for _ in range(2)]
-        m = build_M(quartic_spec, xs)
-        z = m - m
-        assert all(not n for row in z.entries for n, _ in row)
-
-    def test_sigma_entrywise_commutes_with_value(self, quartic_spec):
-        rng = random.Random(79)
-        xs = [rand_elem(quartic_spec.tower, rng, 2, nonzero=True) for _ in range(2)]
-        m = build_M(quartic_spec, xs)
-        sm = m.apply_sigma_entrywise(1)
-        for r in range(2):
-            for c in range(2):
-                assert sm.entry_value(r, c) == m.entry_value(r, c).apply_sigma(1)
-
     def test_negative_exponent_rejected(self, golden_spec):
         with pytest.raises(ValueError):
             CodeMatrix(golden_spec, [[(golden_spec.tower.one(), -1)]])
@@ -102,9 +78,7 @@ class TestCodeMatrix:
         one = golden_spec.tower.one()
         a = CodeMatrix(golden_spec, [[(one, 0)]])
         b = CodeMatrix(golden_spec, [[(one * 2, 1)]])
-        h = CodeMatrix.hstack([a, b])
         v = CodeMatrix.vstack([a, b])
-        assert h.shape == (1, 2)
         assert v.shape == (2, 1)
         assert v.entries[1][0] == b.entries[0][0]
 
@@ -231,8 +205,8 @@ class TestLattices:
             cu = codeword_from_coeffs(spec, 1, u)
             cv = codeword_from_coeffs(spec, 1, v)
             cw = codeword_from_coeffs(spec, 1, w)
-            diff = cu + cv - cw
-            assert all(not n for row in diff.entries for n, _ in row)
+            for ru, rv, rw in zip(cu.values(), cv.values(), cw.values()):
+                assert [a + b for a, b in zip(ru, rv)] == rw
 
     def test_zero_coefficients_give_zero_matrix(self, golden_spec):
         m = codeword_from_coeffs(golden_spec, 1, [0] * 4)
@@ -251,8 +225,7 @@ class TestLattices:
             coeffs = [0] * r
             coeffs[g] = 1
             m = codeword_from_coeffs(golden_spec, 2, coeffs)
-            diff = m - mats[g]
-            assert all(not n for row in diff.entries for n, _ in row)
+            assert m.values() == mats[g].values()
 
 
 class TestCoefficientBox:

@@ -1,8 +1,8 @@
 import json
 import math
+import multiprocessing
 import random
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -291,7 +291,7 @@ class TestMinAbsDetEngine:
         assert r22.evaluated == 389376
         assert r22.D_value <= r21.D_value <= 0.2245139882897927
 
-    def test_worker_count_never_changes_results(self, golden_spec):
+    def test_worker_count_never_changes_results(self, golden_spec, monkeypatch):
         reps = [
             min_abs_det(golden_spec, (2, 1), workers=w) for w in (None, 1, 2, 3)
         ]
@@ -300,6 +300,32 @@ class TestMinAbsDetEngine:
             assert rep.argmin == reps[0].argmin
             assert rep.abs_sq == reps[0].abs_sq
             assert rep.evaluated == reps[0].evaluated
+        # whatever ``workers`` says, a call scans in this process from one
+        # search context built from the caller's spec
+        contexts = []
+        context = decay._SearchContext
+
+        def counted_context(*args):
+            contexts.append(args)
+            return context(*args)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a spec was rebuilt or a process started")
+
+        monkeypatch.setattr(decay, "_SearchContext", counted_context)
+        monkeypatch.setattr(CodeSpec, "from_json_dict", refused)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refused)
+        for bounds, kwargs in (
+            ((2, 1), {}),
+            ((2, 2), {"mode": SAMPLED, "samples": 400, "seed": 11}),
+        ):
+            reps = {}
+            for w in (None, 1, 2, 4):
+                contexts.clear()
+                reps[w] = min_abs_det(golden_spec, bounds, workers=w, **kwargs)
+                assert len(contexts) == 1
+            for rep in reps.values():
+                same_report(rep, reps[1])
 
     def test_sampled_seeded_frozen(self, golden_spec):
         rep = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
@@ -364,10 +390,11 @@ class TestMinAbsDetEngine:
             assert got.evaluated == want.evaluated
 
 
-def screened_chunk(ctx, task):
+def screened_chunk(ctx, chunk):
     """lo^2, up^2 and the per-user coefficient vectors of every codeword of
-    one chunk, in the engine's flat order."""
-    pre, last, vecs, count, rows_of = decay._chunk_args(ctx, task)
+    one chunk (_exhaustive_chunk's or _sampled_chunk's scan arguments), in
+    the engine's flat order."""
+    pre, last, vecs, count, rows_of = chunk
     lo2, up2 = zip(*decay._screen(ctx, pre, last, count, rows_of))
     rows = rows_of(np.arange(count, dtype=np.int64))
     return np.concatenate(lo2), np.concatenate(up2), [v[r] for v, r in zip(vecs, rows)]
@@ -417,7 +444,7 @@ class TestFactoredScreen:
             for j in range(spec.U)
         ]
         ctx = decay._SearchContext(spec, (3,) * spec.U, SAMPLED)
-        lo2, up2, got = screened_chunk(ctx, {"kind": "S", "vecs": vecs})
+        lo2, up2, got = screened_chunk(ctx, decay._sampled_chunk(ctx, vecs))
         assert all(np.array_equal(g, v) for g, v in zip(got, vecs))
         assert np.all(lo2 <= up2)
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
@@ -440,7 +467,7 @@ class TestFactoredScreen:
         rows = ctx.grids[0].shape[0]
         start, stop = (1, rows - 1) if spec.U == 1 else (0, rows)
         lo2, up2, vecs = screened_chunk(
-            ctx, {"kind": "E", "start": start, "stop": stop}
+            ctx, decay._exhaustive_chunk(ctx, start, stop)
         )
         assert lo2.shape[0] == (stop - start) * math.prod(
             g.shape[0] for g in ctx.grids[1:]
@@ -457,9 +484,9 @@ class TestFactoredScreen:
         monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
         ctx = decay._SearchContext(golden_spec, (2, 1), EXHAUSTIVE)
         rows = ctx.grids[0].shape[0]
-        task = {"kind": "E", "start": 3, "stop": rows}
-        lo2, up2, _ = screened_chunk(ctx, task)
-        rows_of = decay._chunk_args(ctx, task)[4]
+        chunk = decay._exhaustive_chunk(ctx, 3, rows)
+        lo2, up2, _ = screened_chunk(ctx, chunk)
+        rows_of = chunk[4]
         idx = rows_of(np.arange(lo2.shape[0], dtype=np.int64))
         floats = [ut.blocks_float(g) for ut, g in zip(ctx.uts, ctx.grids)]
         mats = stack_users([b[r] for (b, _), r in zip(floats, idx)])
@@ -472,7 +499,7 @@ class TestFactoredScreen:
         rng = random.Random(181)
         vecs = decay._draw_samples(rng, (4, 4), (4, 4), 3000)
         ctx = decay._SearchContext(golden_spec, (4, 4), SAMPLED)
-        lo2, up2, _ = screened_chunk(ctx, {"kind": "S", "vecs": vecs})
+        lo2, up2, _ = screened_chunk(ctx, decay._sampled_chunk(ctx, vecs))
         floats = [ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)]
         want_lo2, want_up2 = screen_reference(
             stack_users([b for b, _ in floats]), stack_users([e for _, e in floats])
@@ -606,32 +633,6 @@ def same_report(a, b):
         assert getattr(a, field) == getattr(b, field), field
 
 
-class RecordingPool(ThreadPoolExecutor):
-    """Thread stand-in for ProcessPoolExecutor counting futures submitted
-    whose result the caller has not read yet."""
-
-    def __init__(self, max_workers, initializer, initargs):
-        # the pool initializer ignores SIGINT, which only the main thread
-        # may do; the plain context set-up is all a thread needs
-        decay._worker_init(*initargs)
-        super().__init__(max_workers=max_workers)
-        self.outstanding = 0
-        self.peak = 0
-
-    def submit(self, fn, *args):
-        fut = super().submit(fn, *args)
-        self.outstanding += 1
-        self.peak = max(self.peak, self.outstanding)
-        read = fut.result
-
-        def result(timeout=None):
-            self.outstanding -= 1
-            return read(timeout)
-
-        fut.result = result
-        return fut
-
-
 class TestSampledStream:
     @pytest.mark.parametrize(
         "spec_name,bounds",
@@ -698,24 +699,6 @@ class TestSampledStream:
         for j in range(2):
             assert np.concatenate([c[j] for c in chunks]).tolist() == want[j]
 
-    def test_pool_draws_at_most_one_chunk_ahead(self, golden_spec, monkeypatch):
-        want = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
-        pools = []
-
-        def recording_pool(**kwargs):
-            pools.append(RecordingPool(**kwargs))
-            return pools[-1]
-
-        monkeypatch.setattr(decay, "SAMPLE_CHUNK", 50)
-        monkeypatch.setattr(decay, "ProcessPoolExecutor", recording_pool)
-        got = min_abs_det(
-            golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11, workers=2
-        )
-        assert len(pools) == 1
-        assert pools[0].peak == 2 + 1  # workers + 1, reached and never passed
-        assert pools[0].outstanding == 0
-        same_report(got, want)
-
     def test_single_worker_scans_each_chunk_before_the_next_draw(
         self, golden_spec, monkeypatch
     ):
@@ -771,8 +754,8 @@ class TestSampledStream:
         )
         chunks = len(candidates)
         assert chunks == 1
-        # one call per distinct numerator of a chunk, one per chunk in the merge
-        assert len(calls) == sum(distinct) + chunks
+        # one call per distinct numerator of a chunk; the merge reuses them
+        assert len(calls) == sum(distinct)
         assert rep.D_value == D_value
         assert rep.argmin.vectors == argmin
         assert rep.evaluated == samples
