@@ -64,18 +64,19 @@ def resolve_tower(code: dict) -> Tower:
         return Tower.from_json_dict(code["tower"])
     try:
         tag = _tag_from_string(code["K"])
-        U = int(code["U"])
-        n_t = int(code["n_t"])
+        U = _config_int(code["U"], "U")
+        n_t = _config_int(code["n_t"], "n_t")
     except KeyError as exc:
         raise ConfigError(f"code shorthand is missing {exc}") from None
     m = code.get("m")
     if m is None:
         return build_tower(tag, U, n_t)
-    m = int(m)
+    m = _config_int(m, "m")
     generators = code.get("H_generators")
     if generators is None:
         generators = standard_generators(m, U * n_t)
-    return build_tower(tag, U, n_t, m, tuple(int(g) for g in generators))
+    generators = tuple(_config_int(g, "H_generators") for g in generators)
+    return build_tower(tag, U, n_t, m, generators)
 
 
 def _auto_prime(tower: Tower) -> QuadElem:

@@ -15,6 +15,8 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
+from operator import attrgetter
 
 import numpy as np
 
@@ -136,42 +138,40 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     Also records tau-fixedness of every determinant numerator, so one sweep
     certifies both the rank criterion and membership of det(A) in F.  Every
     box must hold spec.U vectors of length spec.r_per_user, each nonzero;
-    otherwise ValueError."""
+    otherwise ValueError.  Boxes are read SUB_BATCH at a time; a batch
+    whose coefficients or int64 bounds leave int64 is decided by det_exact."""
     kern = IntKernel(spec.tower)
     uts = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
     tau = kern.sigma_vec_mat(spec.U)
     tau_colsum = int(np.abs(tau).sum(axis=0).max())
+    U, r = spec.U, spec.r_per_user
     zero_failures: list[CoefficientBox] = []
     tau_failures: list[CoefficientBox] = []
     total = 0
-    batch: list[CoefficientBox] = []
-
-    def flush():
-        nonlocal total
-        if not batch:
-            return
-        shape = (len(batch), spec.U, spec.r_per_user)
-        try:
-            coeffs = np.array([b.vectors for b in batch], dtype=np.int64)
-        except ValueError:  # ragged vectors
-            coeffs = None
-        if coeffs is None or coeffs.shape != shape:
+    boxes = iter(boxes)
+    while batch := list(islice(boxes, SUB_BATCH)):
+        per_box = list(map(attrgetter("vectors"), batch))
+        vecs = list(chain.from_iterable(per_box))
+        if set(map(len, per_box)) != {U} or set(map(len, vecs)) != {r}:
             raise ValueError(
-                f"rank criterion needs {spec.U} coefficient vectors of length "
-                f"{spec.r_per_user} per box"
+                f"rank criterion needs {U} coefficient vectors of length "
+                f"{r} per box"
             )
-        if not coeffs.any(axis=2).all():
+        if not all(map(any, vecs)):
             raise ValueError("rank criterion requires every user active")
-        stacked = stack_users(
-            [uts[j].blocks_int(coeffs[:, j]) for j in range(spec.U)]
-        )
         try:
+            coeffs = np.fromiter(
+                chain.from_iterable(vecs), dtype=np.int64, count=len(vecs) * r
+            ).reshape(len(batch), U, r)
+            stacked = stack_users(
+                [uts[j].blocks_int(coeffs[:, j]) for j in range(U)]
+            )
             nums, _ = det_int_batch(spec, kern, stacked)
             if nums.size and int(np.abs(nums).max()) * tau_colsum >= INT64_LIMIT:
                 raise OverflowRisk("tau-fixedness product could exceed int64")
             zero_mask = ~np.any(nums, axis=1)
             tau_mask = ~np.all(nums @ tau == nums, axis=1)
-        except OverflowRisk:
+        except (OverflowError, OverflowRisk):  # a coefficient or bound past int64
             zero_list, tau_list = [], []
             for b in batch:
                 try:
@@ -188,13 +188,6 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
         for idx in np.nonzero(tau_mask)[0]:
             tau_failures.append(batch[int(idx)])
         total += len(batch)
-        batch.clear()
-
-    for box in boxes:
-        batch.append(box)
-        if len(batch) >= SUB_BATCH:
-            flush()
-    flush()
     return RankReport(total, zero_failures, tau_failures)
 
 
@@ -921,20 +914,21 @@ def two_user_box_scan(
     mat_bc = kern.mult_vec_mat(bc)
     sig = kern.sigma_vec_mat(1)
 
+    sig_map = SparseMap(sig)
+    ad_map, bc_map = SparseMap(mat_ad), SparseMap(mat_bc)
     ub = [bound] * kern.dim
-    ub_s = IntKernel.mat_bound(ub, sig)
-    t1 = IntKernel.mat_bound(kern.product_bound(ub, ub_s), mat_ad)
-    t2 = IntKernel.mat_bound(kern.product_bound(ub_s, ub), mat_bc)
+    ub_s = sig_map.bound(ub)
+    t1 = ad_map.bound(kern.product_bound(ub, ub_s))
+    t2 = bc_map.bound(kern.product_bound(ub_s, ub))
     if max(x + y for x, y in zip(t1, t2)) > INT64_LIMIT:
         raise OverflowRisk("box scan bound exceeds the int64 budget")
 
     grid = coeff_grid(bound, kern.dim).T  # coordinate-major (dim, count)
-    sgrid = SparseMap(sig)(grid)
-    ad_map, bc_map = SparseMap(mat_ad), SparseMap(mat_bc)
+    sgrid = sig_map(grid)
     count = grid.shape[1]
     zeros = 0
-    # kern.mul builds a (dim, dim, step, count) outer product
-    step = max(1, 4_000_000 // (count * kern.dim**2))
+    # kern.mul holds one (step, count) slot sum per distinct basis product
+    step = max(1, 4_000_000 // (count * len(kern.slots)))
     for start in range(0, count, step):
         x = grid[:, start : start + step, None]
         sx = sgrid[:, start : start + step, None]

@@ -4,12 +4,15 @@ Elements of O_L enter as their integer gamma-coordinates ``FieldElem.num``
 over the 2d-element basis mu^b theta^a, with no conversion.  Batches are
 coordinate-major: an array of shape (dim, ...) holds coordinate g of every
 element in row g, so each arithmetic step is a numpy operation over a whole
-batch.  Multiplication runs through the nonzero entries of the tower's
-structure tensor only (one multiply-add per entry on the outer product of
-the two factors), in int64 and without BLAS.  Every int64 batch is
-preceded by an exact overflow audit on per-coordinate magnitude bounds;
-every float screen carries a rigorous slack so it can only propose
-candidates, never decide a comparison.
+batch.  Every integer linear map is a ``SparseMap`` (one multiply-add per
+nonzero entry): a user's coefficient-to-block map and the p-power maps.
+A product first sums the pairs of coordinates whose basis products
+gamma_a * gamma_b are the same element, then reduces each distinct product
+to coordinates once.  All of it runs in int64 without BLAS.  Every int64
+batch, blocks included, is preceded by an exact overflow audit on
+per-coordinate magnitude bounds in Python ints; every float screen carries
+a rigorous slack so it can only propose candidates, never decide a
+comparison.
 """
 
 from __future__ import annotations
@@ -38,17 +41,18 @@ class SparseMap:
 
     x has shape (rows, ...) and the result (cols, ...).  Output coordinate c
     is accumulated from the nonzero entries of column c only, one int64
-    multiply-add each; the caller's overflow audit bounds every partial
-    sum, since each is a sum of terms the audit counts in absolute value."""
+    multiply-add each; ``bound`` is its overflow audit, exact in Python
+    ints, and bounds every partial sum, since each is a sum of terms the
+    audit counts in absolute value.  It maps a user's coefficients to its
+    blocks, the distinct basis products of IntKernel.mul to coordinates,
+    and applies powers of p."""
 
     def __init__(self, mat: np.ndarray):
-        self.cols = [
-            [(int(g), int(mat[g, c])) for g in np.flatnonzero(mat[:, c])]
-            for c in range(mat.shape[1])
-        ]
+        self.cols = [[(g, w) for g, w in enumerate(col) if w] for col in mat.T.tolist()]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros((len(self.cols),) + x.shape[1:], dtype=np.int64)
+        tmp = np.empty(x.shape[1:], dtype=np.int64)
         for acc, terms in zip(out, self.cols):
             for g, w in terms:
                 if w == 1:
@@ -56,8 +60,13 @@ class SparseMap:
                 elif w == -1:
                     acc -= x[g]
                 else:
-                    acc += w * x[g]
+                    acc += np.multiply(x[g], w, out=tmp)
         return out
+
+    def bound(self, ub) -> list[int]:
+        """Exact magnitude bound on x @ mat given |x[g]| <= ub[g], in
+        Python ints; it bounds every partial sum of the map."""
+        return [sum(ub[g] * abs(w) for g, w in terms) for terms in self.cols]
 
 
 class IntKernel:
@@ -65,10 +74,22 @@ class IntKernel:
 
     Vectors are the gamma-coordinates of FieldElem numerators; batched
     methods take and return them coordinate-major, shape (dim, ...).  ``mul``
-    is the one product: the SparseMap of the tower's structure tensor
-    ``mul_tensor`` (gamma_a * gamma_b = sum_c mul_tensor[a, b, c] gamma_c,
-    the dense form of ``Tower.mul_terms``) applied to the (dim, dim, ...)
-    outer product of its factors.
+    is the one product.  With T the tower's structure tensor
+    (gamma_a * gamma_b = sum_c T[a, b, c] gamma_c, the dense form of
+    ``Tower.mul_terms``), the pairs (a, b) fall into ``slots``, one per
+    distinct element gamma_a * gamma_b, and row s of ``reduction`` holds
+    the coordinates of slot s's element, so T[a, b, c] = reduction[slot(a,
+    b), c].  ``mul`` sums u_a * v_b over the pairs of each slot, then maps
+    the slot sums to coordinates with one SparseMap of ``reduction``.  On
+    the quartic tower that is 64 products into 21 slots and 64 reduction
+    terms, 32 of them non-unit, where T has 170 nonzero entries, 65 of
+    them non-unit.
+
+    ``product_bound`` audits it: output c is bounded by sum over (a, b) of
+    |T[a, b, c]| * |u_a| * |v_b|.  Each partial sum of the reduction of
+    output c is a sub-sum of those terms, and each slot sum is a sub-sum of
+    them for any c where its element has a nonzero coordinate, since
+    T[a, b, c] = reduction[slot(a, b), c] is a nonzero integer there.
 
     Codeword entry numerators are stored times the tower's ``entry_scale``
     so they stay integral, and det_int_batch returns entry_scale * (true
@@ -81,14 +102,17 @@ class IntKernel:
         self.d = tower.d
         self.dim = 2 * tower.d
         self.gamma = gamma_basis(tower)
-        dim = self.dim
-        tens = np.zeros((dim, dim, dim), dtype=np.int64)
+        by_element: dict[tuple, list] = {}
         for a, row in enumerate(tower.mul_terms):
             for b, terms in enumerate(row):
-                for c, w in terms:
-                    tens[a, b, c] = w
-        self.mul_tensor = tens
-        self._mul_map = SparseMap(tens.reshape(dim * dim, dim))
+                by_element.setdefault(tuple(terms), []).append((a, b))
+        self.slots = list(by_element.values())
+        reduction = np.zeros((len(self.slots), self.dim), dtype=np.int64)
+        for s, terms in enumerate(by_element):
+            for c, w in terms:
+                reduction[s, c] = w
+        self.reduction = reduction
+        self._reduce = SparseMap(reduction)
         self._sigma_cache: dict[int, np.ndarray] = {}
         self._mult_cache: dict = {}
         self._power_cache: dict = {}
@@ -119,27 +143,34 @@ class IntKernel:
             self._mult_cache[elem.num] = np.array(rows, dtype=np.int64)
         return self._mult_cache[elem.num]
 
-    def power_maps(self, elem, top: int) -> tuple[list, list]:
-        """Right-multiplication matrices of elem^0, ..., elem^top and their
-        SparseMaps, built once per kernel and (elem, top)."""
+    def power_maps(self, elem, top: int) -> list[SparseMap]:
+        """SparseMaps of right multiplication by elem^0, ..., elem^top,
+        built once per kernel and (elem, top)."""
         key = (elem, top)
         if key not in self._power_cache:
             mat = self.mult_vec_mat(elem)
             mats = [np.eye(self.dim, dtype=np.int64)]
             for _ in range(top):
                 mats.append(mats[-1] @ mat)
-            self._power_cache[key] = (mats, [SparseMap(m) for m in mats])
+            self._power_cache[key] = [SparseMap(m) for m in mats]
         return self._power_cache[key]
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Products of coordinate-major batches: (dim, ...) x (dim, ...) ->
         (dim, ...), the trailing axes broadcast as in u * v."""
-        outer = u[:, None] * v[None, :]
-        return self._mul_map(outer.reshape((self.dim**2,) + outer.shape[2:]))
+        shape = np.broadcast(u[0], v[0]).shape
+        sums = np.empty((len(self.slots),) + shape, dtype=np.int64)
+        tmp = np.empty(shape, dtype=np.int64)
+        for acc, ((a, b), *rest) in zip(sums, self.slots):
+            np.multiply(u[a], v[b], out=acc)
+            for a, b in rest:
+                acc += np.multiply(u[a], v[b], out=tmp)
+        return self._reduce(sums)
 
     def product_bound(self, ub_u, ub_v) -> list[int]:
         """Exact per-coordinate magnitude bound for products, over the
-        nonzero terms of the structure tensor."""
+        nonzero terms of the structure tensor; it bounds every partial sum
+        of ``mul`` (see the class docstring)."""
         out = [0] * self.dim
         for ua, row in zip(ub_u, self.tower.mul_terms):
             if ua:
@@ -150,13 +181,12 @@ class IntKernel:
                             out[c] += abs(t) * w
         return out
 
-    @staticmethod
-    def mat_bound(ub, mat) -> list[int]:
-        """Magnitude bound after vecs @ mat, exact in Python ints."""
-        rows, cols = mat.shape
-        return [
-            sum(ub[g] * abs(int(mat[g, c])) for g in range(rows)) for c in range(cols)
-        ]
+
+def _max_abs(x: np.ndarray, axis: int) -> list:
+    """max |x| along axis as (nested lists of) Python ints, 0 for an empty
+    axis.  Exact at -2**63 too: its int64 abs wraps to itself, which reads
+    2**63 as uint64."""
+    return np.abs(x).view(np.uint64).max(axis=axis, initial=0).tolist()
 
 
 def coeff_grid(N: int, length: int) -> np.ndarray:
@@ -254,17 +284,19 @@ def det_int_batch(
     when the true numerator has denominators over the basis.  Raises
     OverflowRisk if the audited bounds could leave int64.
 
-    The subset DP runs coordinate-major on one transposed copy of stacked;
-    a term whose sub-minor is the empty one (= 1) is the entry itself.
+    The subset DP runs coordinate-major on stacked's (n, n, dim, batch)
+    transpose, which is a copy only when stacked is not the batch-first
+    view stack_users returns; a term whose sub-minor is the empty one (= 1)
+    is the entry itself.
     """
     sched = det_schedule(exponent_matrix(spec))
     n = sched.n
     if stacked.shape[1:] != (n, n, kern.dim):
         raise ValueError("stacked batch has wrong shape")
-    pmats, pmaps = kern.power_maps(spec.p, sched.max_pad)
+    pmaps = kern.power_maps(spec.p, sched.max_pad)
 
     entries = np.ascontiguousarray(stacked.transpose(1, 2, 3, 0))
-    ub_entry = np.abs(entries).max(axis=3).tolist()
+    ub_entry = _max_abs(entries, axis=3)
     ub = {0: [1] + [0] * (kern.dim - 1)}
     dp = {}
     batch = stacked.shape[0]
@@ -279,7 +311,7 @@ def det_int_batch(
                 sub = mask ^ (1 << c)
                 pb = kern.product_bound(ub_entry[i][c], ub[sub])
                 if pad:
-                    pb = kern.mat_bound(pb, pmats[pad])
+                    pb = pmaps[pad].bound(pb)
                 bound = [x + y for x, y in zip(bound, pb)]
                 if any(b >= INT64_LIMIT for b in bound):
                     raise OverflowRisk(
@@ -401,6 +433,7 @@ class UserTensors:
         self.j = j
         self.r = r
         self.numv = numv
+        self._numv_map = SparseMap(numv.reshape(r, -1))
         self.emb = emb
         self.emb_err = np.abs(emb) * EMB_REL_ERR + 1e-290
         # emb's real and imaginary parts interleaved, one column each
@@ -421,11 +454,25 @@ class UserTensors:
 
     def blocks_int(self, vecs: np.ndarray) -> np.ndarray:
         """(n, r) int coefficients -> (n, n_t, width, dim) numerator vectors,
-        scaled by the kernel's entry_scale (1 on sigma-stable towers)."""
-        out = np.tensordot(vecs, self.numv, axes=([1], [0]))
-        return out
+        scaled by the kernel's entry_scale (1 on sigma-stable towers).
+
+        The blocks are numv's SparseMap applied to the coordinate-major
+        coefficients; the result is the batch-first view of that
+        (n_t, width, dim, n) array.  Raises OverflowRisk if the exact bound
+        sum_g max|vecs[:, g]| * |numv[g]| on a block coordinate reaches
+        INT64_LIMIT."""
+        if max(self._numv_map.bound(_max_abs(vecs, axis=0))) >= INT64_LIMIT:
+            raise OverflowRisk("block coordinates could exceed int64")
+        out = self._numv_map(np.ascontiguousarray(vecs.T))
+        return out.reshape(self.numv.shape[1:] + (len(vecs),)).transpose(3, 0, 1, 2)
 
 
 def stack_users(blocks: list[np.ndarray]) -> np.ndarray:
-    """Per-user (n, n_t, width[, dim]) arrays -> (n, Un_t, width[, dim])."""
-    return np.concatenate(blocks, axis=1)
+    """Per-user (n, n_t, width[, dim]) arrays -> (n, Un_t, width[, dim]).
+
+    The users are joined batch-last, so the result is the batch-first view
+    of a contiguous (Un_t, width[, dim], n) array: det_int_batch's
+    coordinate-major transpose of it copies nothing."""
+    ndim = blocks[0].ndim
+    joined = np.concatenate([b.transpose(*range(1, ndim), 0) for b in blocks])
+    return joined.transpose(ndim - 1, *range(ndim - 1))

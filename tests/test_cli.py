@@ -349,6 +349,30 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "'abcd'" in captured.err
 
+    NON_INTEGER_TOWER_KEYS = [
+        ({"U": 2.9, "n_t": 1.5}, "U"),
+        ({"U": 2, "n_t": 1.5}, "n_t"),
+        ({"U": 2, "n_t": 1, "m": 5.0}, "m"),
+        ({"U": 2, "n_t": 1, "m": 5, "H_generators": [4.0]}, "H_generators"),
+    ]
+
+    @pytest.mark.parametrize(
+        "shorthand, key",
+        NON_INTEGER_TOWER_KEYS,
+        ids=[key for _, key in NON_INTEGER_TOWER_KEYS],
+    )
+    def test_non_integer_tower_shorthand_refused(
+        self, tmp_path, capsys, shorthand, key
+    ):
+        # int() would truncate U = 2.9, n_t = 1.5 and build the U = 2, n_t = 1 code
+        code = {"K": "Q(i)", "p": [1, 1], **shorthand}
+        cfg = write_config(tmp_path, {"code": code})
+        rc = cli.main(["build", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and repr(key) in captured.err
+
     NON_INTEGER_KEYS = [
         ("decay", {"N_max": 1.5}, "N_max"),
         ("decay", {"N_max": 1, "seed": True}, "seed"),

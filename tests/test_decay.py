@@ -209,6 +209,46 @@ class TestRankCriterion:
                 with pytest.raises(ValueError, match="vectors of length 4"):
                     rank_criterion_check(golden_spec, boxes)
 
+    def test_ragged_user_counts_rejected(self, golden_spec):
+        # U + 1 vectors in one box and U - 1 in the next: the batch holds
+        # 2 * U vectors of the right length, so only a per-box count sees it
+        boxes = [
+            CoefficientBox((1, 1, 1), ((1, 0, 0, 0),) * 3),
+            CoefficientBox((1,), ((0, 1, 0, 0),)),
+        ]
+        with pytest.raises(ValueError, match="2 coefficient vectors of length 4"):
+            rank_criterion_check(golden_spec, boxes)
+
+    def test_block_wrap_takes_the_object_path(self, quartic_spec, monkeypatch):
+        # in int64, -2**63 * numv wraps every block entry to 0: without the
+        # block audit the box would read as a zero determinant
+        v1 = [0] * quartic_spec.r_per_user
+        v1[4] = -(2**63)
+        v2 = [1] + [0] * (quartic_spec.r_per_user - 1)
+        box = CoefficientBox((2**63, 2**63), (tuple(v1), tuple(v2)))
+        num, _ = det_exact(assemble_codeword(quartic_spec, box))
+        assert num
+        exact_calls = []
+
+        def counting_det_exact(A):
+            exact_calls.append(A)
+            return det_exact(A)
+
+        monkeypatch.setattr(decay, "det_exact", counting_det_exact)
+        report = rank_criterion_check(quartic_spec, [box])
+        assert report == RankReport(1, [], [])
+        assert len(exact_calls) == 1
+
+    def test_coefficient_beyond_int64_takes_the_object_path(self, golden_spec):
+        good = CoefficientBox((2**70, 1), ((1, 0, 0, 0), (0, 1, 0, 0)))
+        big = CoefficientBox((2**70, 1), ((2**70, 0, 0, 0), (0, 1, 0, 0)))
+        report = rank_criterion_check(golden_spec, [good, big, good])
+        assert report == RankReport(3, [], [])
+        # a batch past int64 is still refused for an inactive user
+        idle = CoefficientBox((2**70, 1), ((2**70, 0, 0, 0), (0, 0, 0, 0)))
+        with pytest.raises(ValueError, match="every user active"):
+            rank_criterion_check(golden_spec, [idle])
+
     def test_p_scaled_data_keeps_full_rank(self, golden_spec):
         # multiplying every user's data by p leaves determinants nonzero and
         # pushes their valuations up; the sweep must still certify both checks
@@ -388,6 +428,20 @@ class TestMinAbsDetEngine:
             assert got.det_numerator == want.det_numerator
             assert got.det_p_exponent == want.det_p_exponent
             assert got.evaluated == want.evaluated
+
+
+def test_exact_stage_block_overflow_takes_the_object_path(quartic_spec):
+    ctx = decay._SearchContext(quartic_spec, (2**63, 2**63), SAMPLED)
+    r = quartic_spec.r_per_user
+    v1 = np.zeros((1, r), dtype=np.int64)
+    v1[0, 4] = -(2**63)
+    v2 = np.eye(1, r, dtype=np.int64)
+    nums, s = decay._exact_stage(ctx, [v1, v2])
+    box = CoefficientBox(ctx.bounds, (tuple(v1[0].tolist()), tuple(v2[0].tolist())))
+    num, s_ref = det_exact(assemble_codeword(quartic_spec, box))
+    assert s == s_ref
+    assert nums == [(num * ctx.kern.entry_scale).num]
+    assert any(nums[0])
 
 
 def screened_chunk(ctx, chunk):

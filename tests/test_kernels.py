@@ -8,7 +8,7 @@ import pytest
 from macdecay.construction import assemble_codeword
 from macdecay.decay import det_exact
 from macdecay.kernels import (
-    IntKernel, OverflowRisk, UserTensors,
+    INT64_LIMIT, IntKernel, OverflowRisk, SparseMap, UserTensors,
     coeff_grid, det_float_batch, det_int_batch, det_schedule,
     det_slack_batch, exponent_matrix, grid_size, laplace_terms,
     slack_factors, stack_users,
@@ -106,6 +106,31 @@ class TestIntKernel:
             for b, y in enumerate(ys):
                 assert FieldElem(tower, prod[:, a, b]) == x * y
 
+    @pytest.mark.parametrize("tower_name", ALL_TOWERS)
+    def test_product_slots_reproduce_structure_tensor(self, tower_name, request):
+        tower = request.getfixturevalue(tower_name)
+        kern = IntKernel(tower)
+        dim = kern.dim
+        T = np.zeros((dim, dim, dim), dtype=np.int64)
+        for a, row in enumerate(tower.mul_terms):
+            for b, terms in enumerate(row):
+                for c, w in terms:
+                    T[a, b, c] = w
+        pairs = [ab for slot in kern.slots for ab in slot]
+        assert sorted(pairs) == [(a, b) for a in range(dim) for b in range(dim)]
+        for slot, row in zip(kern.slots, kern.reduction):
+            for a, b in slot:
+                assert np.array_equal(T[a, b], row)
+        # each gamma_a * gamma_b is some mu^j theta^i, j <= 2 and i <= 2d - 2,
+        # and each of those 3 (2d - 1) elements is its own slot
+        assert len({tuple(row) for row in kern.reduction}) == len(kern.slots)
+        assert len(kern.slots) == 3 * (2 * tower.d - 1)
+        rng = np.random.default_rng(139)
+        u = rng.integers(-1000, 1001, size=(dim, 3, 50))
+        v = rng.integers(-1000, 1001, size=(dim, 1, 50))
+        outer = u[:, None] * v[None, :]
+        assert np.array_equal(kern.mul(u, v), np.einsum("abc,ab...->c...", T, outer))
+
     def test_product_bound_sound(self, quartic_kern, quartic_tower):
         rng = random.Random(139)
         for _ in range(20):
@@ -120,7 +145,7 @@ class TestIntKernel:
     def test_mat_bound_sound(self, golden_kern):
         S = golden_kern.sigma_vec_mat(1)
         ub = [3] * golden_kern.dim
-        bound = IntKernel.mat_bound(ub, S)
+        bound = SparseMap(S).bound(ub)
         vec = np.full(golden_kern.dim, 3, dtype=np.int64)
         assert all(abs(int(v)) <= b for v, b in zip(vec @ S, bound))
 
@@ -266,6 +291,53 @@ class TestBatchedDeterminants:
                     if spec_name == "golden_spec":
                         assert np.array_equal(blocks, want_blocks)
                         assert np.array_equal(errs, want_errs)
+
+    @pytest.mark.parametrize("spec_name", ALL_SPECS)
+    def test_blocks_int_matches_tensordot(self, spec_name, request):
+        spec = request.getfixturevalue(spec_name)
+        kern = IntKernel(spec.tower)
+        rng = np.random.default_rng(173)
+        for j in range(spec.U):
+            ut = UserTensors(spec, kern, j + 1)
+            batches = [coeff_grid(1, ut.r)] if ut.r <= 6 else []
+            for N, rows in ((1, 1), (3, 7), (2, 4096), (2**40, 100), (1, 0)):
+                batches.append(rng.integers(-N, N + 1, (rows, ut.r)))
+            for vecs in batches:
+                want = np.tensordot(vecs, ut.numv, axes=([1], [0]))
+                got = ut.blocks_int(vecs)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want), spec_name
+
+    def test_blocks_int_overflow_audit(self, quartic_spec):
+        kern = IntKernel(quartic_spec.tower)
+        ut = UserTensors(quartic_spec, kern, 1)
+        vecs = np.zeros((3, ut.r), dtype=np.int64)
+        # np.abs(-2**63) is -2**63 in int64; the audit must still see 2**63
+        vecs[1, 4] = -(2**63)
+        with pytest.raises(OverflowRisk):
+            ut.blocks_int(vecs)
+        # the bound is |c| * max|numv[4]|: the least c reaching the limit
+        # raises, the next smaller does not
+        c = -(-INT64_LIMIT // int(np.abs(ut.numv[4]).max()))
+        vecs[1, 4] = -c
+        with pytest.raises(OverflowRisk):
+            ut.blocks_int(vecs)
+        vecs[1, 4] = 1 - c
+        assert np.array_equal(
+            ut.blocks_int(vecs), np.tensordot(vecs, ut.numv, axes=([1], [0]))
+        )
+
+    def test_stacked_blocks_are_coordinate_major(self, request):
+        for spec_name in ALL_SPECS:
+            spec = request.getfixturevalue(spec_name)
+            kern = IntKernel(spec.tower)
+            vecs = np.ones((5, spec.r_per_user), dtype=np.int64)
+            stacked = stack_users(
+                [UserTensors(spec, kern, j + 1).blocks_int(vecs) for j in range(spec.U)]
+            )
+            assert stacked.shape == (5, spec.U * spec.n_t, spec.U * spec.n_t, kern.dim)
+            # det_int_batch's transpose of it copies nothing
+            assert stacked.transpose(1, 2, 3, 0).flags.c_contiguous, spec_name
 
     def test_user_tensors_reject_wrong_shape(self, golden_spec):
         kern = IntKernel(golden_spec.tower)
