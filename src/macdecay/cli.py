@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +49,13 @@ def _config_int(value, key: str) -> int:
     if type(value) is not int:
         raise ConfigError(f"config key {key!r} needs integers, got {value!r}")
     return value
+
+
+def _tolerance(value) -> float:
+    """value as a finite float >= 0; a bool is refused, never read as 0 or 1."""
+    if isinstance(value, bool) or not 0 <= float(value) < math.inf:
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 def _tag_from_string(s: str) -> RingTag:
@@ -222,6 +230,8 @@ def cmd_rank_check(args, cfg: dict) -> int:
     bound = _pick(args.nmax, "", cfg, "nmax", 2)
     if bound < 1:
         raise ValueError("nmax must be positive")
+    if samples < 1:
+        raise ValueError("samples must be positive")
     bounds = (bound,) * spec.U
 
     def boxes():
@@ -260,7 +270,7 @@ def cmd_decay(args, cfg: dict) -> int:
     seed = _pick(args.seed, "", cfg, "seed", 0)
     samples = _pick(None, "", cfg, "samples", 10000 if mode == SAMPLED else None)
     budget = _pick(args.budget, "MACDECAY_BUDGET", cfg, "budget", DEFAULT_BUDGET)
-    tolerance = float(
+    tolerance = _tolerance(
         args.tolerance if args.tolerance is not None else cfg.get("tolerance", DEFAULT_TOLERANCE)
     )
 
@@ -337,12 +347,7 @@ def cmd_witness2(args, cfg: dict) -> int:
     a, b, c, d = gamma_elements(basis, coeffs)
     singular = two_user_singularity_test(a, b, c, d)
     resolved = _resolved_config_obj("witness2", cfg, tower=tower, abcd=abcd)
-    from .number_field import L_OVER_K
-
-    norm_det = (
-        a.rel_norm(L_OVER_K) * d.rel_norm(L_OVER_K)
-        - b.rel_norm(L_OVER_K) * c.rel_norm(L_OVER_K)
-    )
+    norm_det = a.rel_norm() * d.rel_norm() - b.rel_norm() * c.rel_norm()
     result = {
         "norm_determinant": [[str(q.a), str(q.b)] for q in norm_det.coords],
         "singular": singular,

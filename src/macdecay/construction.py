@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .finite_fields import InertnessInconclusive, is_irreducible_mod_p
 from .number_field import FieldElem, Tower
 from .quadratic import QuadElem
@@ -229,8 +231,6 @@ def _certify_full_rank(spec: CodeSpec, j: int, mats: list[CodeMatrix]) -> None:
     cache_key = (spec.tower.key, spec.p.a, spec.p.b, spec.k, j)
     if _RANK_CACHE.get(cache_key):
         return
-    import numpy as np
-
     vecs = []
     for m in mats:
         row = []

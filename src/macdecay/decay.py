@@ -38,8 +38,8 @@ FIRST_USER = "FIRST_USER"
 ALL_USERS = "ALL_USERS"
 
 DEFAULT_BUDGET = 10**8
-# user-1 grid rows per EXHAUSTIVE chunk; each chunk sends its own screen
-# candidates to the exact stage, so the chunking fixes the candidate counts
+# user-1 grid rows per EXHAUSTIVE chunk; each chunk screens against its own
+# least upper bound, so the chunking fixes the candidate counts
 CHUNK_U1_ROWS = 512
 SAMPLE_CHUNK = 32768
 DRAW_WORDS = 1 << 13  # fresh stream words one numpy pass of the draw parses
@@ -140,8 +140,8 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     box must hold spec.U vectors of length spec.r_per_user, each nonzero;
     otherwise ValueError.  Boxes are read SUB_BATCH at a time; a batch
     whose coefficients or int64 bounds leave int64 is decided by det_exact."""
-    kern = IntKernel(spec.tower)
-    uts = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
+    ctx = _SearchContext(spec)
+    kern, uts = ctx.kern, ctx.uts
     tau = kern.sigma_vec_mat(spec.U)
     tau_colsum = int(np.abs(tau).sum(axis=0).max())
     U, r = spec.U, spec.r_per_user
@@ -249,7 +249,9 @@ def orbit_representatives(
 
 
 class _SearchContext:
-    """Everything a scan of one box needs, built once per min_abs_det call.
+    """The kernels of one spec: its IntKernel, every user's UserTensors and
+    the Laplace terms of the factored float screen.  Nothing in it depends
+    on a box or a mode.
 
     The float screen is factored by user.  A codeword's rows split into a
     prefix block (users 1..U-1) and the last user's n_t rows, and both the
@@ -258,35 +260,15 @@ class _SearchContext:
     float_factors builds, for coefficient vectors of every user, each
     prefix user's float blocks and slack factors, and the last user's
     slack factors and n_t x n_t minors on every column set of ``terms``.
-    An EXHAUSTIVE context builds them once over the user grids, so a chunk
-    evaluates only its prefix rows; SAMPLED builds them per chunk.
+    EXHAUSTIVE builds them once over the user grids, so a chunk evaluates
+    only its prefix rows; SAMPLED builds them per chunk."""
 
-    An EXHAUSTIVE grid holds one coefficient vector per unit orbit of its
-    user (see orbit_units).  The set of minimizers is closed under the
-    per-user unit action, so its lex-smallest member survives the reduction
-    and the first-index tie-break picks the same argmin as a full scan."""
-
-    def __init__(self, spec: CodeSpec, bounds: tuple[int, ...], mode: str):
+    def __init__(self, spec: CodeSpec):
         self.spec = spec
-        self.bounds = bounds
-        self.mode = mode
         self.kern = IntKernel(spec.tower)
         self.uts = [UserTensors(spec, self.kern, j + 1) for j in range(spec.U)]
         self.n = spec.U * spec.n_t
         self.terms = laplace_terms(self.n, spec.n_t)
-        if mode == EXHAUSTIVE:
-            units = orbit_units(self.kern)
-            self.grids = [
-                orbit_representatives(
-                    coeff_grid(bounds[j], self.uts[j].r), bounds[j], units
-                )
-                for j in range(spec.U)
-            ]
-            self.pre, self.last = self.float_factors(self.grids)
-        else:
-            self.grids = None
-            self.pre = None
-            self.last = None
 
     def float_factors(self, vecs: list[np.ndarray]):
         """(pre, last) for per-user coefficient arrays: pre lists (blocks,
@@ -337,7 +319,7 @@ def _screen_sub(terms, pre, last):
     return lo * lo, up * up
 
 
-def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
+def _exact_stage(ctx: _SearchContext, bounds, vec_arrays: list[np.ndarray]):
     """Exact determinant numerators for candidate boxes; object fallback."""
     try:
         stacked = stack_users(
@@ -350,11 +332,7 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
         s_ref = None
         for row_idx in range(vec_arrays[0].shape[0]):
             box = CoefficientBox(
-                ctx.bounds,
-                tuple(
-                    tuple(int(c) for c in vec_arrays[j][row_idx])
-                    for j in range(ctx.spec.U)
-                ),
+                bounds, tuple(tuple(v[row_idx].tolist()) for v in vec_arrays)
             )
             num, s = det_exact(assemble_codeword(ctx.spec, box))
             if s_ref is None:
@@ -368,35 +346,40 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
         return out, s_ref
 
 
-def _pick_chunk_min(ctx: _SearchContext, nums, s, boxes: list[tuple]):
-    """Exact local minimum of |det|^2 over candidates, first index wins ties.
+def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
+    """(|det|^2, numerator, box) of the exact minimum over candidates, the
+    first index winning ties; the box is built for the winner only.
 
     Equal numerators give equal |det|^2 and the first one already wins the
     tie, so each distinct numerator is decided once."""
     best = None
     seen = set()
-    for vec, box in zip(nums, boxes):
+    for i, vec in enumerate(nums):
         if vec in seen:
             continue
         seen.add(vec)
         num_fe = FieldElem(ctx.spec.tower, vec, ctx.kern.entry_scale)
         absq = abs_sq_of_det(ctx.spec, num_fe, s)
         if best is None or absq < best[0]:
-            best = (absq, vec, box)
-    return best
+            best = (absq, vec, i)
+    absq, vec, i = best
+    return absq, vec, tuple(tuple(v[i].tolist()) for v in vec_arrays)
 
 
-def _screen(ctx: _SearchContext, pre, last, count: int, rows_of):
-    """(lo^2, up^2) of a chunk's codewords in flat order, in pieces of at
-    most SUB_BATCH codewords (see _scan_chunk)."""
-    if ctx.mode == SAMPLED:
-        # codeword k pairs prefix k with last-user row k
-        for off in range(0, count, SUB_BATCH):
-            span = slice(off, min(off + SUB_BATCH, count))
-            p = ctx.prefix_factors(pre, rows_of(span)[:-1], span.stop - off)
-            yield _screen_sub(ctx.terms, p, [f[..., span] for f in last])
-        return
-    # codeword k = q * m + l pairs prefix q with last-user row l
+def _screen_paired(ctx: _SearchContext, pre, last, count: int, rows_of):
+    """(lo^2, up^2) of SAMPLED codewords, codeword k pairing prefix k with
+    last-user row k, in pieces of at most SUB_BATCH codewords."""
+    for off in range(0, count, SUB_BATCH):
+        span = slice(off, min(off + SUB_BATCH, count))
+        p = ctx.prefix_factors(pre, rows_of(span)[:-1], span.stop - off)
+        yield _screen_sub(ctx.terms, p, [f[..., span] for f in last])
+
+
+def _screen_crossed(ctx: _SearchContext, pre, last, count: int, rows_of):
+    """(lo^2, up^2) of EXHAUSTIVE codewords in flat order, codeword
+    k = q * m + l pairing prefix q with last-user row l, every prefix
+    broadcast against the m last-user rows, in pieces of at most SUB_BATCH
+    codewords (or one prefix against SUB_BATCH rows)."""
     m = last[1].shape[0]
     step = max(1, SUB_BATCH // m)
     for q0 in range(0, count // m, step):
@@ -410,20 +393,17 @@ def _screen(ctx: _SearchContext, pre, last, count: int, rows_of):
             yield lo2.ravel(), up2.ravel()
 
 
-def _scan_chunk(ctx: _SearchContext, pre, last, vecs, count: int, rows_of):
-    """Exact minimum over `count` codewords as (s, (|det|^2, numerator,
-    box)), the latter from _pick_chunk_min: a float screen in SUB_BATCH
-    pieces, then every codeword whose lower bound reaches the least upper
-    bound goes to the exact stage.
+def _scan_chunk(pieces, vecs, rows_of) -> list[np.ndarray]:
+    """The per-user coefficient rows of a chunk's screen candidates, in
+    flat order: every codeword whose lower bound reaches the chunk's least
+    upper bound, lo^2 <= min up^2.  A true minimizer of the chunk has
+    lo^2 <= |det|^2 <= min up^2, since its |det| is at most every other
+    codeword's, so it is always a candidate.
 
-    rows_of maps flat codeword indices (an index array, or a slice in
-    SAMPLED mode) to one row index per user; codeword k stacks row
-    rows_of(k)[j] of user j's coefficient vectors vecs.  The screen is factored by user (see
-    _SearchContext): `pre` holds the float factors of users 1..U-1, read
-    at rows_of of each prefix, and `last` those of the last user's rows.
-    EXHAUSTIVE broadcasts every prefix against every last-user row (the
-    last user fastest, so count = prefixes * rows); SAMPLED pairs them row
-    by row.
+    `pieces` yields the chunk's (lo^2, up^2) in flat order (_screen_paired
+    or _screen_crossed), and rows_of maps flat codeword indices to one row
+    index per user; codeword k stacks row rows_of(k)[j] of user j's
+    coefficient vectors vecs.
 
     The float determinant is the Laplace expansion over the last user's
     rows, a sum of C(n, n_t) products of two minors from det_float_batch
@@ -441,43 +421,40 @@ def _scan_chunk(ctx: _SearchContext, pre, last, vecs, count: int, rows_of):
     up^2 are the same to the bit."""
     lo2_parts = []
     up2_min = np.inf
-    for lo2, up2 in _screen(ctx, pre, last, count, rows_of):
+    for lo2, up2 in pieces:
         up2_min = min(up2_min, up2.min())
         lo2_parts.append(lo2)
     cands = np.nonzero(np.concatenate(lo2_parts) <= up2_min)[0]
-    cand_vecs = [v[r] for v, r in zip(vecs, rows_of(cands))]
-    nums, s = _exact_stage(ctx, cand_vecs)
-    boxes = [
-        tuple(tuple(int(c) for c in v[i]) for v in cand_vecs)
-        for i in range(len(cands))
-    ]
-    return s, _pick_chunk_min(ctx, nums, s, boxes)
+    return [v[r] for v, r in zip(vecs, rows_of(cands))]
 
 
-def _exhaustive_chunk(ctx: _SearchContext, start: int, stop: int):
-    """_scan_chunk's (pre, last, vecs, count, rows_of) for user-1 grid rows
-    start..stop against every other-user row, the last user fastest."""
-    o_sizes = [g.shape[0] for g in ctx.grids[1:]]
+def _exhaustive_chunk(ctx: _SearchContext, grids, factors, start: int, stop: int):
+    """_scan_chunk's (pieces, vecs, rows_of) for user-1 grid rows
+    start..stop against every other-user row, the last user fastest;
+    factors are the float_factors of the grids."""
+    pre, last = factors
+    o_sizes = [g.shape[0] for g in grids[1:]]
     others = math.prod(o_sizes)
 
     def rows_of(idx):
         return [start + idx // others] + _mixed_radix_rows(idx % others, o_sizes)
 
-    last = ctx.last
-    if not ctx.pre:
+    if not pre:
         # one user: the chunk's own grid rows are the last-user rows
         last = [f[..., start:stop] for f in last]
-    return ctx.pre, last, ctx.grids, (stop - start) * others, rows_of
+    count = (stop - start) * others
+    return _screen_crossed(ctx, pre, last, count, rows_of), grids, rows_of
 
 
 def _sampled_chunk(ctx: _SearchContext, vecs: list[np.ndarray]):
-    """_scan_chunk's (pre, last, vecs, count, rows_of) for one chunk of
-    drawn samples, codeword k stacking row k of every user."""
+    """_scan_chunk's (pieces, vecs, rows_of) for one chunk of drawn
+    samples, codeword k stacking row k of every user."""
 
     def rows_of(idx):
         return [idx] * len(vecs)
 
-    return (*ctx.float_factors(vecs), vecs, vecs[0].shape[0], rows_of)
+    pieces = _screen_paired(ctx, *ctx.float_factors(vecs), vecs[0].shape[0], rows_of)
+    return pieces, vecs, rows_of
 
 
 def _attempt_words(N: int) -> int:
@@ -626,15 +603,25 @@ def min_abs_det(
     the coefficient-grid row cap); SAMPLED draws boxes from the recorded
     seed and yields an upper bound.  Samples are drawn chunk by chunk from
     the seed's stream, each chunk only after the previous one is scanned,
-    so memory does not grow with ``samples`` and the drawn boxes are the
-    same as one draw.
+    so the draw's memory does not grow with ``samples`` and the drawn boxes
+    are the same as one draw.
     The exhaustive scan covers one coefficient vector per unit orbit of
-    each user (|det| is the same on the whole orbit), and ``evaluated``
-    still counts every covered codeword.
+    each user (see orbit_units; |det| is the same on the whole orbit), and
+    ``evaluated`` still counts every covered codeword.  The set of
+    minimizers is closed under the per-user unit action, so its
+    lex-smallest member survives the reduction and the first-index
+    tie-break picks the same argmin as a full scan.
+
     Every chunk is scanned in the calling process, from one search
     context: the grid is split into fixed chunks by user-1 prefix (or
-    sample index), each chunk's minimum is exact, and the merge compares
-    exactly in chunk order.  ``workers`` is accepted and ignored.
+    sample index), and each chunk's screen keeps the codewords that can
+    reach its own float minimum.  The candidates of all chunks, in chunk
+    order, go to one exact stage, and the first exact minimizer among them
+    is the argmin.  That is the first minimizer of the whole scan: it is a
+    candidate of its chunk (see _scan_chunk), and every candidate before
+    it comes earlier in the scan, so none of them is a minimizer.  The
+    candidates are at most ``evaluated`` rows, which the budget bounds.
+    ``workers`` is accepted and ignored.
     """
     t0 = time.perf_counter()
     bounds = tuple(int(N) for N in bounds)
@@ -647,12 +634,10 @@ def min_abs_det(
     lengths = [spec.r_per_user for _ in bounds]
 
     if mode == EXHAUSTIVE:
-        total = 1
-        for N, r in zip(bounds, lengths):
-            total *= grid_size(N, r)
-        if total > budget:
+        evaluated = math.prod(map(grid_size, bounds, lengths))
+        if evaluated > budget:
             raise BudgetExceeded(
-                f"exhaustive search needs {total} codewords, budget is {budget};"
+                f"exhaustive search needs {evaluated} codewords, budget is {budget};"
                 " use SAMPLED mode"
             )
         for N, r in zip(bounds, lengths):
@@ -662,15 +647,19 @@ def min_abs_det(
                     f"coefficient grid of {rows} rows exceeds the"
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
-        ctx = _SearchContext(spec, bounds, mode)
-        g1 = ctx.grids[0].shape[0]
+        ctx = _SearchContext(spec)
+        units = orbit_units(ctx.kern)
+        grids = [
+            orbit_representatives(coeff_grid(N, ut.r), N, units)
+            for N, ut in zip(bounds, ctx.uts)
+        ]
+        factors = ctx.float_factors(grids)
+        g1 = grids[0].shape[0]
         chunks = (
-            _exhaustive_chunk(ctx, start, min(start + CHUNK_U1_ROWS, g1))
-            for start in range(0, g1, CHUNK_U1_ROWS)
+            _exhaustive_chunk(ctx, grids, factors, i, min(i + CHUNK_U1_ROWS, g1))
+            for i in range(0, g1, CHUNK_U1_ROWS)
         )
-        samples_used = None
-        seed_used = None
-        evaluated = total
+        samples_used = seed_used = None
     else:
         if not samples or samples < 1:
             raise ValueError("SAMPLED mode requires a positive sample count")
@@ -679,20 +668,17 @@ def min_abs_det(
                 f"sample count {samples} exceeds budget {budget}"
             )
         seed_used = 0 if seed is None else int(seed)
-        ctx = _SearchContext(spec, bounds, mode)
+        ctx = _SearchContext(spec)
         chunks = (
             _sampled_chunk(ctx, vecs)
             for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
         )
-        samples_used = samples
-        evaluated = samples
+        samples_used = evaluated = samples
 
-    best = None
-    for chunk in chunks:
-        s, (absq, vec, box) = _scan_chunk(ctx, *chunk)
-        if best is None or absq < best[0]:
-            best = (absq, vec, s, box)
-    absq, vec, s, box = best
+    per_chunk = [_scan_chunk(*chunk) for chunk in chunks]
+    cands = [np.concatenate(user) for user in zip(*per_chunk)]
+    nums, s = _exact_stage(ctx, bounds, cands)
+    absq, vec, box = _pick_min(ctx, nums, s, cands)
     num_fe = FieldElem(spec.tower, vec, ctx.kern.entry_scale)
     lo, hi = absq.sqrt_bounds(60)
     mid = (lo + hi) / 2

@@ -106,6 +106,18 @@ class TestRankCheckCommand:
         assert rc == 2
         assert err == "invalid configuration: nmax must be positive\n"
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_is_exit_2(self, samples, tmp_path, capsys):
+        # an empty sweep certifies nothing; it used to report a pass
+        cfg = write_config(
+            tmp_path, {"code": dict(GOLDEN_CODE), "samples": samples}
+        )
+        rc = cli.main(["rank-check", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "invalid configuration: samples must be positive\n"
+
     def test_nmax_beyond_int64_is_exit_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 5})
         rc = cli.main(["rank-check", "--config", cfg, "--nmax", str(2**63)])
@@ -146,6 +158,41 @@ class TestDecayCommand:
         captured = capsys.readouterr()
         assert rc == 1
         assert "verdict=FAIL" in captured.out
+
+    @pytest.mark.parametrize("flag", ["nan", "-1", "inf"])
+    def test_bad_tolerance_flag_is_exit_2(self, flag, tmp_path, capsys, monkeypatch):
+        # nan and -1 used to fail every verdict and exit 1
+        def no_curve(*args, **kwargs):
+            raise AssertionError("a curve was measured")
+
+        monkeypatch.setattr(cli, "decay_curve", no_curve)
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE)})
+        rc = cli.main(["decay", "--config", cfg, "--nmax", "3", "--tolerance", flag])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "tolerance" in captured.err
+
+    @pytest.mark.parametrize("value", [True, -0.5, float("nan"), float("inf")])
+    def test_bad_tolerance_key_is_exit_2(self, value, tmp_path, capsys):
+        # true used to run as a tolerance of 1.0
+        cfg = write_config(
+            tmp_path, {"code": dict(GOLDEN_CODE), "N_max": 3, "tolerance": value}
+        )
+        rc = cli.main(["decay", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "tolerance" in captured.err
+
+    def test_zero_tolerance_is_accepted(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, {"code": dict(GOLDEN_CODE), "N_max": 3, "tolerance": 0}
+        )
+        rc = cli.main(["decay", "--config", cfg])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "tolerance=0.0 verdict=FAIL" in captured.out
 
     def test_budget_exhausted_is_exit_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE)})

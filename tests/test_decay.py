@@ -367,6 +367,25 @@ class TestMinAbsDetEngine:
             for rep in reps.values():
                 same_report(rep, reps[1])
 
+    @pytest.mark.parametrize(
+        "spec_name, bounds",
+        [("golden_spec", (2, 1)), ("golden_spec", (2, 2)), ("golden_spec", (3, 1)),
+         ("eisenstein_spec", (1, 1)), ("eisenstein_spec", (2, 1))],
+    )
+    def test_exhaustive_report_does_not_depend_on_chunking(
+        self, spec_name, bounds, request, monkeypatch
+    ):
+        # with one user-1 row per chunk, minimizers with different user-1
+        # vectors fall in different chunks; the first-index tie-break must
+        # still pick the argmin of the one-chunk scan
+        spec = request.getfixturevalue(spec_name)
+        reps = []
+        for rows in (1, 7, 512):
+            monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
+            reps.append(min_abs_det(spec, bounds))
+        for rep in reps[1:]:
+            same_report(rep, reps[0])
+
     def test_sampled_seeded_frozen(self, golden_spec):
         rep = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
         assert rep.D_value == 0.6350214543637981
@@ -431,36 +450,43 @@ class TestMinAbsDetEngine:
 
 
 def test_exact_stage_block_overflow_takes_the_object_path(quartic_spec):
-    ctx = decay._SearchContext(quartic_spec, (2**63, 2**63), SAMPLED)
+    ctx = decay._SearchContext(quartic_spec)
+    bounds = (2**63, 2**63)
     r = quartic_spec.r_per_user
     v1 = np.zeros((1, r), dtype=np.int64)
     v1[0, 4] = -(2**63)
     v2 = np.eye(1, r, dtype=np.int64)
-    nums, s = decay._exact_stage(ctx, [v1, v2])
-    box = CoefficientBox(ctx.bounds, (tuple(v1[0].tolist()), tuple(v2[0].tolist())))
+    nums, s = decay._exact_stage(ctx, bounds, [v1, v2])
+    box = CoefficientBox(bounds, (tuple(v1[0].tolist()), tuple(v2[0].tolist())))
     num, s_ref = det_exact(assemble_codeword(quartic_spec, box))
     assert s == s_ref
     assert nums == [(num * ctx.kern.entry_scale).num]
     assert any(nums[0])
 
 
-def screened_chunk(ctx, chunk):
+def screened_chunk(chunk):
     """lo^2, up^2 and the per-user coefficient vectors of every codeword of
     one chunk (_exhaustive_chunk's or _sampled_chunk's scan arguments), in
     the engine's flat order."""
-    pre, last, vecs, count, rows_of = chunk
-    lo2, up2 = zip(*decay._screen(ctx, pre, last, count, rows_of))
-    rows = rows_of(np.arange(count, dtype=np.int64))
-    return np.concatenate(lo2), np.concatenate(up2), [v[r] for v, r in zip(vecs, rows)]
+    pieces, vecs, rows_of = chunk
+    lo2, up2 = map(np.concatenate, zip(*pieces))
+    rows = rows_of(np.arange(lo2.shape[0], dtype=np.int64))
+    return lo2, up2, [v[r] for v, r in zip(vecs, rows)]
 
 
-def grid_context(spec, grids):
-    """An EXHAUSTIVE search context over the given per-user grids."""
-    ctx = decay._SearchContext(spec, (1,) * spec.U, SAMPLED)
-    ctx.mode = EXHAUSTIVE
-    ctx.grids = grids
-    ctx.pre, ctx.last = ctx.float_factors(grids)
-    return ctx
+def orbit_grids(ctx, bounds):
+    """The EXHAUSTIVE scan's per-user grids: one row per unit orbit."""
+    units = orbit_units(ctx.kern)
+    return [
+        orbit_representatives(coeff_grid(N, ut.r), N, units)
+        for N, ut in zip(bounds, ctx.uts)
+    ]
+
+
+def grid_chunk(ctx, grids, start, stop):
+    """_exhaustive_chunk's scan arguments for user-1 rows start..stop of
+    the given per-user grids."""
+    return decay._exhaustive_chunk(ctx, grids, ctx.float_factors(grids), start, stop)
 
 
 def _sq_range(lo, hi):
@@ -497,8 +523,8 @@ class TestFactoredScreen:
             np.array([b.vectors[j] for b in boxes], dtype=np.int64)
             for j in range(spec.U)
         ]
-        ctx = decay._SearchContext(spec, (3,) * spec.U, SAMPLED)
-        lo2, up2, got = screened_chunk(ctx, decay._sampled_chunk(ctx, vecs))
+        ctx = decay._SearchContext(spec)
+        lo2, up2, got = screened_chunk(decay._sampled_chunk(ctx, vecs))
         assert all(np.array_equal(g, v) for g, v in zip(got, vecs))
         assert np.all(lo2 <= up2)
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
@@ -508,8 +534,9 @@ class TestFactoredScreen:
         # the full N = 1 cross product where the grids fit, small random
         # grids elsewhere; with one user the chunk is a slice of the grid
         spec = request.getfixturevalue(spec_name)
+        ctx = decay._SearchContext(spec)
         if grid_size(1, spec.r_per_user) <= 100:
-            ctx = decay._SearchContext(spec, (1,) * spec.U, EXHAUSTIVE)
+            grids = orbit_grids(ctx, (1,) * spec.U)
         else:
             gen = np.random.default_rng(179)
             grids = []
@@ -517,16 +544,13 @@ class TestFactoredScreen:
                 g = gen.integers(-2, 3, (5, spec.r_per_user))
                 g[:, 0] = np.where(g.any(axis=1), g[:, 0], 1)
                 grids.append(g)
-            ctx = grid_context(spec, grids)
-        rows = ctx.grids[0].shape[0]
+        rows = grids[0].shape[0]
         start, stop = (1, rows - 1) if spec.U == 1 else (0, rows)
-        lo2, up2, vecs = screened_chunk(
-            ctx, decay._exhaustive_chunk(ctx, start, stop)
-        )
+        lo2, up2, vecs = screened_chunk(grid_chunk(ctx, grids, start, stop))
         assert lo2.shape[0] == (stop - start) * math.prod(
-            g.shape[0] for g in ctx.grids[1:]
+            g.shape[0] for g in grids[1:]
         )
-        assert np.array_equal(vecs[0][0], ctx.grids[0][start])
+        assert np.array_equal(vecs[0][0], grids[0][start])
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
 
     @pytest.mark.parametrize("sub_batch", [7, 50, decay.SUB_BATCH])
@@ -536,13 +560,13 @@ class TestFactoredScreen:
         # pieces that split the last user's 20 rows, that hold two prefixes,
         # and the default: the same lo^2 and up^2 to the bit
         monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
-        ctx = decay._SearchContext(golden_spec, (2, 1), EXHAUSTIVE)
-        rows = ctx.grids[0].shape[0]
-        chunk = decay._exhaustive_chunk(ctx, 3, rows)
-        lo2, up2, _ = screened_chunk(ctx, chunk)
-        rows_of = chunk[4]
+        ctx = decay._SearchContext(golden_spec)
+        grids = orbit_grids(ctx, (2, 1))
+        chunk = grid_chunk(ctx, grids, 3, grids[0].shape[0])
+        lo2, up2, _ = screened_chunk(chunk)
+        rows_of = chunk[2]
         idx = rows_of(np.arange(lo2.shape[0], dtype=np.int64))
-        floats = [ut.blocks_float(g) for ut, g in zip(ctx.uts, ctx.grids)]
+        floats = [ut.blocks_float(g) for ut, g in zip(ctx.uts, grids)]
         mats = stack_users([b[r] for (b, _), r in zip(floats, idx)])
         errs = stack_users([e[r] for (_, e), r in zip(floats, idx)])
         want_lo2, want_up2 = screen_reference(mats, errs)
@@ -552,8 +576,8 @@ class TestFactoredScreen:
     def test_golden_sampled_matches_concatenated_form(self, golden_spec):
         rng = random.Random(181)
         vecs = decay._draw_samples(rng, (4, 4), (4, 4), 3000)
-        ctx = decay._SearchContext(golden_spec, (4, 4), SAMPLED)
-        lo2, up2, _ = screened_chunk(ctx, decay._sampled_chunk(ctx, vecs))
+        ctx = decay._SearchContext(golden_spec)
+        lo2, up2, _ = screened_chunk(decay._sampled_chunk(ctx, vecs))
         floats = [ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)]
         want_lo2, want_up2 = screen_reference(
             stack_users([b for b, _ in floats]), stack_users([e for _, e in floats])
@@ -563,12 +587,13 @@ class TestFactoredScreen:
 
     def test_golden_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
         # candidates each point of the benchmark's golden curves sends to
-        # the exact stage, over all its chunks; ALL_USERS N = 2 is box (2, 2)
+        # the exact stage, gathered over all its chunks into one call;
+        # ALL_USERS N = 2 is box (2, 2)
         stage, sizes = decay._exact_stage, []
 
-        def counted_stage(ctx, vec_arrays):
+        def counted_stage(ctx, bounds, vec_arrays):
             sizes.append(vec_arrays[0].shape[0])
-            return stage(ctx, vec_arrays)
+            return stage(ctx, bounds, vec_arrays)
 
         monkeypatch.setattr(decay, "_exact_stage", counted_stage)
         want = {
@@ -582,7 +607,8 @@ class TestFactoredScreen:
                 min_abs_det(
                     golden_spec, (N, 1) if pattern == FIRST_USER else (N, N)
                 )
-                got.append(sum(sizes))
+                assert len(sizes) == 1, (pattern, N)
+                got.append(sizes[0])
             assert got == counts, pattern
 
 
@@ -791,8 +817,8 @@ class TestSampledStream:
         stage, abs_sq = decay._exact_stage, decay.abs_sq_of_det
         candidates, distinct, calls = [], [], []
 
-        def recorded_stage(ctx, vec_arrays):
-            nums, s = stage(ctx, vec_arrays)
+        def recorded_stage(ctx, bounds, vec_arrays):
+            nums, s = stage(ctx, bounds, vec_arrays)
             candidates.append(len(nums))
             distinct.append(len(set(nums)))
             return nums, s
@@ -803,16 +829,21 @@ class TestSampledStream:
 
         monkeypatch.setattr(decay, "_exact_stage", recorded_stage)
         monkeypatch.setattr(decay, "abs_sq_of_det", counted_abs_sq)
-        rep = min_abs_det(
-            golden_spec, bounds, mode=SAMPLED, samples=samples, seed=11
-        )
-        chunks = len(candidates)
-        assert chunks == 1
-        # one call per distinct numerator of a chunk; the merge reuses them
-        assert len(calls) == sum(distinct)
-        assert rep.D_value == D_value
-        assert rep.argmin.vectors == argmin
-        assert rep.evaluated == samples
+        # one chunk, then SAMPLE_CHUNK = 50: 8 and 40 chunks
+        for chunk in (decay.SAMPLE_CHUNK, 50):
+            monkeypatch.setattr(decay, "SAMPLE_CHUNK", chunk)
+            for log in (candidates, distinct, calls):
+                log.clear()
+            rep = min_abs_det(
+                golden_spec, bounds, mode=SAMPLED, samples=samples, seed=11
+            )
+            # every chunk's candidates go to one exact stage, and
+            # abs_sq_of_det runs once per distinct numerator among them
+            assert len(candidates) == 1, chunk
+            assert len(calls) == distinct[0], chunk
+            assert rep.D_value == D_value
+            assert rep.argmin.vectors == argmin
+            assert rep.evaluated == samples
 
 
 # ---------------------------------------------------------------------------
