@@ -232,6 +232,8 @@ def cmd_rank_check(args, cfg: dict) -> int:
         raise ValueError("nmax must be positive")
     if samples < 1:
         raise ValueError("samples must be positive")
+    if seed < 0:  # random.Random(seed) reads |seed|
+        raise ValueError("seed must be non-negative")
     bounds = (bound,) * spec.U
 
     def boxes():
@@ -270,6 +272,10 @@ def cmd_decay(args, cfg: dict) -> int:
     seed = _pick(args.seed, "", cfg, "seed", 0)
     samples = _pick(None, "", cfg, "samples", 10000 if mode == SAMPLED else None)
     budget = _pick(args.budget, "MACDECAY_BUDGET", cfg, "budget", DEFAULT_BUDGET)
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    if seed < 0:  # random.Random(seed) reads |seed|
+        raise ValueError("seed must be non-negative")
     tolerance = _tolerance(
         args.tolerance if args.tolerance is not None else cfg.get("tolerance", DEFAULT_TOLERANCE)
     )

@@ -22,7 +22,7 @@ import numpy as np
 
 from .construction import (
     CodeMatrix, CodeSpec, CoefficientBox, assemble_codeword, build_M,
-    gamma_basis, gamma_elements,
+    codeword_from_coeffs, gamma_basis, gamma_elements,
 )
 from .kernels import (
     GRID_ROW_CAP, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
@@ -234,24 +234,25 @@ def orbit_representatives(
 ) -> np.ndarray:
     """Rows of a lex-ascending coeff_grid(N, r) that are lex-smallest in
     their unit orbit, each unit acting on every antenna slot's block of
-    gamma-coordinates.  The kept rows stay in lex order."""
-    n, r = grid.shape
-    dim = units[0].shape[0]
-    # mixed-radix index of (v + N): lex order as an int64 (grid row cap)
-    weights = (2 * N + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    key = (grid + N) @ weights
-    slots = grid.reshape(n, r // dim, dim)
-    keep = np.ones(n, dtype=bool)
-    for mat in units:
-        image = (slots @ mat).reshape(n, r)
-        keep &= key <= (image + N) @ weights
-    return grid[keep]
+    gamma-coordinates.  The kept rows stay in lex order.
+
+    A row v's lex rank is its key (v + N) @ w, w the mixed-radix weights of
+    base 2N + 1, and a unit maps v to v @ kron(I, mat).  The key is linear,
+    so the image's key minus v's is v @ shift with shift = kron(I, mat) @ w
+    - w: one exact int64 product, a column per unit, decides every
+    comparison (keys stay below the grid row cap)."""
+    r = grid.shape[1]
+    w = (2 * N + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    eye = np.eye(r // units[0].shape[0], dtype=np.int64)
+    shift = np.stack([np.kron(eye, mat) @ w - w for mat in units], axis=1)
+    return grid[(grid @ shift >= 0).all(axis=1)]
 
 
 class _SearchContext:
-    """The kernels of one spec: its IntKernel, every user's UserTensors and
-    the Laplace terms of the factored float screen.  Nothing in it depends
-    on a box or a mode.
+    """The kernels of one spec: its IntKernel, every user's UserTensors,
+    the orbit units (orbit_units) and the Laplace terms of the factored
+    float screen.  Nothing in it depends on a box or a mode, so a decay
+    curve builds one for all its points.
 
     The float screen is factored by user.  A codeword's rows split into a
     prefix block (users 1..U-1) and the last user's n_t rows, and both the
@@ -267,6 +268,7 @@ class _SearchContext:
         self.spec = spec
         self.kern = IntKernel(spec.tower)
         self.uts = [UserTensors(spec, self.kern, j + 1) for j in range(spec.U)]
+        self.units = orbit_units(self.kern)
         self.n = spec.U * spec.n_t
         self.terms = laplace_terms(self.n, spec.n_t)
 
@@ -623,7 +625,14 @@ def min_abs_det(
     candidates are at most ``evaluated`` rows, which the budget bounds.
     ``workers`` is accepted and ignored.
     """
+    return _minimum(_SearchContext(spec), bounds, mode, samples, seed, budget)
+
+
+def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayReport:
+    """min_abs_det on the kernels of a search context.  Within the point,
+    each distinct (N, r) orbit grid is built once."""
     t0 = time.perf_counter()
+    spec = ctx.spec
     bounds = tuple(int(N) for N in bounds)
     if len(bounds) != spec.U:
         raise ValueError(f"need {spec.U} bounds, got {len(bounds)}")
@@ -631,6 +640,9 @@ def min_abs_det(
         raise ValueError("bounds must be at least 1")
     if mode not in (EXHAUSTIVE, SAMPLED):
         raise ValueError(f"unknown mode {mode!r}")
+    if seed is not None and seed < 0:
+        # random.Random(seed) reads |seed|: seeds s and -s draw alike
+        raise ValueError("seed must be non-negative")
     lengths = [spec.r_per_user for _ in bounds]
 
     if mode == EXHAUSTIVE:
@@ -647,12 +659,11 @@ def min_abs_det(
                     f"coefficient grid of {rows} rows exceeds the"
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
-        ctx = _SearchContext(spec)
-        units = orbit_units(ctx.kern)
-        grids = [
-            orbit_representatives(coeff_grid(N, ut.r), N, units)
-            for N, ut in zip(bounds, ctx.uts)
-        ]
+        reps = {
+            (N, r): orbit_representatives(coeff_grid(N, r), N, ctx.units)
+            for N, r in set(zip(bounds, lengths))
+        }
+        grids = [reps[u] for u in zip(bounds, lengths)]
         factors = ctx.float_factors(grids)
         g1 = grids[0].shape[0]
         chunks = (
@@ -668,7 +679,6 @@ def min_abs_det(
                 f"sample count {samples} exceeds budget {budget}"
             )
         seed_used = 0 if seed is None else int(seed)
-        ctx = _SearchContext(spec)
         chunks = (
             _sampled_chunk(ctx, vecs)
             for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
@@ -717,26 +727,19 @@ def decay_curve(
 ) -> list[DecayReport]:
     """D evaluated at N = 1..N_max with one user's box growing (FIRST_USER)
     or every user's box growing together (ALL_USERS).  ``workers`` is
-    accepted and ignored (see min_abs_det)."""
+    accepted and ignored (see min_abs_det).  One search context serves
+    every point."""
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
     if pattern not in (FIRST_USER, ALL_USERS):
         raise ValueError(f"unknown pattern {pattern!r}")
+    ctx = _SearchContext(spec)
     out = []
     for N in range(1, N_max + 1):
         bounds = (
             (N,) + (1,) * (spec.U - 1) if pattern == FIRST_USER else (N,) * spec.U
         )
-        out.append(
-            min_abs_det(
-                spec,
-                bounds,
-                mode=mode,
-                samples=samples,
-                seed=seed,
-                budget=budget,
-            )
-        )
+        out.append(_minimum(ctx, bounds, mode, samples, seed, budget))
     return out
 
 
@@ -967,31 +970,29 @@ def valuation_split_check(spec: CodeSpec, box: CoefficientBox) -> tuple:
 
 
 def naive_min_abs_det(spec: CodeSpec, bounds) -> DecayReport:
-    """Slow re-enumeration with user-U outermost, no caching, cofactor
-    determinants; used to cross-check the engine's EXHAUSTIVE results."""
+    """Slow re-enumeration with user-U outermost, no caching of
+    determinants, cofactor determinants; used to cross-check the engine's
+    EXHAUSTIVE results.  A user block depends on that user's vector only,
+    so each vector's exact block values are built once and stacked per
+    codeword."""
     t0 = time.perf_counter()
     bounds = tuple(int(N) for N in bounds)
-    lengths = [spec.r_per_user] * spec.U
-    ranges = [_nonzero_vectors(bounds[j], lengths[j]) for j in range(spec.U)]
-    best = None  # (absq, lex_key, box, num, s)
+    ranges = [_nonzero_vectors(N, spec.r_per_user) for N in bounds]
+    rows = [
+        [codeword_from_coeffs(spec, j + 1, v).values() for v in vecs]
+        for j, vecs in enumerate(ranges)
+    ]
+    best = None  # (absq, lex_key, vectors, num, s)
     idx = [0] * spec.U
-    total = 1
-    for r in ranges:
-        total *= len(r)
     count = 0
     while True:
         vectors = tuple(ranges[j][idx[j]] for j in range(spec.U))
-        box = CoefficientBox(bounds, vectors)
-        A = assemble_codeword(spec, box)
-        num, s = _laplace_det(A)
+        vals = [row for j in range(spec.U) for row in rows[j][idx[j]]]
+        num, s = _laplace_det(spec, vals)
         absq = abs_sq_of_det(spec, num, s)
-        key = box.lex_key()
-        if best is None:
-            best = (absq, key, box, num, s)
-        else:
-            lt = absq < best[0]
-            if lt or (not best[0] < absq and key < best[1]):
-                best = (absq, key, box, num, s)
+        key = tuple(chain.from_iterable(vectors))
+        if best is None or absq < best[0] or (not best[0] < absq and key < best[1]):
+            best = (absq, key, vectors, num, s)
         count += 1
         # user-U odometer spins fastest in position 0 -> reversed order
         pos = 0
@@ -1003,7 +1004,7 @@ def naive_min_abs_det(spec: CodeSpec, bounds) -> DecayReport:
             pos += 1
         if pos == spec.U:
             break
-    absq, _, box, num, s = best
+    absq, _, vectors, num, s = best
     lo, hi = absq.sqrt_bounds(60)
     mid = (lo + hi) / 2
     return DecayReport(
@@ -1013,7 +1014,7 @@ def naive_min_abs_det(spec: CodeSpec, bounds) -> DecayReport:
         seed=None,
         D_value=float(mid),
         error_radius=float((hi - lo) / 2) + float(mid) * 2.0**-50,
-        argmin=box,
+        argmin=CoefficientBox(bounds, vectors),
         exact_det=det_value(spec, num, s),
         det_numerator=num,
         det_p_exponent=s,
@@ -1040,18 +1041,16 @@ def _nonzero_vectors(N: int, length: int) -> list[tuple[int, ...]]:
             return out
 
 
-def _laplace_det(A: CodeMatrix) -> tuple[FieldElem, int]:
-    """Cofactor expansion on exact entry values, then the smallest p-power
-    clearing all denominators."""
-    vals = A.values()
+def _laplace_det(spec: CodeSpec, vals) -> tuple[FieldElem, int]:
+    """Cofactor expansion on exact entry values (CodeMatrix.values), then
+    the smallest p-power clearing all denominators."""
     n = len(vals)
-    det = _laplace_rec(vals, list(range(n)), 0, A.spec.tower)
-    num = det
+    num = _laplace_rec(vals, list(range(n)), 0, spec.tower)
     s = 0
     while not num.is_integral():
-        num = num * A.spec.p
+        num = num * spec.p
         s += 1
-        if s > A.spec.k * n + 4:
+        if s > spec.k * n + 4:
             raise AssertionError("determinant denominator is not a p-power")
     return num, s
 

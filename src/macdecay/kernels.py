@@ -190,21 +190,18 @@ def _max_abs(x: np.ndarray, axis: int) -> list:
 
 
 def coeff_grid(N: int, length: int) -> np.ndarray:
-    """All nonzero integer vectors with entries in [-N, N], lex ascending."""
+    """All nonzero integer vectors with entries in [-N, N], lex ascending:
+    the batch-first view of a coordinate-major (length, count) array."""
     if N < 1 or length < 1:
         raise ValueError("N and length must be positive")
     base = 2 * N + 1
     count = base**length
     if count > GRID_ROW_CAP:
         raise MemoryError(f"coefficient grid of {count} rows is too large")
-    idx = np.arange(count, dtype=np.int64)
-    cols = []
-    for pos in range(length):
-        scale = base ** (length - 1 - pos)
-        cols.append((idx // scale) % base - N)
-    grid = np.stack(cols, axis=1)
+    cols = np.indices((base,) * length, dtype=np.int64).reshape(length, count)
+    cols -= N
     zero_row = (count - 1) // 2
-    return np.delete(grid, zero_row, axis=0)
+    return np.concatenate([cols[:, :zero_row], cols[:, zero_row + 1 :]], axis=1).T
 
 
 def grid_size(N: int, length: int) -> int:

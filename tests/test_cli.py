@@ -203,6 +203,30 @@ class TestDecayCommand:
         assert rc == 3
         assert "budget exceeded" in captured.err
 
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_nonpositive_budget_is_exit_2(
+        self, source, budget, tmp_path, capsys, monkeypatch
+    ):
+        # a budget below 1 used to run and end in exit 3, "budget exceeded"
+        def no_curve(*args, **kwargs):
+            raise AssertionError("a curve was measured")
+
+        monkeypatch.setattr(cli, "decay_curve", no_curve)
+        config = {"code": dict(GOLDEN_CODE)}
+        argv = ["decay", "--nmax", "1"]
+        if source == "flag":
+            argv += ["--budget", str(budget)]
+        elif source == "env":
+            monkeypatch.setenv("MACDECAY_BUDGET", str(budget))
+        else:
+            config["budget"] = budget
+        rc = cli.main(argv + ["--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "invalid configuration: budget must be positive\n"
+
     def test_oversized_grid_is_exit_3_without_allocating(
         self, tmp_path, capsys, monkeypatch
     ):
@@ -279,6 +303,23 @@ class TestDecayCommand:
             blobs.append((out / "decay.csv").read_bytes())
             blobs.append((out / "decay.json").read_bytes())
         assert blobs[0] == blobs[2] and blobs[1] == blobs[3]
+
+
+@pytest.mark.parametrize("task", ["decay", "rank-check"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_exit_2(task, source, tmp_path, capsys):
+    # random.Random reads |seed|: seeds 3 and -3 used to draw the same boxes
+    config = {"code": dict(GOLDEN_CODE), "samples": 5, "mode": "sampled"}
+    argv = [task, "--nmax", "1"]
+    if source == "flag":
+        argv += ["--seed", "-3"]
+    else:
+        config["seed"] = -3
+    rc = cli.main(argv + ["--config", write_config(tmp_path, config)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "invalid configuration: seed must be non-negative\n"
 
 
 class TestWitness2Command:

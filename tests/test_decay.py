@@ -23,13 +23,16 @@ from macdecay.decay import (
     _laplace_det,
 )
 from macdecay.kernels import (
-    IntKernel, OverflowRisk, UserTensors, coeff_grid, det_int_batch, grid_size,
-    stack_users,
+    GRID_ROW_CAP, IntKernel, OverflowRisk, UserTensors, coeff_grid,
+    det_int_batch, grid_size, stack_users,
 )
 from macdecay.number_field import FieldElem
 from macdecay.quadratic import QuadElem, RingTag
 
-from util import draw_samples_reference, rand_box, screen_reference
+from util import (
+    draw_samples_reference, naive_min_reference,
+    orbit_representatives_reference, rand_box, screen_reference,
+)
 
 
 ALL_SPECS = [
@@ -73,7 +76,7 @@ class TestExactDeterminants:
                 box = rand_box(spec, rng, 2)
                 A = assemble_codeword(spec, box)
                 num, s = det_exact(A)
-                num2, s2 = _laplace_det(A)
+                num2, s2 = _laplace_det(spec, A.values())
                 assert det_value(spec, num, s) == det_value(spec, num2, s2)
                 assert abs_sq_of_det(spec, num, s) == abs_sq_of_det(spec, num2, s2)
 
@@ -417,6 +420,9 @@ class TestMinAbsDetEngine:
             min_abs_det(golden_spec, (1, 1), mode="guess")
         with pytest.raises(ValueError):
             min_abs_det(golden_spec, (1, 1), mode=SAMPLED)
+        # random.Random(seed) reads |seed|, so -3 would draw what 3 draws
+        with pytest.raises(ValueError, match="seed"):
+            min_abs_det(golden_spec, (1, 1), mode=SAMPLED, samples=10, seed=-3)
 
     def test_quartic_sampled_search_runs_exact(self, quartic_spec):
         rep = min_abs_det(quartic_spec, (1, 1), mode=SAMPLED, samples=60, seed=5)
@@ -476,9 +482,8 @@ def screened_chunk(chunk):
 
 def orbit_grids(ctx, bounds):
     """The EXHAUSTIVE scan's per-user grids: one row per unit orbit."""
-    units = orbit_units(ctx.kern)
     return [
-        orbit_representatives(coeff_grid(N, ut.r), N, units)
+        orbit_representatives(coeff_grid(N, ut.r), N, ctx.units)
         for N, ut in zip(bounds, ctx.uts)
     ]
 
@@ -623,6 +628,17 @@ class TestNaiveOracle:
         assert slow.det_p_exponent == fast.det_p_exponent
         assert slow.evaluated == fast.evaluated == 6400
 
+    def test_oracle_matches_per_codeword_form(self, golden_spec):
+        # blocks built once per user vector against every codeword
+        # assembled from its box
+        rep = naive_min_abs_det(golden_spec, (1, 1))
+        absq, box, num, s, count = naive_min_reference(golden_spec, (1, 1))
+        assert rep.abs_sq == absq
+        assert rep.argmin == box
+        assert rep.det_numerator == num
+        assert rep.det_p_exponent == s
+        assert rep.evaluated == count == 6400
+
 
 # ---------------------------------------------------------------------------
 # unit-orbit reduction of the exhaustive scan
@@ -687,6 +703,22 @@ class TestOrbitReduction:
             if row == min([row] + [unit_image(row, mat) for mat in units])
         ]
         assert list(map(tuple, reps.tolist())) == brute
+
+    @pytest.mark.parametrize("spec_name", ALL_SPECS)
+    def test_representatives_match_reference(self, spec_name, request):
+        # the one-product test against every unit's image and its lex key,
+        # golden up to the benchmark's N = 8; miso's 18-coordinate grid is
+        # past the row cap, so random rows stand in (the test is row-wise)
+        spec = request.getfixturevalue(spec_name)
+        units = orbit_units(IntKernel(spec.tower))
+        r = spec.r_per_user
+        for N in range(1, 9 if spec_name == "golden_spec" else 3):
+            if grid_size(N, r) < GRID_ROW_CAP:
+                grid = coeff_grid(N, r)
+            else:
+                grid = np.random.default_rng(N).integers(-N, N + 1, (4000, r))
+            want = orbit_representatives_reference(grid, N, units)
+            assert np.array_equal(orbit_representatives(grid, N, units), want)
 
     def test_eisenstein_engine_matches_naive(self, eisenstein_spec):
         fast = min_abs_det(eisenstein_spec, (1, 1))
@@ -872,6 +904,28 @@ class TestDecayCurve:
             0.2245139882897927,
             0.22061377239704208,
         ]
+
+    @pytest.mark.parametrize("pattern", [FIRST_USER, ALL_USERS])
+    @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
+    def test_one_context_per_curve(self, golden_spec, pattern, mode, monkeypatch):
+        # the curve's points share one search context and report what
+        # min_abs_det reports point by point
+        kwargs = {"mode": mode, "samples": 300, "seed": 5} if mode == SAMPLED else {}
+        boxes = [(N, 1) if pattern == FIRST_USER else (N, N) for N in (1, 2, 3)]
+        want = [min_abs_det(golden_spec, bounds, **kwargs) for bounds in boxes]
+        contexts = []
+        context = decay._SearchContext
+
+        def counted_context(*args):
+            contexts.append(args)
+            return context(*args)
+
+        monkeypatch.setattr(decay, "_SearchContext", counted_context)
+        curve = decay_curve(golden_spec, 3, pattern=pattern, **kwargs)
+        assert len(contexts) == 1
+        assert len(curve) == len(want)
+        for rep, w in zip(curve, want):
+            same_report(rep, w)
 
     def test_curve_argument_validation(self, golden_spec):
         with pytest.raises(ValueError):

@@ -15,7 +15,9 @@ from macdecay.kernels import (
 )
 from macdecay.number_field import FieldElem
 
-from util import blocks_float_reference, rand_box, rand_elem
+from util import (
+    blocks_float_reference, coeff_grid_reference, rand_box, rand_elem,
+)
 
 ALL_TOWERS = [
     "golden_tower", "cubic_tower", "quartic_tower", "miso_tower",
@@ -169,6 +171,21 @@ class TestGrids:
         grid = coeff_grid(2, 3)
         rows = [tuple(r) for r in grid]
         assert rows == sorted(rows)
+
+    @pytest.mark.parametrize("spec_name", ALL_SPECS)
+    def test_grid_matches_reference(self, spec_name, request):
+        # the np.indices grid against the floor-division form on every
+        # fixture's coefficient length, golden up to the benchmark's N = 8;
+        # both refuse miso's 18-coordinate grid
+        r = request.getfixturevalue(spec_name).r_per_user
+        for N in range(1, 9 if spec_name == "golden_spec" else 3):
+            try:
+                want = coeff_grid_reference(N, r)
+            except MemoryError:
+                with pytest.raises(MemoryError):
+                    coeff_grid(N, r)
+                continue
+            assert np.array_equal(coeff_grid(N, r), want)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,13 @@ coefficient boxes over a tower's integral basis."""
 
 import numpy as np
 
-from macdecay.construction import CodeSpec, CoefficientBox, gamma_basis
-from macdecay.kernels import DET_EVAL_REL, EMB_REL_ERR, det_float_batch
+from macdecay.construction import (
+    CodeSpec, CoefficientBox, assemble_codeword, gamma_basis,
+)
+from macdecay.decay import _laplace_det, _nonzero_vectors, abs_sq_of_det
+from macdecay.kernels import (
+    DET_EVAL_REL, EMB_REL_ERR, GRID_ROW_CAP, det_float_batch,
+)
 
 
 def elem_from_gamma(tower, vec):
@@ -91,3 +96,62 @@ def screen_reference(mats, errs):
     lo = np.maximum(ad - s, 0.0)
     up = ad + s
     return lo * lo, up * up
+
+
+def coeff_grid_reference(N, length):
+    """kernels.coeff_grid as one floor-division pass per coordinate and an
+    np.delete of the zero row, the form the np.indices grid replaces."""
+    base = 2 * N + 1
+    count = base**length
+    if count > GRID_ROW_CAP:
+        raise MemoryError(f"coefficient grid of {count} rows is too large")
+    idx = np.arange(count, dtype=np.int64)
+    cols = [(idx // base ** (length - 1 - pos)) % base - N for pos in range(length)]
+    return np.delete(np.stack(cols, axis=1), (count - 1) // 2, axis=0)
+
+
+def orbit_representatives_reference(grid, N, units):
+    """decay.orbit_representatives as each unit's image of every row and a
+    comparison of the two lex keys, the form the one-product test replaces."""
+    n, r = grid.shape
+    dim = units[0].shape[0]
+    weights = (2 * N + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    key = (grid + N) @ weights
+    slots = grid.reshape(n, r // dim, dim)
+    keep = np.ones(n, dtype=bool)
+    for mat in units:
+        image = (slots @ mat).reshape(n, r)
+        keep &= key <= (image + N) @ weights
+    return grid[keep]
+
+
+def naive_min_reference(spec, bounds):
+    """decay.naive_min_abs_det in its per-codeword form: every codeword
+    assembled from its box, the same odometer and tie-break.  Returns
+    (abs_sq, argmin box, numerator, p-exponent, count)."""
+    ranges = [_nonzero_vectors(N, spec.r_per_user) for N in bounds]
+    best = None
+    idx = [0] * spec.U
+    count = 0
+    while True:
+        box = CoefficientBox(
+            bounds, tuple(ranges[j][idx[j]] for j in range(spec.U))
+        )
+        num, s = _laplace_det(spec, assemble_codeword(spec, box).values())
+        absq = abs_sq_of_det(spec, num, s)
+        key = box.lex_key()
+        if best is None or absq < best[0] or (
+            not best[0] < absq and key < best[1]
+        ):
+            best = (absq, key, box, num, s)
+        count += 1
+        pos = 0
+        while pos < spec.U:
+            idx[pos] += 1
+            if idx[pos] < len(ranges[pos]):
+                break
+            idx[pos] = 0
+            pos += 1
+        if pos == spec.U:
+            absq, _, box, num, s = best
+            return absq, box, num, s, count
