@@ -52,8 +52,8 @@ def _config_int(value, key: str) -> int:
 
 
 def _tolerance(value) -> float:
-    """value as a finite float >= 0; a bool is refused, never read as 0 or 1."""
-    if isinstance(value, bool) or not 0 <= float(value) < math.inf:
+    """value as a finite float >= 0; a bool or string is refused, not parsed."""
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
         raise ConfigError(f"tolerance must be a finite number >= 0, got {value!r}")
     return float(value)
 
@@ -67,9 +67,20 @@ def _tag_from_string(s: str) -> RingTag:
         ) from None
 
 
+def _full_tower(code: dict) -> dict:
+    """The full form's tower dict, its integer keys refused unless integers."""
+    tower = code["tower"]
+    hint = tower["theta_numeric_hint"]
+    for key, value in (("U", tower["U"]), ("n_t", tower["n_t"]), ("m", hint["m"])):
+        _config_int(value, key)
+    for c in hint["coset"]:
+        _config_int(c, "coset")
+    return tower
+
+
 def resolve_tower(code: dict) -> Tower:
     if "tower" in code:
-        return Tower.from_json_dict(code["tower"])
+        return Tower.from_json_dict(_full_tower(code))
     try:
         tag = _tag_from_string(code["K"])
         U = _config_int(code["U"], "U")
@@ -99,6 +110,8 @@ def _auto_prime(tower: Tower) -> QuadElem:
 
 def resolve_spec(code: dict) -> CodeSpec:
     if "tower" in code:
+        _full_tower(code)
+        _config_int(code["k"], "k")
         return CodeSpec.from_json_dict(code)
     tower = resolve_tower(code)
     p_cfg = code.get("p", "auto")
@@ -261,7 +274,8 @@ def cmd_rank_check(args, cfg: dict) -> int:
 
 def cmd_decay(args, cfg: dict) -> int:
     spec = resolve_spec(cfg.get("code", {}))
-    mode = (args.mode or cfg.get("mode", "exhaustive")).upper()
+    # str(): a non-string mode is an unknown mode, not an AttributeError
+    mode = str(args.mode or cfg.get("mode", "exhaustive")).upper()
     if mode not in (EXHAUSTIVE, SAMPLED):
         raise ConfigError(f"unknown mode {mode!r}")
     pattern_raw = args.pattern or cfg.get("pattern", "first-user")

@@ -15,7 +15,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import attrgetter
 
 import numpy as np
@@ -138,12 +138,10 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     Also records tau-fixedness of every determinant numerator, so one sweep
     certifies both the rank criterion and membership of det(A) in F.  Every
     box must hold spec.U vectors of length spec.r_per_user, each nonzero;
-    otherwise ValueError.  Boxes are read SUB_BATCH at a time; a batch
-    whose coefficients or int64 bounds leave int64 is decided by det_exact."""
+    otherwise ValueError.  Boxes are read SUB_BATCH at a time and decided by
+    _exact_stage, a batch holding a coefficient past int64 as an object
+    array."""
     ctx = _SearchContext(spec)
-    kern, uts = ctx.kern, ctx.uts
-    tau = kern.sigma_vec_mat(spec.U)
-    tau_colsum = int(np.abs(tau).sum(axis=0).max())
     U, r = spec.U, spec.r_per_user
     zero_failures: list[CoefficientBox] = []
     tau_failures: list[CoefficientBox] = []
@@ -160,52 +158,19 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
         if not all(map(any, vecs)):
             raise ValueError("rank criterion requires every user active")
         try:
-            coeffs = np.fromiter(
-                chain.from_iterable(vecs), dtype=np.int64, count=len(vecs) * r
-            ).reshape(len(batch), U, r)
-            stacked = stack_users(
-                [uts[j].blocks_int(coeffs[:, j]) for j in range(U)]
-            )
-            nums, _ = det_int_batch(spec, kern, stacked)
-            if nums.size and int(np.abs(nums).max()) * tau_colsum >= INT64_LIMIT:
-                raise OverflowRisk("tau-fixedness product could exceed int64")
-            zero_mask = ~np.any(nums, axis=1)
-            tau_mask = ~np.all(nums @ tau == nums, axis=1)
-        except (OverflowError, OverflowRisk):  # a coefficient or bound past int64
-            zero_list, tau_list = [], []
-            for b in batch:
-                try:
-                    num, _ = det_exact(assemble_codeword(spec, b))
-                    zero_list.append(not num)
-                    tau_list.append(False)
-                except ArithmeticError:
-                    zero_list.append(False)
-                    tau_list.append(True)
-            zero_mask = np.array(zero_list)
-            tau_mask = np.array(tau_list)
-        for idx in np.nonzero(zero_mask)[0]:
-            zero_failures.append(batch[int(idx)])
-        for idx in np.nonzero(tau_mask)[0]:
-            tau_failures.append(batch[int(idx)])
+            coeffs = np.fromiter(chain.from_iterable(vecs), np.int64, len(vecs) * r)
+        except OverflowError:  # a coefficient past int64
+            coeffs = np.fromiter(chain.from_iterable(vecs), object, len(vecs) * r)
+        coeffs = coeffs.reshape(len(batch), U, r)
+        nums, _, fixed = _exact_stage(ctx, [coeffs[:, j] for j in range(U)])
+        zero_failures += compress(batch, ~nums.any(axis=1))
+        tau_failures += compress(batch, ~fixed)
         total += len(batch)
     return RankReport(total, zero_failures, tau_failures)
 
 
 # ---------------------------------------------------------------------------
 # minimum |det| machinery
-
-
-def _mixed_radix_rows(flat: np.ndarray, sizes: list[int]) -> list[np.ndarray]:
-    """Split flat indices into per-position digits, last position fastest."""
-    out: list[np.ndarray] = []
-    rem = flat
-    for pos in range(len(sizes)):
-        scale = 1
-        for s in sizes[pos + 1 :]:
-            scale *= s
-        out.append(rem // scale)
-        rem = rem % scale
-    return out
 
 
 def orbit_units(kern: IntKernel) -> list[np.ndarray]:
@@ -250,9 +215,10 @@ def orbit_representatives(
 
 class _SearchContext:
     """The kernels of one spec: its IntKernel, every user's UserTensors,
-    the orbit units (orbit_units) and the Laplace terms of the factored
-    float screen.  Nothing in it depends on a box or a mode, so a decay
-    curve builds one for all its points.
+    the orbit units (orbit_units), the Laplace terms of the factored float
+    screen and the matrix of tau = sigma^U for the exact stage.  Nothing in
+    it depends on a box or a mode, so a decay curve builds one for all its
+    points.
 
     The float screen is factored by user.  A codeword's rows split into a
     prefix block (users 1..U-1) and the last user's n_t rows, and both the
@@ -271,6 +237,11 @@ class _SearchContext:
         self.units = orbit_units(self.kern)
         self.n = spec.U * spec.n_t
         self.terms = laplace_terms(self.n, spec.n_t)
+        # tau = sigma^U on gamma-coordinates times the least common
+        # denominator of its images: v is tau-fixed iff v @ tau == v * tau_den
+        images = [g.apply_sigma(spec.U) for g in self.kern.gamma]
+        self.tau_den = math.lcm(*(x.den for x in images))
+        self.tau = np.array([(x * self.tau_den).num for x in images], dtype=np.int64)
 
     def float_factors(self, vecs: list[np.ndarray]):
         """(pre, last) for per-user coefficient arrays: pre lists (blocks,
@@ -321,31 +292,28 @@ def _screen_sub(terms, pre, last):
     return lo * lo, up * up
 
 
-def _exact_stage(ctx: _SearchContext, bounds, vec_arrays: list[np.ndarray]):
-    """Exact determinant numerators for candidate boxes; object fallback."""
+def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
+    """(nums, s, fixed) for the boxes stacking row i of every user's array:
+    det_int_batch's scaled numerators and p-exponent, and whether each
+    numerator is fixed by tau = sigma^U.
+
+    The arrays go through blocks_int, stack_users and det_int_batch in
+    int64; where an audit refuses that (OverflowRisk), the same calls run
+    again on the arrays cast to dtype=object, in Python ints.  When the tau
+    product could pass INT64_LIMIT, nums is cast to dtype=object for it."""
+
+    def numerators(vecs):
+        stacked = stack_users([ut.blocks_int(v) for ut, v in zip(ctx.uts, vecs)])
+        return det_int_batch(ctx.spec, ctx.kern, stacked)
+
     try:
-        stacked = stack_users(
-            [ctx.uts[j].blocks_int(vec_arrays[j]) for j in range(ctx.spec.U)]
-        )
-        nums, s = det_int_batch(ctx.spec, ctx.kern, stacked)
-        return [tuple(row) for row in nums.tolist()], s
+        nums, s = numerators(vec_arrays)
     except OverflowRisk:
-        out = []
-        s_ref = None
-        for row_idx in range(vec_arrays[0].shape[0]):
-            box = CoefficientBox(
-                bounds, tuple(tuple(v[row_idx].tolist()) for v in vec_arrays)
-            )
-            num, s = det_exact(assemble_codeword(ctx.spec, box))
-            if s_ref is None:
-                s_ref = s
-            elif s != s_ref:
-                raise AssertionError("structural exponent varied across a batch")
-            num = num * ctx.kern.entry_scale
-            if num.den != 1:
-                raise AssertionError("scaled determinant numerator is not integral")
-            out.append(num.num)
-        return out, s_ref
+        nums, s = numerators([v.astype(object) for v in vec_arrays])
+    scale = max(int(np.abs(ctx.tau).sum(axis=0).max()), ctx.tau_den)
+    if int(np.abs(nums).max(initial=0)) * scale >= INT64_LIMIT:
+        nums = nums.astype(object)
+    return nums, s, (nums @ ctx.tau == nums * ctx.tau_den).all(axis=1)
 
 
 def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
@@ -356,7 +324,7 @@ def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
     tie, so each distinct numerator is decided once."""
     best = None
     seen = set()
-    for i, vec in enumerate(nums):
+    for i, vec in enumerate(map(tuple, nums.tolist())):
         if vec in seen:
             continue
         seen.add(vec)
@@ -439,7 +407,9 @@ def _exhaustive_chunk(ctx: _SearchContext, grids, factors, start: int, stop: int
     others = math.prod(o_sizes)
 
     def rows_of(idx):
-        return [start + idx // others] + _mixed_radix_rows(idx % others, o_sizes)
+        rows = list(np.unravel_index(idx, (stop - start, *o_sizes)))
+        rows[0] += start
+        return rows
 
     if not pre:
         # one user: the chunk's own grid rows are the last-user rows
@@ -623,6 +593,9 @@ def min_abs_det(
     candidate of its chunk (see _scan_chunk), and every candidate before
     it comes earlier in the scan, so none of them is a minimizer.  The
     candidates are at most ``evaluated`` rows, which the budget bounds.
+    The exact stage runs the int64 determinant DP, or the same DP on Python
+    ints if an audit fails, and a numerator not fixed by tau = sigma^U
+    raises ArithmeticError.
     ``workers`` is accepted and ignored.
     """
     return _minimum(_SearchContext(spec), bounds, mode, samples, seed, budget)
@@ -687,7 +660,9 @@ def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayR
 
     per_chunk = [_scan_chunk(*chunk) for chunk in chunks]
     cands = [np.concatenate(user) for user in zip(*per_chunk)]
-    nums, s = _exact_stage(ctx, bounds, cands)
+    nums, s, fixed = _exact_stage(ctx, cands)
+    if not fixed.all():
+        raise ArithmeticError("determinant is not fixed by tau = sigma^U")
     absq, vec, box = _pick_min(ctx, nums, s, cands)
     num_fe = FieldElem(spec.tower, vec, ctx.kern.entry_scale)
     lo, hi = absq.sqrt_bounds(60)

@@ -8,11 +8,11 @@ batch.  Every integer linear map is a ``SparseMap`` (one multiply-add per
 nonzero entry): a user's coefficient-to-block map and the p-power maps.
 A product first sums the pairs of coordinates whose basis products
 gamma_a * gamma_b are the same element, then reduces each distinct product
-to coordinates once.  All of it runs in int64 without BLAS.  Every int64
-batch, blocks included, is preceded by an exact overflow audit on
-per-coordinate magnitude bounds in Python ints; every float screen carries
-a rigorous slack so it can only propose candidates, never decide a
-comparison.
+to coordinates once.  The integer code runs without BLAS in its input's
+dtype: int64, audited first for overflow on exact per-coordinate bounds in
+Python ints, or dtype=object, exact Python ints for batches that fail the
+audit.  Every float screen carries a rigorous slack so it can only propose
+candidates, never decide a comparison.
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ DET_EVAL_REL = 2.0**-44
 
 
 class OverflowRisk(ArithmeticError):
-    """An int64 batch could exceed 2^62; caller must take the object path."""
+    """An int64 batch could exceed 2^62; the same kernels run exactly on the
+    input cast to dtype=object."""
 
 
 class SparseMap:
     """The integer linear map x -> x @ mat on coordinate-major batches.
 
-    x has shape (rows, ...) and the result (cols, ...).  Output coordinate c
-    is accumulated from the nonzero entries of column c only, one int64
-    multiply-add each; ``bound`` is its overflow audit, exact in Python
+    x has shape (rows, ...) and the result (cols, ...), in x's dtype.
+    Output coordinate c is accumulated from the nonzero entries of column c
+    only, one multiply-add each; ``bound`` is its overflow audit, exact in Python
     ints, and bounds every partial sum, since each is a sum of terms the
     audit counts in absolute value.  It maps a user's coefficients to its
     blocks, the distinct basis products of IntKernel.mul to coordinates,
@@ -51,8 +52,8 @@ class SparseMap:
         self.cols = [[(g, w) for g, w in enumerate(col) if w] for col in mat.T.tolist()]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros((len(self.cols),) + x.shape[1:], dtype=np.int64)
-        tmp = np.empty(x.shape[1:], dtype=np.int64)
+        out = np.zeros((len(self.cols),) + x.shape[1:], dtype=x.dtype)
+        tmp = np.empty(x.shape[1:], dtype=x.dtype)
         for acc, terms in zip(out, self.cols):
             for g, w in terms:
                 if w == 1:
@@ -157,10 +158,12 @@ class IntKernel:
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Products of coordinate-major batches: (dim, ...) x (dim, ...) ->
-        (dim, ...), the trailing axes broadcast as in u * v."""
+        (dim, ...), the trailing axes broadcast as in u * v, in their common
+        dtype."""
         shape = np.broadcast(u[0], v[0]).shape
-        sums = np.empty((len(self.slots),) + shape, dtype=np.int64)
-        tmp = np.empty(shape, dtype=np.int64)
+        dtype = np.result_type(u, v)
+        sums = np.empty((len(self.slots),) + shape, dtype=dtype)
+        tmp = np.empty(shape, dtype=dtype)
         for acc, ((a, b), *rest) in zip(sums, self.slots):
             np.multiply(u[a], v[b], out=acc)
             for a, b in rest:
@@ -268,6 +271,26 @@ def det_schedule(E) -> DetSchedule:
     return _SCHED_CACHE[key]
 
 
+def _dp_audit(sched: DetSchedule, kern: IntKernel, pmaps, entries: np.ndarray):
+    """Raise OverflowRisk unless every partial sum of det_int_batch's DP on
+    int64 entries is bounded below INT64_LIMIT."""
+    ub_entry = _max_abs(entries, axis=3)
+    ub = {0: [1] + [0] * (kern.dim - 1)}
+    for i, level in enumerate(sched.steps):
+        for mask, terms in level:
+            bound = [0] * kern.dim
+            for c, _, pad in terms:
+                pb = kern.product_bound(ub_entry[i][c], ub[mask ^ (1 << c)])
+                if pad:
+                    pb = pmaps[pad].bound(pb)
+                bound = [x + y for x, y in zip(bound, pb)]
+                if any(b >= INT64_LIMIT for b in bound):
+                    raise OverflowRisk(
+                        f"determinant DP bound exceeds int64 at subset {mask:b}"
+                    )
+            ub[mask] = bound
+
+
 def det_int_batch(
     spec: CodeSpec, kern: IntKernel, stacked: np.ndarray
 ) -> tuple[np.ndarray, int]:
@@ -278,8 +301,9 @@ def det_int_batch(
     p^(-E[r][c]) with the structural exponents.  Returns (nums, s) with
     det = FieldElem(tower, row, entry_scale) * p^(-s) for each row of nums;
     nums itself carries one factor of entry_scale so it stays integral even
-    when the true numerator has denominators over the basis.  Raises
-    OverflowRisk if the audited bounds could leave int64.
+    when the true numerator has denominators over the basis.  The DP runs
+    in stacked's dtype; an int64 batch raises OverflowRisk if its audited
+    bounds could leave int64.
 
     The subset DP runs coordinate-major on stacked's (n, n, dim, batch)
     transpose, which is a copy only when stacked is not the batch-first
@@ -293,27 +317,15 @@ def det_int_batch(
     pmaps = kern.power_maps(spec.p, sched.max_pad)
 
     entries = np.ascontiguousarray(stacked.transpose(1, 2, 3, 0))
-    ub_entry = _max_abs(entries, axis=3)
-    ub = {0: [1] + [0] * (kern.dim - 1)}
+    if entries.dtype != object:
+        _dp_audit(sched, kern, pmaps, entries)
     dp = {}
-    batch = stacked.shape[0]
-    for level in sched.steps:
-        i = bin(level[0][0]).count("1") - 1
+    for i, level in enumerate(sched.steps):
         new_dp = {}
-        new_ub = {}
         for mask, terms in level:
-            acc = np.zeros((kern.dim, batch), dtype=np.int64)
-            bound = [0] * kern.dim
+            acc = np.zeros(entries.shape[2:], dtype=entries.dtype)
             for c, sign, pad in terms:
                 sub = mask ^ (1 << c)
-                pb = kern.product_bound(ub_entry[i][c], ub[sub])
-                if pad:
-                    pb = pmaps[pad].bound(pb)
-                bound = [x + y for x, y in zip(bound, pb)]
-                if any(b >= INT64_LIMIT for b in bound):
-                    raise OverflowRisk(
-                        f"determinant DP bound exceeds int64 at subset {mask:b}"
-                    )
                 term = entries[i, c]
                 if sub:
                     term = kern.mul(term, dp[sub])
@@ -324,19 +336,15 @@ def det_int_batch(
                 else:
                     acc += term
             new_dp[mask] = acc
-            new_ub[mask] = bound
         dp = new_dp
-        ub = new_ub
-    full = (1 << n) - 1
-    nums = dp[full]
+    nums = dp[(1 << n) - 1]
     if kern.entry_scale != 1:
         # dp carries entry_scale^n; one factor stays on the output so it
         # remains integral (the true numerator may have basis denominators).
         div = kern.entry_scale ** (n - 1)
-        q, r = np.divmod(nums, div)
-        if r.any():
+        if (nums % div).any():
             raise AssertionError("determinant fails the entry-scale division")
-        nums = q
+        nums = nums // div
     return np.ascontiguousarray(nums.T), sched.total_exp
 
 
@@ -454,11 +462,12 @@ class UserTensors:
         scaled by the kernel's entry_scale (1 on sigma-stable towers).
 
         The blocks are numv's SparseMap applied to the coordinate-major
-        coefficients; the result is the batch-first view of that
-        (n_t, width, dim, n) array.  Raises OverflowRisk if the exact bound
-        sum_g max|vecs[:, g]| * |numv[g]| on a block coordinate reaches
-        INT64_LIMIT."""
-        if max(self._numv_map.bound(_max_abs(vecs, axis=0))) >= INT64_LIMIT:
+        coefficients, in vecs' dtype; the result is the batch-first view of
+        that (n_t, width, dim, n) array.  Unless vecs is dtype=object,
+        raises OverflowRisk if the exact bound sum_g max|vecs[:, g]| *
+        |numv[g]| on a block coordinate reaches INT64_LIMIT."""
+        audit = vecs.dtype != object
+        if audit and max(self._numv_map.bound(_max_abs(vecs, axis=0))) >= INT64_LIMIT:
             raise OverflowRisk("block coordinates could exceed int64")
         out = self._numv_map(np.ascontiguousarray(vecs.T))
         return out.reshape(self.numv.shape[1:] + (len(vecs),)).transpose(3, 0, 1, 2)

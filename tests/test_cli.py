@@ -490,6 +490,64 @@ class TestConfigErrors:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and repr(key) in captured.err
 
+    # (task, config key, wrong-typed value); "full." keys go to the
+    # full-spec form of the golden code, which the build command echoes
+    WRONG_TYPED = [
+        ("decay", "mode", 5),
+        ("decay", "pattern", ["first-user"]),
+        ("decay", "tolerance", "0.5"),
+        ("build", "code", 5),
+        ("build", "code.K", 5),
+        ("build", "code.p", "1+1i"),
+        ("build", "code.m", [5]),
+        ("witness2", "abcd", 5),
+        ("build", "full.k", 1.5),
+        ("build", "full.k", True),
+        ("build", "full.tower.U", 2.0),
+        ("build", "full.tower.n_t", True),
+        ("inert-search", "full.tower.n_t", 1.5),
+        ("build", "full.tower.theta_numeric_hint.m", 5.7),
+        ("build", "full.tower.theta_numeric_hint.coset", [1.9, 4]),
+    ]
+
+    @pytest.mark.parametrize(
+        "task, key, value",
+        WRONG_TYPED,
+        ids=[f"{t}-{k}={v!r}" for t, k, v in WRONG_TYPED],
+    )
+    def test_wrong_typed_config_value_is_exit_2(
+        self, tmp_path, capsys, task, key, value
+    ):
+        # mode = 5 used to end in an AttributeError traceback, tolerance
+        # "0.5" was read as 0.5, and int()
+        # truncated the full form's integers: k = 1.5 or true built the
+        # k = 1 code, m = 5.7 read as 5
+        *path, last = key.split(".")
+        code = dict(GOLDEN_CODE)
+        if path[:1] == ["full"]:
+            code = cli.resolve_spec(code).to_json_dict()
+            path[0] = "code"
+        config = {"code": code, "N_max": 1}
+        target = config
+        for step in path:
+            target = target[step]
+        target[last] = value
+        rc = cli.main([task, "--config", write_config(tmp_path, config)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    def test_full_form_builds_its_code(self, tmp_path, capsys):
+        full = cli.resolve_spec(dict(GOLDEN_CODE)).to_json_dict()
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"code": full})
+        rc = cli.main(["build", "--config", cfg, "--out", str(out)])
+        capsys.readouterr()
+        assert rc == 0
+        info = json.loads((out / "build.json").read_text())
+        assert (info["U"], info["n_t"], info["k"]) == (2, 1, 1)
+
     def test_unknown_mode_string(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "mode": "psychic"})
         rc = cli.main(["decay", "--config", cfg, "--nmax", "1"])

@@ -51,6 +51,28 @@ def random_boxes(spec, rng, count, bound=2):
     return out
 
 
+def record_dtypes(monkeypatch):
+    """Wrap decay.det_int_batch and decay._exact_stage.  Returns two lists
+    that receive the dtype of every determinant batch run and of every
+    numerator array the exact stage returns; dtype=object marks the
+    Python-int path."""
+    batches, stages = [], []
+    det_batch, stage = decay.det_int_batch, decay._exact_stage
+
+    def recorded_batch(spec, kern, stacked):
+        batches.append(stacked.dtype)
+        return det_batch(spec, kern, stacked)
+
+    def recorded_stage(ctx, vec_arrays):
+        out = stage(ctx, vec_arrays)
+        stages.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(decay, "det_int_batch", recorded_batch)
+    monkeypatch.setattr(decay, "_exact_stage", recorded_stage)
+    return batches, stages
+
+
 # ---------------------------------------------------------------------------
 # exact determinants
 
@@ -231,16 +253,11 @@ class TestRankCriterion:
         box = CoefficientBox((2**63, 2**63), (tuple(v1), tuple(v2)))
         num, _ = det_exact(assemble_codeword(quartic_spec, box))
         assert num
-        exact_calls = []
-
-        def counting_det_exact(A):
-            exact_calls.append(A)
-            return det_exact(A)
-
-        monkeypatch.setattr(decay, "det_exact", counting_det_exact)
+        batches, _ = record_dtypes(monkeypatch)
         report = rank_criterion_check(quartic_spec, [box])
         assert report == RankReport(1, [], [])
-        assert len(exact_calls) == 1
+        # the block audit refused int64, so the one DP ran on Python ints
+        assert batches == [np.dtype(object)]
 
     def test_coefficient_beyond_int64_takes_the_object_path(self, golden_spec):
         good = CoefficientBox((2**70, 1), ((1, 0, 0, 0), (0, 1, 0, 0)))
@@ -251,6 +268,17 @@ class TestRankCriterion:
         idle = CoefficientBox((2**70, 1), ((2**70, 0, 0, 0), (0, 0, 0, 0)))
         with pytest.raises(ValueError, match="every user active"):
             rank_criterion_check(golden_spec, [idle])
+
+    def test_dp_overflow_reruns_the_batch_on_python_ints(
+        self, golden_spec, monkeypatch
+    ):
+        # 2**31 coefficients keep the blocks in int64 but not the DP's
+        # products: the int64 batch is refused and runs again on Python ints
+        good = CoefficientBox((2**31, 2**31), ((1, 0, 0, 0), (0, 1, 0, 0)))
+        big = CoefficientBox((2**31, 2**31), ((2**31, 0, 0, 0), (0, 2**31, 0, 1)))
+        batches, _ = record_dtypes(monkeypatch)
+        assert rank_criterion_check(golden_spec, [good, big]) == RankReport(2, [], [])
+        assert batches == [np.dtype(np.int64), np.dtype(object)]
 
     def test_p_scaled_data_keeps_full_rank(self, golden_spec):
         # multiplying every user's data by p leaves determinants nonzero and
@@ -282,19 +310,18 @@ class TestRankCriterion:
         sizes = ((golden_spec, 40), (cubic_spec, 20), (quartic_spec, 10))
         sweeps = [(spec, random_boxes(spec, rng, n)) for spec, n in sizes]
         wants = [rank_criterion_check(spec, boxes) for spec, boxes in sweeps]
-        exact_calls = []
-
-        def counting_det_exact(A):
-            exact_calls.append(A)
-            return det_exact(A)
-
-        # kernels: the DP audit fails; decay: the tau-product guard fails
+        batches, stages = record_dtypes(monkeypatch)
+        # kernels: the block audit fails, and the DP runs on Python ints;
+        # decay: the tau-product guard fails, and the int64 numerators are
+        # cast to Python ints for the tau product
         monkeypatch.setattr(module, "INT64_LIMIT", 1)
-        monkeypatch.setattr(decay, "det_exact", counting_det_exact)
+        want_batches = {kernels: [object], decay: [np.int64]}[module]
         for (spec, boxes), want in zip(sweeps, wants):
-            exact_calls.clear()
+            batches.clear()
+            stages.clear()
             got = rank_criterion_check(spec, boxes)
-            assert len(exact_calls) == len(boxes)  # the object path decided
+            assert batches == want_batches  # one SUB_BATCH of boxes
+            assert stages == [np.dtype(object)]  # the object path decided
             assert got == want
 
     def test_report_passed_property(self, golden_spec):
@@ -435,19 +462,13 @@ class TestMinAbsDetEngine:
     ):
         boxes = ((2, 1), (1, 2))
         wants = [min_abs_det(golden_spec, b) for b in boxes]
-        exact_calls = []
-
-        def counting_det_exact(A):
-            exact_calls.append(A)
-            return det_exact(A)
-
+        batches, _ = record_dtypes(monkeypatch)
         # every int64 determinant batch now fails its overflow audit
         monkeypatch.setattr(kernels, "INT64_LIMIT", 1)
-        monkeypatch.setattr(decay, "det_exact", counting_det_exact)
         for bounds, want in zip(boxes, wants):
-            exact_calls.clear()
+            batches.clear()
             got = min_abs_det(golden_spec, bounds)
-            assert exact_calls  # the object path decided this report
+            assert batches == [np.dtype(object)]  # the object path decided
             assert got.D_value == want.D_value
             assert got.argmin == want.argmin
             assert got.det_numerator == want.det_numerator
@@ -462,12 +483,62 @@ def test_exact_stage_block_overflow_takes_the_object_path(quartic_spec):
     v1 = np.zeros((1, r), dtype=np.int64)
     v1[0, 4] = -(2**63)
     v2 = np.eye(1, r, dtype=np.int64)
-    nums, s = decay._exact_stage(ctx, bounds, [v1, v2])
+    nums, s, fixed = decay._exact_stage(ctx, [v1, v2])
     box = CoefficientBox(bounds, (tuple(v1[0].tolist()), tuple(v2[0].tolist())))
     num, s_ref = det_exact(assemble_codeword(quartic_spec, box))
+    assert nums.dtype == object
     assert s == s_ref
-    assert nums == [(num * ctx.kern.entry_scale).num]
-    assert any(nums[0])
+    assert nums.tolist() == [list((num * ctx.kern.entry_scale).num)]
+    assert any(nums[0]) and fixed.tolist() == [True]
+
+
+@pytest.mark.parametrize("spec_name", ALL_SPECS)
+def test_object_dp_matches_det_exact(spec_name, request):
+    # the overflow path is the int64 DP on Python ints: pinned row by row
+    # to the FieldElem reference, on boxes small and far past int64
+    spec = request.getfixturevalue(spec_name)
+    ctx = decay._SearchContext(spec)
+    rng = random.Random(251)
+    boxes = random_boxes(spec, rng, 3)
+    for scale in (2**40, 2**70 + 1):
+        box = rand_box(spec, rng, 2)
+        vecs = ((c * scale - 1 for c in box.vectors[0]),) + box.vectors[1:]
+        boxes.append(CoefficientBox((3 * scale,) * spec.U, tuple(map(tuple, vecs))))
+    vec_arrays = [
+        np.array([b.vectors[j] for b in boxes], dtype=object) for j in range(spec.U)
+    ]
+    nums, s, fixed = decay._exact_stage(ctx, vec_arrays)
+    assert nums.dtype == object and fixed.all()
+    for row, box in zip(nums.tolist(), boxes):
+        num, s_ref = det_exact(assemble_codeword(spec, box))
+        assert s == s_ref
+        assert row == list((num * ctx.kern.entry_scale).num)
+    assert max(abs(c) for c in nums.ravel()) >= 2**70
+
+
+def test_numerator_off_the_fixed_field_is_caught(golden_spec, monkeypatch):
+    # on the golden code tau = sigma^2 is the identity; with sigma in its
+    # place, every numerator outside K must read as not tau-fixed, on the
+    # int64 path and on the Python-int path
+    class SigmaContext(decay._SearchContext):
+        def __init__(self, spec):
+            super().__init__(spec)
+            self.tau = self.kern.sigma_vec_mat(1)
+
+    monkeypatch.setattr(decay, "_SearchContext", SigmaContext)
+    boxes = random_boxes(golden_spec, random.Random(257), 20)
+    # vectors with no theta-coordinates have their determinant in K
+    boxes[3:3] = [
+        CoefficientBox((2, 2), ((1, 0, 0, 0), v)) for v in ((1, 0, -1, 0), (0, 0, 1, 0))
+    ]
+    nums = [det_exact(assemble_codeword(golden_spec, b))[0] for b in boxes]
+    want = [b for b, num in zip(boxes, nums) if not num.apply_sigma(1) == num]
+    assert len(want) == len(boxes) - 2
+    for limit in (kernels.INT64_LIMIT, 1):
+        monkeypatch.setattr(kernels, "INT64_LIMIT", limit)
+        assert rank_criterion_check(golden_spec, boxes).tau_failures == want
+        with pytest.raises(ArithmeticError, match="not fixed by tau"):
+            min_abs_det(golden_spec, (1, 1))
 
 
 def screened_chunk(chunk):
@@ -596,9 +667,9 @@ class TestFactoredScreen:
         # ALL_USERS N = 2 is box (2, 2)
         stage, sizes = decay._exact_stage, []
 
-        def counted_stage(ctx, bounds, vec_arrays):
+        def counted_stage(ctx, vec_arrays):
             sizes.append(vec_arrays[0].shape[0])
-            return stage(ctx, bounds, vec_arrays)
+            return stage(ctx, vec_arrays)
 
         monkeypatch.setattr(decay, "_exact_stage", counted_stage)
         want = {
@@ -849,11 +920,11 @@ class TestSampledStream:
         stage, abs_sq = decay._exact_stage, decay.abs_sq_of_det
         candidates, distinct, calls = [], [], []
 
-        def recorded_stage(ctx, bounds, vec_arrays):
-            nums, s = stage(ctx, bounds, vec_arrays)
+        def recorded_stage(ctx, vec_arrays):
+            nums, s, fixed = stage(ctx, vec_arrays)
             candidates.append(len(nums))
-            distinct.append(len(set(nums)))
-            return nums, s
+            distinct.append(len(set(map(tuple, nums.tolist()))))
+            return nums, s, fixed
 
         def counted_abs_sq(*args):
             calls.append(args)
