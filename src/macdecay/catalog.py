@@ -20,7 +20,6 @@ from .finite_fields import (
     is_irreducible_mod_p,
 )
 from .number_field import Tower
-from .polynomials import Poly
 from .quadratic import QuadElem, RingTag, enumerate_primes
 
 
@@ -179,7 +178,7 @@ class PeriodSpec:
         raise ValueError(f"{u} is not a unit mod {self.m}")
 
 
-def period_min_poly(ps: PeriodSpec) -> Poly:
+def period_min_poly(ps: PeriodSpec) -> tuple[int, ...]:
     """The monic integer minimal polynomial prod over cosets of (x - eta_c),
     expanded exactly in the cyclotomic ring."""
     ps.validate_real()
@@ -191,8 +190,7 @@ def period_min_poly(ps: PeriodSpec) -> Poly:
         shifted = [ring.zero()] + coeffs
         scaled = [ring.mul(eta, c) for c in coeffs] + [ring.zero()]
         coeffs = [ring.sub(a, b) for a, b in zip(shifted, scaled)]
-    out = [ring.rational_integer(c) for c in coeffs]
-    return Poly(out)
+    return tuple(ring.rational_integer(c) for c in coeffs)
 
 
 def quotient_generator(ps: PeriodSpec) -> int:
@@ -212,8 +210,9 @@ def quotient_generator(ps: PeriodSpec) -> int:
     raise ValueError("quotient group is not cyclic")
 
 
-def sigma_image_poly(ps: PeriodSpec, g0: int) -> Poly:
-    """The rational polynomial g of degree < d with eta_{g0} = g(eta_1).
+def sigma_image_poly(ps: PeriodSpec, g0: int) -> tuple[Fraction, ...]:
+    """The d coefficients, low first, of the rational polynomial g of
+    degree < d with eta_{g0} = g(eta_1).
 
     Solved as an exact linear system over the cyclotomic basis, so the
     result is the canonical reduced representative mod the minimal
@@ -231,8 +230,7 @@ def sigma_image_poly(ps: PeriodSpec, g0: int) -> Poly:
     for _ in range(d):
         cols.append(acc)
         acc = ring.mul(acc, eta1)
-    sol = _solve_exact_overdetermined(cols, rhs)
-    return Poly(sol)
+    return tuple(_solve_exact_overdetermined(cols, rhs))
 
 
 def _solve_exact_overdetermined(cols, rhs) -> list[Fraction]:
@@ -328,15 +326,12 @@ def build_tower(
     if ps.degree != d:
         raise ValueError(f"period degree {ps.degree} does not match U*n_t = {d}")
     ps.validate_real()
-    f = period_min_poly(ps)
     if g0 is None:
         g0 = quotient_generator(ps)
-    g = sigma_image_poly(ps, g0)
-    sigma_coeffs = list(g.coeffs) + [Fraction(0)] * (d - len(g.coeffs))
     return Tower(
         tag,
-        [Fraction(c) for c in f.coeffs],
-        sigma_coeffs,
+        period_min_poly(ps),
+        sigma_image_poly(ps, g0),
         U,
         n_t,
         (ps.m, ps.coset_of(1)),
@@ -352,7 +347,7 @@ def find_inert_primes(tower: Tower, norm_bound: int) -> list[QuadElem]:
     out = []
     for p in enumerate_primes(tower.tag, norm_bound):
         try:
-            if is_irreducible_mod_p(tower.f_poly, p, tower.tag):
+            if is_irreducible_mod_p(tower.f_coeffs, p, tower.tag):
                 out.append(p)
         except InertnessInconclusive:
             continue
@@ -378,12 +373,11 @@ def catalog_rows(max_degree: int = 7, norm_bound: int = 10) -> list[dict]:
     rows = []
     for d in range(2, max_degree + 1):
         ps = standard_period_spec(d)
-        f = period_min_poly(ps)
         row = {
             "degree": d,
             "m": ps.m,
             "H_generators": list(ps.generators),
-            "f": list(f.coeffs),
+            "f": list(period_min_poly(ps)),
         }
         for tag, col in ((RingTag.GAUSSIAN, "primes_Q(i)"), (RingTag.EISENSTEIN, "primes_Q(sqrt-3)")):
             # inert search only depends on f, so any U*n_t factorization works

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
@@ -46,7 +47,7 @@ class CodeSpec:
         if not p.is_integral() or not p or p.is_unit():
             raise ValueError("p must be a non-unit integral element")
         try:
-            inert = is_irreducible_mod_p(tower.f_poly, p, tower.tag)
+            inert = is_irreducible_mod_p(tower.f_coeffs, p, tower.tag)
         except InertnessInconclusive as exc:
             raise ValueError(f"cannot certify {p} inert: {exc}") from exc
         if not inert:
@@ -274,9 +275,14 @@ class CoefficientBox:
         if len(self.bounds) != len(self.vectors):
             raise ValueError("one bound per user required")
         for n, vec in zip(self.bounds, self.vectors):
+            try:
+                n = index(n)
+                top = max(map(abs, map(index, vec)), default=0)
+            except TypeError:
+                raise ValueError("box bounds and coefficients must be integers") from None
             if n < 1:
                 raise ValueError("bounds must be positive")
-            if any(abs(c) > n for c in vec):
+            if top > n:
                 raise ValueError(f"coefficient outside [-{n}, {n}]")
 
     @property

@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice
-from operator import attrgetter
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -237,11 +237,8 @@ class _SearchContext:
         self.units = orbit_units(self.kern)
         self.n = spec.U * spec.n_t
         self.terms = laplace_terms(self.n, spec.n_t)
-        # tau = sigma^U on gamma-coordinates times the least common
-        # denominator of its images: v is tau-fixed iff v @ tau == v * tau_den
-        images = [g.apply_sigma(spec.U) for g in self.kern.gamma]
-        self.tau_den = math.lcm(*(x.den for x in images))
-        self.tau = np.array([(x * self.tau_den).num for x in images], dtype=np.int64)
+        # v is tau-fixed iff v @ tau == v * tau_den
+        self.tau, self.tau_den = self.kern.sigma_vec_mat(spec.U)
 
     def float_factors(self, vecs: list[np.ndarray]):
         """(pre, last) for per-user coefficient arrays: pre lists (blocks,
@@ -606,7 +603,7 @@ def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayR
     each distinct (N, r) orbit grid is built once."""
     t0 = time.perf_counter()
     spec = ctx.spec
-    bounds = tuple(int(N) for N in bounds)
+    bounds = tuple(map(index, bounds))
     if len(bounds) != spec.U:
         raise ValueError(f"need {spec.U} bounds, got {len(bounds)}")
     if any(N < 1 for N in bounds):
@@ -876,7 +873,9 @@ def two_user_box_scan(
     bc = b * c
     mat_ad = kern.mult_vec_mat(ad)
     mat_bc = kern.mult_vec_mat(bc)
-    sig = kern.sigma_vec_mat(1)
+    sig, den = kern.sigma_vec_mat(1)
+    if den != 1:
+        raise ValueError("sigma^1 does not map the basis ring into itself")
 
     sig_map = SparseMap(sig)
     ad_map, bc_map = SparseMap(mat_ad), SparseMap(mat_bc)
@@ -951,7 +950,7 @@ def naive_min_abs_det(spec: CodeSpec, bounds) -> DecayReport:
     so each vector's exact block values are built once and stacked per
     codeword."""
     t0 = time.perf_counter()
-    bounds = tuple(int(N) for N in bounds)
+    bounds = tuple(map(index, bounds))
     ranges = [_nonzero_vectors(N, spec.r_per_user) for N in bounds]
     rows = [
         [codeword_from_coeffs(spec, j + 1, v).values() for v in vecs]

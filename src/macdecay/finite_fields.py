@@ -1,9 +1,10 @@
-"""Residue fields O_K / (p) and irreducibility of polynomials mod p.
+"""Residue fields O_K / (p) and irreducibility of integer polynomials mod p.
 
 For a prime p of O_K of prime norm ell (split or ramified) the residue
-field is F_ell and reduction sends mu to a root r of its minimal polynomial
-mod ell.  For an inert rational prime ell the residue field is F_{ell^2},
-realized as F_ell[u] with u^2 = -1 (Gaussian) or u^2 = u - 1 (Eisenstein).
+field is F_ell; for an inert rational prime ell it is F_{ell^2}, realized
+as F_ell[u] with u^2 = -1 (Gaussian) or u^2 = u - 1 (Eisenstein).  An
+integer maps to either through its residue mod ell, which is all the
+reduction of an integer polynomial needs.
 
 Field elements are plain tuples of ints: (c,) in the prime field and
 (c0, c1) meaning c0 + c1*u in the quadratic extension.  Polynomials over
@@ -13,10 +14,9 @@ the field are trimmed low-first lists of such tuples.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .polynomials import Poly, poly_discriminant
-from .quadratic import QuadElem, RingTag, divides, mu, ok_valuation
+from .polynomials import discriminant, monic_int_coeffs
+from .quadratic import QuadElem, RingTag, ok_valuation
 
 
 class InertnessInconclusive(ValueError):
@@ -61,11 +61,6 @@ class GF:
             return ((x[0] - y[0]) % self.ell,)
         return ((x[0] - y[0]) % self.ell, (x[1] - y[1]) % self.ell)
 
-    def neg(self, x):
-        if self.deg == 1:
-            return ((-x[0]) % self.ell,)
-        return ((-x[0]) % self.ell, (-x[1]) % self.ell)
-
     def mul(self, x, y):
         if self.deg == 1:
             return ((x[0] * y[0]) % self.ell,)
@@ -95,15 +90,6 @@ class GF:
             raise ZeroDivisionError("inverse of zero in GF")
         return self.pow(x, self.q - 2)
 
-    def elements(self):
-        if self.deg == 1:
-            for c in range(self.ell):
-                yield (c,)
-        else:
-            for c1 in range(self.ell):
-                for c0 in range(self.ell):
-                    yield (c0, c1)
-
 
 def _int_sqrt_exact(n: int) -> int | None:
     r = math.isqrt(n)
@@ -121,13 +107,9 @@ def _is_rational_prime(n: int) -> bool:
     return True
 
 
-def residue_field(p: QuadElem, tag: RingTag | None = None):
-    """Build (gf, reduce) for the prime p of O_K.
-
-    reduce maps a p-integral QuadElem to a field element tuple; it raises
-    ValueError on inputs with denominator divisible by p.  The input p is
-    validated to actually be prime in O_K.
-    """
+def residue_field(p: QuadElem, tag: RingTag | None = None) -> GF:
+    """The residue field O_K / (p).  The input p is validated to actually
+    be prime in O_K."""
     if not p.is_integral() or not p or p.is_unit():
         raise ValueError("residue field requires a non-unit integral prime")
     tag = tag or p.tag
@@ -141,40 +123,11 @@ def residue_field(p: QuadElem, tag: RingTag | None = None):
         # inert rational prime (up to a unit), residue field F_{ell^2} = F_ell[mu]
         if not (p / QuadElem(ell)).is_unit():
             raise ValueError(f"{p} is not prime in O_K")
-        modulus = (-1, 0) if tag is RingTag.GAUSSIAN else (-1, 1)
-        gf = GF(ell, modulus)
-
-        def reduce_inert(x: QuadElem, gf=gf, ell=ell):
-            a = _frac_mod(x.a, ell)
-            b = _frac_mod(x.b, ell)
-            return (a, b)
-
-        return gf, reduce_inert
+        return GF(ell, (-1, 0) if tag is RingTag.GAUSSIAN else (-1, 1))
     if not _is_rational_prime(n):
         raise ValueError(f"{p} is not prime in O_K")
     # split or ramified: norm is a rational prime and the residue field is F_n
-    gf = GF(n)
-    m = mu(tag)
-    r_img = None
-    for r in range(n):
-        if divides(p, m - QuadElem(r)):
-            r_img = r
-            break
-    if r_img is None:
-        raise ArithmeticError(f"no residue image of mu mod {p}")
-
-    def reduce_split(x: QuadElem, gf=gf, n=n, r=r_img):
-        a = _frac_mod(x.a, n)
-        b = _frac_mod(x.b, n)
-        return ((a + b * r) % n,)
-
-    return gf, reduce_split
-
-
-def _frac_mod(x: Fraction, ell: int) -> int:
-    if x.denominator % ell == 0:
-        raise ValueError(f"denominator of {x} is divisible by {ell}")
-    return x.numerator * pow(x.denominator, -1, ell) % ell
+    return GF(n)
 
 
 # -- polynomial arithmetic over GF, coefficient lists low-first -------------
@@ -198,26 +151,16 @@ def pf_mul(a: list, b: list, gf: GF) -> list:
     return pf_trim(out, gf)
 
 
-def pf_divmod(a: list, b: list, gf: GF) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def pf_mod(a: list, b: list, gf: GF) -> list:
+    """The remainder of a modulo a nonzero b."""
     rem = list(a)
-    dq = len(rem) - len(b)
-    if dq < 0:
-        return [], rem
     lead_inv = gf.inv(b[-1])
-    quot = [gf.zero()] * (dq + 1)
-    for i in range(dq, -1, -1):
+    for i in range(len(rem) - len(b), -1, -1):
         c = gf.mul(rem[i + len(b) - 1], lead_inv)
-        quot[i] = c
         if not gf.is_zero(c):
             for j, bc in enumerate(b):
                 rem[i + j] = gf.sub(rem[i + j], gf.mul(c, bc))
-    return pf_trim(quot, gf), pf_trim(rem, gf)
-
-
-def pf_mod(a: list, b: list, gf: GF) -> list:
-    return pf_divmod(a, b, gf)[1]
+    return pf_trim(rem, gf)
 
 
 def pf_gcd(a: list, b: list, gf: GF) -> list:
@@ -255,68 +198,42 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def reduce_poly_mod_p(f: Poly, p: QuadElem, tag: RingTag | None = None):
-    """Reduce a monic integral polynomial over K to the residue field of p."""
-    gf, red = residue_field(p, tag)
-    coeffs = []
-    for c in f.coeffs:
-        if isinstance(c, QuadElem):
-            coeffs.append(red(c))
-        else:
-            coeffs.append(red(QuadElem(Fraction(c))))
-    return pf_trim(coeffs, gf), gf
+def reduce_poly_mod_p(f, p: QuadElem, tag: RingTag | None = None):
+    """(fb, gf): the monic integer polynomial f (low first) reduced to the
+    residue field gf of p."""
+    fc = monic_int_coeffs(f)
+    gf = residue_field(p, tag)
+    return [gf.from_int(c) for c in fc], gf
 
 
-def is_irreducible_mod_p(f: Poly, p: QuadElem, tag: RingTag | None = None) -> bool:
-    """Whether the reduction of f mod p is irreducible over the residue field.
+def is_irreducible_mod_p(f, p: QuadElem, tag: RingTag | None = None) -> bool:
+    """Whether the monic integer polynomial f (low first) stays irreducible
+    over the residue field of p, by Rabin's test.
 
     Guarded by the discriminant: when v_p(disc f) > 0 the order Z[theta] may
     fail to be p-maximal and residue arithmetic would not be conclusive, so
     InertnessInconclusive is raised instead of a boolean.
     """
-    if not f.is_monic():
-        raise ValueError("irreducibility test expects a monic polynomial")
-    disc = poly_discriminant(f)
-    if not isinstance(disc, QuadElem):
-        disc = QuadElem(Fraction(disc))
-    if not disc.is_integral():
-        raise ValueError("polynomial must have integral coefficients")
-    if ok_valuation(disc, p) != 0:
+    disc = discriminant(f)
+    if ok_valuation(QuadElem(disc), p) != 0:
         raise InertnessInconclusive(
             f"disc(f) is divisible by {p}; reduction mod p is not conclusive"
         )
     fb, gf = reduce_poly_mod_p(f, p, tag)
     n = len(fb) - 1
-    if n <= 0:
-        raise ValueError("reduction lost the leading coefficient")
     if n == 1:
         return True
-    if n <= 3:
-        # a cubic or quadratic is reducible iff it has a root
-        for x in gf.elements():
-            acc = fb[-1]
-            for c in reversed(fb[:-1]):
-                acc = gf.add(gf.mul(acc, x), c)
-            if gf.is_zero(acc):
-                return False
-        return True
-    # Rabin's test: x^(q^n) == x mod f, and for each prime r | n the power
-    # x^(q^(n/r)) - x must be coprime to f
-    xpoly = [gf.zero(), gf.one()]
-    top = pf_powmod(xpoly, gf.q**n, fb, gf)
-    if pf_trim([gf.sub(a, b) for a, b in _zip_pad(top, xpoly, gf)], gf):
+    # Rabin: f is irreducible iff x^(q^n) == x mod f and, for each prime
+    # r | n, x^(q^(n/r)) - x is coprime to f
+
+    def x_power_minus_x(e: int) -> list:
+        out = pf_powmod([gf.zero(), gf.one()], e, fb, gf) + [gf.zero()] * 2
+        out[1] = gf.sub(out[1], gf.one())
+        return pf_trim(out, gf)
+
+    if x_power_minus_x(gf.q**n):
         return False
-    for r in _prime_factors(n):
-        partial = pf_powmod(xpoly, gf.q ** (n // r), fb, gf)
-        diff = pf_trim([gf.sub(a, b) for a, b in _zip_pad(partial, xpoly, gf)], gf)
-        g = pf_gcd(list(fb), diff, gf) if diff else list(fb)
-        if len(g) != 1:
-            return False
-    return True
-
-
-def _zip_pad(a: list, b: list, gf: GF):
-    n = max(len(a), len(b))
-    az = a + [gf.zero()] * (n - len(a))
-    bz = b + [gf.zero()] * (n - len(b))
-    return zip(az, bz)
+    return all(
+        len(pf_gcd(fb, x_power_minus_x(gf.q ** (n // r)), gf)) == 1
+        for r in _prime_factors(n)
+    )

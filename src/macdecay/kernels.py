@@ -17,6 +17,7 @@ candidates, never decide a comparison.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -114,23 +115,22 @@ class IntKernel:
                 reduction[s, c] = w
         self.reduction = reduction
         self._reduce = SparseMap(reduction)
-        self._sigma_cache: dict[int, np.ndarray] = {}
+        self._sigma_cache: dict[int, tuple[np.ndarray, int]] = {}
         self._mult_cache: dict = {}
         self._power_cache: dict = {}
         self.entry_scale = tower.entry_scale
 
-    def sigma_vec_mat(self, t: int) -> np.ndarray:
-        """Right-multiplication matrix: vecs @ S applies sigma^t.
-
-        Only defined when sigma^t maps the basis ring into itself; otherwise
-        ValueError.  tau = sigma^U is integral on every shipped tower, so
-        relative-norm checks always have their matrix."""
+    def sigma_vec_mat(self, t: int) -> tuple[np.ndarray, int]:
+        """(S, den) with vecs @ S == den * sigma^t(vecs): the images of the
+        basis scaled by the least common multiple den of their
+        denominators.  den is 1 exactly when sigma^t maps the basis ring
+        into itself."""
         t %= self.d
         if t not in self._sigma_cache:
             images = [g.apply_sigma(t) for g in self.gamma]
-            if any(x.den != 1 for x in images):
-                raise ValueError(f"sigma^{t} does not map the basis ring into itself")
-            self._sigma_cache[t] = np.array([x.num for x in images], dtype=np.int64)
+            den = math.lcm(*(x.den for x in images))
+            mat = np.array([(x * den).num for x in images], dtype=np.int64)
+            self._sigma_cache[t] = (mat, den)
         return self._sigma_cache[t]
 
     def mult_vec_mat(self, elem) -> np.ndarray:

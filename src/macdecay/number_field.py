@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from operator import add, index, sub
 
-from .polynomials import Poly, poly_discriminant
+from .polynomials import discriminant
 from .quadratic import QuadElem, RingTag, ok_valuation
 
 L_OVER_F = "L/F"
@@ -282,7 +282,8 @@ class Tower:
     ----------
     tag : which quadratic base field K.
     f_coeffs : monic integer coefficients of f, low first, degree
-        d = U * n_t.
+        d = U * n_t; held as a tuple of ints, with ``disc`` the integer
+        discriminant of f.
     sigma_coeffs : rational coordinates of sigma(theta) over the power basis.
     U, n_t : number of users and antennas; fix tau = sigma^U.
     period_hint : (m, exponents) describing theta as a sum of m-th roots of
@@ -304,7 +305,6 @@ class Tower:
         "f_coeffs",
         "sigma_coeffs",
         "period_hint",
-        "f_poly",
         "disc",
         "mul_terms",
         "_sigma",
@@ -327,6 +327,7 @@ class Tower:
             raise ValueError(f"f must be monic of degree {d}")
         if any(c.denominator != 1 for c in fc):
             raise ValueError("f must have integer coefficients (theta is an algebraic integer)")
+        fc = tuple(c.numerator for c in fc)
         sc = tuple(Fraction(c) for c in sigma_coeffs)
         if len(sc) > d:
             raise ValueError("sigma image must have degree < deg f")
@@ -338,9 +339,7 @@ class Tower:
         self.f_coeffs = fc
         self.sigma_coeffs = sc
         self.period_hint = (int(period_hint[0]), tuple(int(h) for h in period_hint[1]))
-        self.f_poly = Poly([QuadElem(c) for c in fc])
-        disc = poly_discriminant(self.f_poly)
-        self.disc = disc.a
+        self.disc = discriminant(fc)
         if self.disc == 0:
             raise ValueError("f has a repeated root")
         self.key = (tag, fc, sc, U, n_t)
@@ -355,7 +354,7 @@ class Tower:
 
     def _build_mul_terms(self):
         d = self.d
-        f = [int(c) for c in self.f_coeffs]
+        f = self.f_coeffs
         # theta^e over 1..theta^(d-1) for e = 0..2d-2, by theta^d = -sum f_i theta^i
         pows = [[int(i == e) for i in range(d)] for e in range(d)]
         for _ in range(d - 1):
@@ -467,11 +466,10 @@ class Tower:
             return
         m, exps = self.period_hint
         mid = Fraction(math.fsum(math.cos(2 * math.pi * h / m) for h in exps))
-        fc = tuple(int(c) for c in self.f_coeffs)
         for shift in range(40, 19, -1):
             radius = Fraction(1, 1 << shift)
             try:
-                root = RootEnclosure(fc, mid - radius, mid + radius)
+                root = RootEnclosure(self.f_coeffs, mid - radius, mid + radius)
             except ValueError:
                 continue
             root.refine(ROOT_WIDTH)
@@ -493,7 +491,7 @@ class Tower:
     def to_json_dict(self) -> dict:
         return {
             "K": self.tag.value,
-            "f": [int(c) for c in self.f_coeffs],
+            "f": list(self.f_coeffs),
             "sigma_image": [str(c) for c in self.sigma_coeffs],
             "U": self.U,
             "n_t": self.n_t,
@@ -511,8 +509,8 @@ class Tower:
         hint = data["theta_numeric_hint"]
         return cls(
             tag,
-            [Fraction(c) for c in data["f"]],
-            [Fraction(c) for c in data["sigma_image"]],
+            data["f"],
+            data["sigma_image"],
             int(data["U"]),
             int(data["n_t"]),
             (hint["m"], hint["coset"]),

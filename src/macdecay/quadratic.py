@@ -3,9 +3,8 @@
 Elements are stored as a + b*mu with rational a, b, where mu = i in the
 Gaussian case and mu = (1 + sqrt(-3))/2 in the Eisenstein case, so that
 integer coordinates give exactly the maximal order O_K.  The defining
-relations are mu^2 = -1 and mu^2 = mu - 1 respectively.  Both rings are
-norm-Euclidean, which gives exact gcd, divisibility tests and prime
-valuations with no floating point involved.
+relations are mu^2 = -1 and mu^2 = mu - 1 respectively.  Prime
+valuations divide out p exactly, with no floating point involved.
 """
 
 from __future__ import annotations
@@ -13,6 +12,11 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
+
+
+# largest norm bound enumerate_primes accepts: its sieve holds one list
+# entry per integer up to the bound
+MAX_NORM_BOUND = 1 << 20
 
 
 class RingTag(Enum):
@@ -160,31 +164,6 @@ class QuadElem:
             exp >>= 1
         return result
 
-    # -- Euclidean structure ----------------------------------------------
-
-    def __divmod__(self, other) -> tuple[QuadElem, QuadElem]:
-        """Euclidean division: q with coordinates rounded to nearest integers.
-
-        The remainder r = self - q*other satisfies N(r) < N(other) in both
-        rings, which is what makes gcd and valuation loops terminate.
-        """
-        if not isinstance(other, QuadElem):
-            other = QuadElem(Fraction(other))
-        if not other:
-            raise ZeroDivisionError("division by zero")
-        exact = self * other.inverse()
-        qa = _round_half_even(exact.a)
-        qb = _round_half_even(exact.b)
-        q = QuadElem(qa, qb, exact.tag)
-        r = self - q * other
-        return q, r
-
-    def __floordiv__(self, other) -> QuadElem:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other) -> QuadElem:
-        return divmod(self, other)[1]
-
     def __repr__(self) -> str:
         return f"QuadElem({self.a!r}, {self.b!r}, {self.tag.name})"
 
@@ -194,14 +173,6 @@ class QuadElem:
         sym = _MU_SYMBOL[self.tag]
         sign = "+" if self.b > 0 else "-"
         return f"{self.a}{sign}{abs(self.b)}{sym}"
-
-
-def _round_half_even(x: Fraction) -> Fraction:
-    n, d = x.numerator, x.denominator
-    q, r = divmod(n, d)
-    if 2 * r > d or (2 * r == d and q % 2):
-        q += 1
-    return Fraction(q)
 
 
 def mu(tag: RingTag) -> QuadElem:
@@ -224,15 +195,6 @@ def units(tag: RingTag) -> tuple[QuadElem, ...]:
         m = mu(tag)
         return (one, m, m - 1, -one, -m, QuadElem(1, -1, tag))
     return (one, -one)
-
-
-def divides(p: QuadElem, x: QuadElem) -> bool:
-    """Whether p | x in O_K.  Both arguments must be integral."""
-    if not (p.is_integral() and x.is_integral()):
-        raise ValueError("divisibility is only defined for integral elements")
-    if not p:
-        return not x
-    return (x * p.inverse()).is_integral()
 
 
 def ok_valuation(x: QuadElem, p: QuadElem) -> int | float:
@@ -286,21 +248,27 @@ def primes_above(ell: int, tag: RingTag) -> list[QuadElem]:
         pi = QuadElem(1, 1, tag) if tag is RingTag.GAUSSIAN else sqrt_minus3()
         return [canonical_associate(pi)]
     if ell % modulus in residues:
-        # split: find a + b*mu of norm ell by direct search
-        for a in range(ell + 1):
-            for b in range(1, ell + 1):
-                cand = QuadElem(a, b, tag)
-                if cand.norm() == ell:
-                    p1 = canonical_associate(cand)
-                    p2 = canonical_associate(cand.conj())
-                    return sorted({p1, p2}, key=lambda z: (z.a, z.b))
+        # split: a + b*mu of norm a^2 + t*a*b + b^2 = ell with a >= 0, b >= 1,
+        # t = 0 (Gaussian) or 1 (Eisenstein), solved for a:
+        # (2a + t*b)^2 = 4 ell - (4 - t) b^2
+        t = int(tag is RingTag.EISENSTEIN)
+        for b in range(1, math.isqrt(ell) + 1):
+            sq = 4 * ell - (4 - t) * b * b
+            s = math.isqrt(sq)
+            if s * s == sq and s >= t * b and (s - t * b) % 2 == 0:
+                cand = QuadElem((s - t * b) // 2, b, tag)
+                p1 = canonical_associate(cand)
+                p2 = canonical_associate(cand.conj())
+                return sorted({p1, p2}, key=lambda z: (z.a, z.b))
         raise ArithmeticError(f"no element of norm {ell} found")
     return [canonical_associate(QuadElem(ell))]
 
 
 def enumerate_primes(tag: RingTag, norm_bound: int) -> list[QuadElem]:
     """All primes of O_K with norm <= norm_bound, canonical representatives,
-    sorted by (norm, a, b)."""
+    sorted by (norm, a, b).  A bound above MAX_NORM_BOUND is refused."""
+    if norm_bound > MAX_NORM_BOUND:
+        raise ValueError(f"norm bound {norm_bound} exceeds {MAX_NORM_BOUND}")
     found: list[QuadElem] = []
     for ell in _rational_primes(norm_bound):
         for p in primes_above(ell, tag):

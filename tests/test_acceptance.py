@@ -56,7 +56,7 @@ def test_catalog_towers_admit_listed_inert_primes():
             assert ok_valuation(QuadElem(tower.disc), p) == 0, (
                 f"degree {degree}: {p} divides the discriminant"
             )
-            assert is_irreducible_mod_p(tower.f_poly, p, tag), (
+            assert is_irreducible_mod_p(tower.f_coeffs, p, tag), (
                 f"degree {degree}: defining polynomial splits mod {p}"
             )
             checks += 1

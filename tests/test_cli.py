@@ -508,6 +508,10 @@ class TestConfigErrors:
         ("inert-search", "full.tower.n_t", 1.5),
         ("build", "full.tower.theta_numeric_hint.m", 5.7),
         ("build", "full.tower.theta_numeric_hint.coset", [1.9, 4]),
+        # not wrong-typed but too large: the prime sieve used to end in a
+        # MemoryError traceback and exit 1
+        ("inert-search", "norm_bound", 10**12),
+        ("catalog", "norm_bound", 10**12),
     ]
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,14 @@ class TestSpec:
         # disc f = 5 kills certification at the primes above 5
         with pytest.raises(ValueError):
             CodeSpec(golden_tower, QuadElem(2, 1, GAUSSIAN))
+
+    def test_large_norm_prime_builds_fast(self, golden_tower):
+        # the root search and the search for mu's residue were O(N(p)):
+        # this spec took 36 s to certify
+        t0 = time.perf_counter()
+        spec = CodeSpec(golden_tower, QuadElem(1004, 1001, GAUSSIAN))
+        assert time.perf_counter() - t0 < 1.0
+        assert spec.norm_p == 2_010_017
 
     def test_rejects_units_and_non_integral(self, golden_tower):
         with pytest.raises(ValueError):
@@ -236,6 +245,15 @@ class TestCoefficientBox:
             CoefficientBox((0,), ((0, 0, 0, 0),))  # bound must be positive
         with pytest.raises(ValueError):
             CoefficientBox((1, 1), ((1, 0),))  # one bound per user
+
+    @pytest.mark.parametrize(
+        "bounds, vectors",
+        [((1.5,), ((1, 0, 0, 0),)), ((2,), ((1.5, 0, 0, 0),)), ((2.0,), ((1, 0, 0, 0),))],
+    )
+    def test_non_integer_entries_refused(self, bounds, vectors):
+        # 1.5 used to pass, and the rank sweep read it as 1
+        with pytest.raises(ValueError, match="integers"):
+            CoefficientBox(bounds, vectors)
 
     def test_predicates(self):
         box = CoefficientBox((2, 2), ((1, 0, 0, 0), (0, 0, 0, 0)))

@@ -450,6 +450,9 @@ class TestMinAbsDetEngine:
         # random.Random(seed) reads |seed|, so -3 would draw what 3 draws
         with pytest.raises(ValueError, match="seed"):
             min_abs_det(golden_spec, (1, 1), mode=SAMPLED, samples=10, seed=-3)
+        # int() read 1.5 as 1 and reported the box (1, 1)
+        with pytest.raises(TypeError):
+            min_abs_det(golden_spec, (1.5, 1))
 
     def test_quartic_sampled_search_runs_exact(self, quartic_spec):
         rep = min_abs_det(quartic_spec, (1, 1), mode=SAMPLED, samples=60, seed=5)
@@ -523,7 +526,7 @@ def test_numerator_off_the_fixed_field_is_caught(golden_spec, monkeypatch):
     class SigmaContext(decay._SearchContext):
         def __init__(self, spec):
             super().__init__(spec)
-            self.tau = self.kern.sigma_vec_mat(1)
+            self.tau, self.tau_den = self.kern.sigma_vec_mat(1)
 
     monkeypatch.setattr(decay, "_SearchContext", SigmaContext)
     boxes = random_boxes(golden_spec, random.Random(257), 20)
@@ -698,6 +701,10 @@ class TestNaiveOracle:
         assert slow.det_numerator == fast.det_numerator
         assert slow.det_p_exponent == fast.det_p_exponent
         assert slow.evaluated == fast.evaluated == 6400
+
+    def test_oracle_refuses_a_non_integer_bound(self, golden_spec):
+        with pytest.raises(TypeError):
+            naive_min_abs_det(golden_spec, (1, 1.5))
 
     def test_oracle_matches_per_codeword_form(self, golden_spec):
         # blocks built once per user vector against every codeword
@@ -1151,6 +1158,17 @@ class TestSingularityAndWitness:
         one = golden_tower.one()
         with pytest.raises(OverflowRisk):
             two_user_box_scan(one, one, one, one, 1 << 31)
+
+    def test_box_scan_refuses_a_fractional_sigma(self, golden_tower, monkeypatch):
+        # no shipped degree-2 tower has one: a sigma matrix over a
+        # denominator is refused rather than scanned as if integral
+        real = kernels.IntKernel.sigma_vec_mat
+        monkeypatch.setattr(
+            kernels.IntKernel, "sigma_vec_mat", lambda kern, t: (real(kern, t)[0], 2)
+        )
+        one = golden_tower.one()
+        with pytest.raises(ValueError, match="does not map the basis ring into itself"):
+            two_user_box_scan(one, one, one, one, 1)
 
     def test_degree_two_only(self, cubic_tower):
         one = cubic_tower.one()

@@ -7,17 +7,15 @@ from macdecay.finite_fields import (
     GF, InertnessInconclusive, is_irreducible_mod_p, pf_gcd, pf_mul,
     pf_powmod, reduce_poly_mod_p, residue_field,
 )
-from macdecay.polynomials import Poly
-from macdecay.quadratic import GAUSSIAN, EISENSTEIN, QuadElem, sqrt_minus3
+from macdecay.quadratic import (
+    GAUSSIAN, EISENSTEIN, QuadElem, enumerate_primes, sqrt_minus3,
+)
 
+from util import irreducible_by_roots_reference
 
-def P(*coeffs):
-    return Poly([Fraction(c) for c in coeffs])
-
-
-F5 = P(-1, 1, 1)      # conductor 5, degree 2
-F7 = P(-1, -2, 1, 1)  # conductor 7, degree 3
-F17 = P(1, -1, -6, 1, 1)  # conductor 17, degree 4
+F5 = (-1, 1, 1)      # conductor 5, degree 2
+F7 = (-1, -2, 1, 1)  # conductor 7, degree 3
+F17 = (1, -1, -6, 1, 1)  # conductor 17, degree 4
 
 
 class TestGF:
@@ -28,11 +26,11 @@ class TestGF:
         assert gf.add(x, y) == gf.from_int(2)
         assert gf.mul(y, gf.inv(y)) == gf.one()
 
-    def test_quadratic_extension_size(self):
+    def test_quadratic_extension_relation(self):
         gf = GF(3, (-1, 1))  # F_9 = F_3[w], w^2 = w - 1
-        elems = list(gf.elements())
-        assert len(elems) == 9
-        assert len(set(elems)) == 9
+        w = (0, 1)
+        assert gf.q == 9
+        assert gf.mul(w, w) == gf.sub(w, gf.one())
 
     def test_extension_inverse(self):
         gf = GF(7, (-1, 0))  # F_49 = F_7[i]
@@ -54,44 +52,21 @@ class TestGF:
 
 class TestResidueField:
     def test_split_prime_residue(self):
-        gf, red = residue_field(QuadElem(2, 1, GAUSSIAN))
-        assert gf.q == 5
-        # mu maps to a square root of -1 mod 5
-        img = red(QuadElem(0, 1, GAUSSIAN))[0]
-        assert (img * img + 1) % 5 == 0
+        assert residue_field(QuadElem(2, 1, GAUSSIAN)).q == 5
 
     def test_ramified_prime_residue(self):
-        gf, red = residue_field(QuadElem(1, 1, GAUSSIAN))
-        assert gf.q == 2
-        gf3, red3 = residue_field(sqrt_minus3())
-        assert gf3.q == 3
+        assert residue_field(QuadElem(1, 1, GAUSSIAN)).q == 2
+        assert residue_field(sqrt_minus3()).q == 3
 
     def test_inert_prime_residue(self):
-        gf, red = residue_field(QuadElem(3, 0, GAUSSIAN), GAUSSIAN)
-        assert gf.q == 9
-        gf2, red2 = residue_field(QuadElem(2, 0, EISENSTEIN), EISENSTEIN)
-        assert gf2.q == 4
-
-    def test_reduction_is_ring_hom(self):
-        rng = random.Random(13)
-        for p in (QuadElem(2, 1, GAUSSIAN), QuadElem(1, 2, EISENSTEIN)):
-            gf, red = residue_field(p)
-            for _ in range(60):
-                x = QuadElem(rng.randint(-9, 9), rng.randint(-9, 9), p.tag)
-                y = QuadElem(rng.randint(-9, 9), rng.randint(-9, 9), p.tag)
-                assert red(x * y) == gf.mul(red(x), red(y))
-                assert red(x + y) == gf.add(red(x), red(y))
+        assert residue_field(QuadElem(3, 0, GAUSSIAN), GAUSSIAN).q == 9
+        assert residue_field(QuadElem(2, 0, EISENSTEIN), EISENSTEIN).q == 4
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
             residue_field(QuadElem(5, 0, GAUSSIAN), GAUSSIAN)  # 5 splits
         with pytest.raises(ValueError):
             residue_field(QuadElem(4, 2, GAUSSIAN))
-
-    def test_denominator_divisible_by_p(self):
-        gf, red = residue_field(QuadElem(2, 1, GAUSSIAN))
-        with pytest.raises(ValueError):
-            red(QuadElem(Fraction(1, 5)))
 
 
 class TestIrreducibility:
@@ -124,22 +99,49 @@ class TestIrreducibility:
             is_irreducible_mod_p(F17, QuadElem(1, 1, GAUSSIAN))
 
     def test_rejects_non_monic(self):
-        with pytest.raises(ValueError):
-            is_irreducible_mod_p(P(1, 0, 2), QuadElem(1, 1, GAUSSIAN))
+        for fn in (is_irreducible_mod_p, reduce_poly_mod_p):
+            with pytest.raises(ValueError, match="monic"):
+                fn((1, 0, 2), QuadElem(1, 1, GAUSSIAN))
+
+    @pytest.mark.parametrize("f", [(Fraction(1, 2), 0, 1), (-1.0, 1.0, 1.0)])
+    def test_rejects_non_integer_coefficients(self, f):
+        for fn in (is_irreducible_mod_p, reduce_poly_mod_p):
+            with pytest.raises(ValueError, match="integer coefficients"):
+                fn(f, QuadElem(1, 1, GAUSSIAN))
 
     def test_linear_always_irreducible(self):
-        assert is_irreducible_mod_p(P(3, 1), QuadElem(1, 1, GAUSSIAN))
+        assert is_irreducible_mod_p((3, 1), QuadElem(1, 1, GAUSSIAN))
+
+    def test_rabin_matches_root_search_below_degree_4(self):
+        # a quadratic or cubic is irreducible iff it has no root in the
+        # residue field; Rabin's test must agree wherever the guard passes
+        rng = random.Random(59)
+        decided = 0
+        for tag in (GAUSSIAN, EISENSTEIN):
+            for p in enumerate_primes(tag, 50):
+                for degree in (2, 3):
+                    for _ in range(8):
+                        f = tuple(rng.randint(-30, 30) for _ in range(degree)) + (1,)
+                        try:
+                            got = is_irreducible_mod_p(f, p, tag)
+                        except InertnessInconclusive:
+                            continue
+                        assert got == irreducible_by_roots_reference(f, p, tag), (f, p)
+                        decided += 1
+        assert decided > 400
 
 
 class TestPolyModP:
     def test_reduce_poly(self):
-        fb, gf = reduce_poly_mod_p(F5, QuadElem(1, 1, GAUSSIAN))
-        assert len(fb) == 3 and fb[-1] == gf.one()
+        fb, gf = reduce_poly_mod_p(F17, QuadElem(2, 1, GAUSSIAN))
+        assert fb == [(1,), (4,), (4,), (1,), (1,)] and gf.q == 5
+        fb, gf = reduce_poly_mod_p(F7, QuadElem(3), GAUSSIAN)
+        assert fb == [(2, 0), (1, 0), (1, 0), (1, 0)] and gf.q == 9
 
     def test_powmod_fermat(self):
         # x^q == x mod (x^2 - x) over F_q since both factors are fixed
         gf = GF(5)
-        modulus = [gf.zero(), gf.neg(gf.one()), gf.one()]  # x^2 - x
+        modulus = [gf.zero(), gf.from_int(-1), gf.one()]  # x^2 - x
         x = [gf.zero(), gf.one()]
         assert pf_powmod(x, 5, modulus, gf) == x
 

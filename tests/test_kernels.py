@@ -51,20 +51,16 @@ class TestIntKernel:
             golden_kern.mult_vec_mat(third)
 
     def test_sigma_matrix(self, quartic_kern, quartic_tower):
+        # sigma(theta) has half-integer coordinates on the degree-4 tower, so
+        # odd sigma-powers carry the denominator 2; tau = sigma^2 has none
         rng = random.Random(113)
-        for t in (0, 2):
-            S = quartic_kern.sigma_vec_mat(t)
+        for t, want_den in ((0, 1), (1, 2), (2, 1), (3, 2)):
+            S, den = quartic_kern.sigma_vec_mat(t)
+            assert den == want_den
             for _ in range(10):
                 x = rand_elem(quartic_tower, rng, 3)
                 vec = np.array(x.num, dtype=np.int64)
-                assert FieldElem(quartic_tower, vec @ S) == x.apply_sigma(t)
-
-    def test_sigma_matrix_only_for_basis_stable_powers(self, quartic_kern):
-        # sigma(theta) has half-integer coordinates on the degree-4 tower, so
-        # only sigma-powers stabilizing the basis ring get an integer matrix;
-        # sigma^2 = tau does, which is all the relative-norm checks need.
-        with pytest.raises(ValueError):
-            quartic_kern.sigma_vec_mat(1)
+                assert FieldElem(quartic_tower, vec @ S, den) == x.apply_sigma(t)
 
     def test_entry_scale_detected(self, golden_kern, quartic_kern):
         assert golden_kern.entry_scale == 1
@@ -145,7 +141,7 @@ class TestIntKernel:
             assert all(abs(a) <= b for a, b in zip(actual, bound))
 
     def test_mat_bound_sound(self, golden_kern):
-        S = golden_kern.sigma_vec_mat(1)
+        S, _ = golden_kern.sigma_vec_mat(1)
         ub = [3] * golden_kern.dim
         bound = SparseMap(S).bound(ub)
         vec = np.full(golden_kern.dim, 3, dtype=np.int64)

@@ -29,6 +29,20 @@ def assert_theta_is_the_period(tower):
     assert box.radius() < Fraction(1, 10**15), tower
 
 
+def test_discriminant_is_a_frozen_integer(request):
+    want = {"golden_tower": 5, "cubic_tower": 49, "quartic_tower": 19652,
+            "miso_tower": 49, "eisenstein_tower": 5}
+    for name, tower in zip(FIXTURE_TOWERS, fixture_towers(request)):
+        assert type(tower.disc) is int and tower.disc == want[name], name
+        assert all(type(c) is int for c in tower.f_coeffs), name
+
+
+def test_repeated_root_is_refused(golden_tower):
+    t = golden_tower
+    with pytest.raises(ValueError, match="repeated root"):
+        Tower(GAUSSIAN, (1, 2, 1), t.sigma_coeffs, 2, 1, t.period_hint)
+
+
 class TestGoldenTower:
     def test_defining_relation(self, golden_tower, request):
         th = golden_tower.theta()

@@ -3,94 +3,55 @@ from fractions import Fraction
 
 import pytest
 
-from macdecay.polynomials import Poly, poly_discriminant, resultant
-from macdecay.quadratic import GAUSSIAN, QuadElem
+from macdecay.polynomials import discriminant
 
 
-def P(*coeffs):
-    """Polynomial from low-order-first integer coefficients."""
-    return Poly([Fraction(c) for c in coeffs])
+def from_roots(roots):
+    """The monic integer polynomial prod (x - r), low first."""
+    coeffs = [1]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return tuple(coeffs)
 
 
-def rand_poly(rng, max_deg=5, span=6):
-    return Poly([Fraction(rng.randint(-span, span)) for _ in range(rng.randint(1, max_deg + 1))])
+def root_discriminant(roots):
+    out = 1
+    for i, a in enumerate(roots):
+        for b in roots[i + 1 :]:
+            out *= (a - b) ** 2
+    return out
 
 
-class TestBasics:
-    def test_degree_and_leading(self):
-        f = P(-1, 0, 2)
-        assert f.degree == 2
-        assert f.leading == 2
-        assert P(0).degree is None
+class TestDiscriminant:
+    def test_matches_root_formula(self):
+        rng = random.Random(41)
+        for degree in range(1, 9):
+            for _ in range(12):
+                roots = [rng.randint(-9, 9) for _ in range(degree)]
+                assert discriminant(from_roots(roots)) == root_discriminant(roots), roots
 
-    def test_trailing_zeros_trimmed(self):
-        assert P(1, 2, 0, 0) == P(1, 2)
+    def test_repeated_root_gives_zero(self):
+        rng = random.Random(43)
+        for degree in range(2, 9):
+            roots = [rng.randint(-9, 9) for _ in range(degree - 1)]
+            roots.append(rng.choice(roots))
+            assert discriminant(from_roots(roots)) == 0, roots
 
-    def test_evaluation_matches_horner(self):
-        f = P(-1, -2, 1, 1)
-        x = Fraction(3, 2)
-        direct = sum(c * x**j for j, c in enumerate(f.coeffs))
-        assert f(x) == direct
-
-    def test_derivative(self):
-        assert P(0, 2, 0, 1).derivative() == P(2, 0, 3)
-
-    def test_immutable(self):
-        f = P(1, 1)
-        with pytest.raises(AttributeError):
-            f.coeffs = (Fraction(0),)
-
-
-class TestRingOps:
-    def test_divmod_round_trip(self):
-        rng = random.Random(19)
-        for _ in range(300):
-            a = rand_poly(rng)
-            b = rand_poly(rng)
-            if b.degree is None:
-                continue
-            q, r = divmod(a, b)
-            assert q * b + r == a
-            assert r.degree is None or r.degree < b.degree
-
-    def test_mul_degrees_add(self):
-        rng = random.Random(23)
-        for _ in range(100):
-            a = rand_poly(rng)
-            b = rand_poly(rng)
-            if a.degree is None or b.degree is None:
-                continue
-            assert (a * b).degree == a.degree + b.degree
-
-    def test_quad_coefficients(self):
-        i = QuadElem(0, 1, GAUSSIAN)
-        f = Poly([i, QuadElem(1)])  # x + i
-        g = Poly([-i, QuadElem(1)])  # x - i
-        assert f * g == Poly([QuadElem(1), QuadElem(0), QuadElem(1)])
-
-
-class TestGcdResultantDiscriminant:
-    def test_resultant_of_coprime_quadratics(self):
-        assert resultant(P(-2, 0, 1), P(-3, 0, 1)) == 1
-
-    def test_resultant_linear(self):
-        # res(f, g) = lc(f)^deg(g) * prod g(root of f)
-        assert resultant(P(-2, 1), P(-5, 1)) == -3
-
-    def test_resultant_vanishes_on_common_root(self):
-        assert resultant(P(-1, 1), P(-1, 0, 1)) == 0
-
-    def test_resultant_multiplicative(self):
-        rng = random.Random(37)
-        for _ in range(30):
-            f = rand_poly(rng, max_deg=3)
-            g = rand_poly(rng, max_deg=2)
-            h = rand_poly(rng, max_deg=2)
-            if any(x.degree in (None, 0) for x in (f, g, h)):
-                continue
-            assert resultant(f, g * h) == resultant(f, g) * resultant(f, h)
+    def test_leading_zero_pivot(self):
+        # x^3 and x^2 (x - 1): the Sylvester matrix needs a row swap
+        assert discriminant((0, 0, 0, 1)) == 0
+        assert discriminant((0, 0, -1, 1)) == 0
+        assert discriminant((-1, 0, 0, 1)) == -27
 
     def test_discriminants_of_period_polynomials(self):
-        assert poly_discriminant(P(-1, 1, 1)) == 5
-        assert poly_discriminant(P(-1, -2, 1, 1)) == 49
-        assert poly_discriminant(P(1, 0, 1)) == -4
+        assert discriminant((-1, 1, 1)) == 5
+        assert discriminant((-1, -2, 1, 1)) == 49
+        assert discriminant((1, 0, 1)) == -4
+        assert discriminant((1, -1, -6, 1, 1)) == 19652
+
+    @pytest.mark.parametrize(
+        "f", [(1, 0, 2), (Fraction(1, 2), 0, 1), (1.0, 1), (1,), ()]
+    )
+    def test_refuses_non_monic_non_integer_or_constant(self, f):
+        with pytest.raises(ValueError):
+            discriminant(f)

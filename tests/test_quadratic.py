@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from macdecay.quadratic import (
-    GAUSSIAN, EISENSTEIN, QuadElem, RingTag, canonical_associate, divides,
+    GAUSSIAN, EISENSTEIN, MAX_NORM_BOUND, QuadElem, RingTag, canonical_associate,
     enumerate_primes, mu, ok_valuation, primes_above, sqrt_minus3, units,
 )
 
@@ -86,22 +86,6 @@ class TestDivision:
         assert x ** -2 == (x.inverse()) ** 2
         assert x ** -2 * x ** 2 == QuadElem(1)
 
-    def test_divmod_is_euclidean(self):
-        rng = random.Random(7)
-        for tag in (GAUSSIAN, EISENSTEIN):
-            for _ in range(200):
-                a = QuadElem(rng.randint(-30, 30), rng.randint(-30, 30), tag)
-                b = QuadElem(rng.randint(-30, 30), rng.randint(-30, 30), tag)
-                if not b:
-                    continue
-                q, r = divmod(a, b)
-                assert q * b + r == a
-                assert r.norm() < b.norm()
-
-    def test_divides(self):
-        assert divides(G(1, 1), QuadElem(2))
-        assert not divides(G(2, 1), QuadElem(3))
-
 
 class TestValuation:
     def test_simple_powers(self):
@@ -153,6 +137,25 @@ class TestAssociatesAndPrimes:
         seven = primes_above(7, EISENSTEIN)
         assert len(seven) == 2 and all(p.norm() == 7 for p in seven)
 
+    def test_split_primes_match_a_direct_search(self):
+        # the first a + b*mu (a in 0..ell, b in 1..ell) of norm ell, and its
+        # conjugate, name the two primes above a split ell
+        for tag in (GAUSSIAN, EISENSTEIN):
+            for ell in (5, 7, 13, 19, 37, 61, 97, 193, 229, 241, 277, 313, 337):
+                if len(primes_above(ell, tag)) == 1:
+                    continue
+                cand = next(
+                    QuadElem(a, b, tag)
+                    for a in range(ell + 1)
+                    for b in range(1, ell + 1)
+                    if QuadElem(a, b, tag).norm() == ell
+                )
+                want = sorted(
+                    {canonical_associate(cand), canonical_associate(cand.conj())},
+                    key=lambda z: (z.a, z.b),
+                )
+                assert primes_above(ell, tag) == want, (tag, ell)
+
     def test_enumerate_primes_small_norms(self):
         gaussian = enumerate_primes(GAUSSIAN, 10)
         assert sorted(int(p.norm()) for p in gaussian) == [2, 5, 5, 9]
@@ -160,6 +163,12 @@ class TestAssociatesAndPrimes:
         assert sorted(int(p.norm()) for p in eisenstein) == [3, 4, 7, 7]
         for p in gaussian + eisenstein:
             assert p == canonical_associate(p)
+
+    def test_enumerate_primes_refuses_a_huge_bound(self):
+        # the sieve used to try to allocate one entry per integer up to 10**12
+        assert MAX_NORM_BOUND > 65536  # the CLI's automatic prime search
+        with pytest.raises(ValueError, match="exceeds"):
+            enumerate_primes(GAUSSIAN, MAX_NORM_BOUND + 1)
 
 
 class TestFormatting:

@@ -1,12 +1,15 @@
 """Shared helpers for the test suite: deterministic random elements and
 coefficient boxes over a tower's integral basis."""
 
+import itertools
+
 import numpy as np
 
 from macdecay.construction import (
     CodeSpec, CoefficientBox, assemble_codeword, gamma_basis,
 )
 from macdecay.decay import _laplace_det, _nonzero_vectors, abs_sq_of_det
+from macdecay.finite_fields import reduce_poly_mod_p
 from macdecay.kernels import (
     DET_EVAL_REL, EMB_REL_ERR, GRID_ROW_CAP, det_float_batch,
 )
@@ -155,3 +158,19 @@ def naive_min_reference(spec, bounds):
         if pos == spec.U:
             absq, _, box, num, s = best
             return absq, box, num, s, count
+
+
+def irreducible_by_roots_reference(f, p, tag=None):
+    """The root search that decided degrees 2 and 3 before Rabin's test
+    took every degree: a quadratic or cubic is irreducible over the residue
+    field of p iff no element of that field is a root of f mod p."""
+    fb, gf = reduce_poly_mod_p(f, p, tag)
+    if not 2 <= len(fb) - 1 <= 3:
+        raise ValueError("root search decides degrees 2 and 3 only")
+    for x in itertools.product(range(gf.ell), repeat=gf.deg):
+        acc = fb[-1]
+        for c in reversed(fb[:-1]):
+            acc = gf.add(gf.mul(acc, x), c)
+        if gf.is_zero(acc):
+            return False
+    return True
