@@ -66,6 +66,7 @@ class DecayReport:
     det_p_exponent: int
     abs_sq: RealAlgebraic
     evaluated: int
+    screened: int
     wall_time: float
 
 
@@ -197,9 +198,10 @@ def orbit_units(kern: IntKernel) -> list[np.ndarray]:
 def orbit_representatives(
     grid: np.ndarray, N: int, units: list[np.ndarray]
 ) -> np.ndarray:
-    """Rows of a lex-ascending coeff_grid(N, r) that are lex-smallest in
-    their unit orbit, each unit acting on every antenna slot's block of
-    gamma-coordinates.  The kept rows stay in lex order.
+    """Rows of a lex-ascending coeff_grid(N, r), or of a subset of its
+    rows such as a shell, that are lex-smallest in their unit orbit, each
+    unit acting on every antenna slot's block of gamma-coordinates.  The
+    kept rows keep their order.
 
     A row v's lex rank is its key (v + N) @ w, w the mixed-radix weights of
     base 2N + 1, and a unit maps v to v @ kron(I, mat).  The key is linear,
@@ -415,6 +417,54 @@ def _exhaustive_chunk(ctx: _SearchContext, grids, factors, start: int, stop: int
     return _screen_crossed(ctx, pre, last, count, rows_of), grids, rows_of
 
 
+def _part_chunks(ctx: _SearchContext, grids):
+    """_exhaustive_chunk for each CHUNK_U1_ROWS user-1 rows of one part's
+    grids, in order."""
+    factors = ctx.float_factors(grids)
+    g1 = grids[0].shape[0]
+    for i in range(0, g1, CHUNK_U1_ROWS):
+        yield _exhaustive_chunk(ctx, grids, factors, i, min(i + CHUNK_U1_ROWS, g1))
+
+
+def _orbit_grids(ctx: _SearchContext, bounds, inner, lengths, known):
+    """Per user, the orbit grids (inner, shell, whole) of the box `bounds`
+    around the box `inner` (bound 0 for the empty box): the unit-orbit
+    representatives (orbit_representatives) of the inner box, of the shell
+    of coeff_grid rows with max |coeff| > the inner bound, and of the whole
+    box.  `known` maps (N, r) to the whole grids of the inner box.
+
+    Signed permutations keep max |coeff|, so a shell is a union of unit
+    orbits, and being lex-smallest in an orbit does not depend on N: the
+    whole grid is the inner grid followed by the shell's.  A shell is lex
+    ascending, so the whole grid of a box around the empty box is too; the
+    exact stage puts its candidates in lex order whatever the grid order.
+    Each distinct shell is built once."""
+    empty = {r: np.empty((0, r), dtype=np.int64) for r in lengths}
+    shells = {}
+    for N, n_in, r in set(zip(bounds, inner, lengths)):
+        shells[N, n_in, r] = empty[r]
+        if N > n_in:
+            grid = coeff_grid(N, r)
+            if n_in:
+                grid = grid[np.abs(grid).max(axis=1) > n_in]
+            shells[N, n_in, r] = orbit_representatives(grid, N, ctx.units)
+    ins = [known[n, r] if n else empty[r] for n, r in zip(inner, lengths)]
+    outs = [shells[u] for u in zip(bounds, inner, lengths)]
+    return ins, outs, [np.concatenate(g) for g in zip(ins, outs)]
+
+
+def _box_parts(ins, shells, wholes):
+    """The grids of the parts of a box minus an inner box: part j takes
+    users < j from the inner grids, user j from its shell and users > j
+    from the whole grids.  The parts are disjoint and together cover the
+    box minus the inner box; a part with an empty grid is left out, so
+    the empty inner box leaves one part, the whole box."""
+    for j, shell in enumerate(shells):
+        grids = [*ins[:j], shell, *wholes[j + 1 :]]
+        if all(g.shape[0] for g in grids):
+            yield grids
+
+
 def _sampled_chunk(ctx: _SearchContext, vecs: list[np.ndarray]):
     """_scan_chunk's (pieces, vecs, rows_of) for one chunk of drawn
     samples, codeword k stacking row k of every user."""
@@ -582,25 +632,44 @@ def min_abs_det(
     tie-break picks the same argmin as a full scan.
 
     Every chunk is scanned in the calling process, from one search
-    context: the grid is split into fixed chunks by user-1 prefix (or
-    sample index), and each chunk's screen keeps the codewords that can
-    reach its own float minimum.  The candidates of all chunks, in chunk
-    order, go to one exact stage, and the first exact minimizer among them
-    is the argmin.  That is the first minimizer of the whole scan: it is a
-    candidate of its chunk (see _scan_chunk), and every candidate before
-    it comes earlier in the scan, so none of them is a minimizer.  The
-    candidates are at most ``evaluated`` rows, which the budget bounds.
-    The exact stage runs the int64 determinant DP, or the same DP on Python
-    ints if an audit fails, and a numerator not fixed by tau = sigma^U
-    raises ArithmeticError.
+    context.  The exhaustive scan is that of the box minus the empty box
+    (see _minimum), a single part: its grid is split into fixed chunks by
+    user-1 prefix (or sample index), and each chunk's screen keeps the
+    codewords that can reach its own float minimum.  The candidates of all
+    chunks, in lex order (sample order for SAMPLED), go to one exact
+    stage, and the first exact minimizer among them is the argmin.  That
+    is the first minimizer of the whole scan: it is a candidate of its
+    chunk (see _scan_chunk), and every candidate before it comes earlier
+    in the scan, so none of them is a minimizer.  The candidates are at
+    most ``evaluated`` rows, which the budget bounds.  ``screened`` counts
+    the codewords the float screen bounded: the orbit-reduced box, or the
+    samples.  The exact stage runs the int64 determinant DP, or the same
+    DP on Python ints if an audit fails, and a numerator not fixed by
+    tau = sigma^U raises ArithmeticError.
     ``workers`` is accepted and ignored.
     """
     return _minimum(_SearchContext(spec), bounds, mode, samples, seed, budget)
 
 
-def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayReport:
-    """min_abs_det on the kernels of a search context.  Within the point,
-    each distinct (N, r) orbit grid is built once."""
+def _minimum(
+    ctx: _SearchContext, bounds, mode, samples, seed, budget, prev=None, grids=None
+) -> DecayReport:
+    """min_abs_det on the kernels of a search context, for the box
+    `bounds` minus the box of `prev`, an earlier report of the same
+    context over an inner box (the empty box without one).
+
+    An EXHAUSTIVE point scans only the parts of bounds minus the inner box
+    (_box_parts) and sends prev's argmin to the exact stage with the
+    candidates of every part's chunks, all in lex order of their
+    concatenated coefficients, the scan order of one box.  The first exact
+    minimizer among them is the first minimizer of the whole box in lex
+    order: it lies in a part, and is then a candidate of its own chunk, or
+    it lies in the inner box, and is then the first minimizer of the inner
+    box, prev's argmin.  So the report is the one the whole box gives on
+    its own, with ``evaluated`` counting the whole box and the budget and
+    row cap applied to it; ``screened`` counts the codewords of the parts.
+    `grids` maps (N, r) to the whole orbit grids of prev's box and is
+    refilled with those of `bounds`.  A SAMPLED point ignores prev."""
     t0 = time.perf_counter()
     spec = ctx.spec
     bounds = tuple(map(index, bounds))
@@ -614,6 +683,7 @@ def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayR
         # random.Random(seed) reads |seed|: seeds s and -s draw alike
         raise ValueError("seed must be non-negative")
     lengths = [spec.r_per_user for _ in bounds]
+    prior = []
 
     if mode == EXHAUSTIVE:
         evaluated = math.prod(map(grid_size, bounds, lengths))
@@ -629,17 +699,16 @@ def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayR
                     f"coefficient grid of {rows} rows exceeds the"
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
-        reps = {
-            (N, r): orbit_representatives(coeff_grid(N, r), N, ctx.units)
-            for N, r in set(zip(bounds, lengths))
-        }
-        grids = [reps[u] for u in zip(bounds, lengths)]
-        factors = ctx.float_factors(grids)
-        g1 = grids[0].shape[0]
-        chunks = (
-            _exhaustive_chunk(ctx, grids, factors, i, min(i + CHUNK_U1_ROWS, g1))
-            for i in range(0, g1, CHUNK_U1_ROWS)
-        )
+        inner = prev.bounds if prev is not None else (0,) * len(bounds)
+        grids = {} if grids is None else grids
+        ins, shells, wholes = _orbit_grids(ctx, bounds, inner, lengths, grids)
+        grids.clear()
+        grids.update(zip(zip(bounds, lengths), wholes))
+        parts = list(_box_parts(ins, shells, wholes))
+        screened = sum(math.prod(g.shape[0] for g in part) for part in parts)
+        chunks = (chunk for part in parts for chunk in _part_chunks(ctx, part))
+        if prev is not None:
+            prior = [[np.array([v], dtype=np.int64) for v in prev.argmin.vectors]]
         samples_used = seed_used = None
     else:
         if not samples or samples < 1:
@@ -653,10 +722,14 @@ def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayR
             _sampled_chunk(ctx, vecs)
             for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
         )
-        samples_used = evaluated = samples
+        samples_used = evaluated = screened = samples
 
-    per_chunk = [_scan_chunk(*chunk) for chunk in chunks]
+    per_chunk = [_scan_chunk(*chunk) for chunk in chunks] + prior
     cands = [np.concatenate(user) for user in zip(*per_chunk)]
+    if mode == EXHAUSTIVE:
+        # the parts interleave in the scan order of one box, lex order
+        order = np.lexsort(np.concatenate(cands, axis=1).T[::-1])
+        cands = [c[order] for c in cands]
     nums, s, fixed = _exact_stage(ctx, cands)
     if not fixed.all():
         raise ArithmeticError("determinant is not fixed by tau = sigma^U")
@@ -679,6 +752,7 @@ def _minimum(ctx: _SearchContext, bounds, mode, samples, seed, budget) -> DecayR
         det_p_exponent=s,
         abs_sq=absq,
         evaluated=evaluated,
+        screened=screened,
         wall_time=time.perf_counter() - t0,
     )
 
@@ -700,18 +774,26 @@ def decay_curve(
     """D evaluated at N = 1..N_max with one user's box growing (FIRST_USER)
     or every user's box growing together (ALL_USERS).  ``workers`` is
     accepted and ignored (see min_abs_det).  One search context serves
-    every point."""
+    every point.
+
+    The boxes are nested, so D(N) is the exact minimum of D(N - 1) and the
+    minimum over box(N) minus box(N - 1): each EXHAUSTIVE point after the
+    first scans only that shell, against the previous point's argmin and
+    with its orbit grids (see _minimum), and reports what min_abs_det
+    reports for the box alone, but for ``wall_time`` and ``screened``,
+    which count the shell.  SAMPLED points are drawn one by one."""
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
     if pattern not in (FIRST_USER, ALL_USERS):
         raise ValueError(f"unknown pattern {pattern!r}")
     ctx = _SearchContext(spec)
-    out = []
+    out, grids = [], {}
     for N in range(1, N_max + 1):
         bounds = (
             (N,) + (1,) * (spec.U - 1) if pattern == FIRST_USER else (N,) * spec.U
         )
-        out.append(_minimum(ctx, bounds, mode, samples, seed, budget))
+        prev = out[-1] if out else None
+        out.append(_minimum(ctx, bounds, mode, samples, seed, budget, prev, grids))
     return out
 
 
@@ -994,6 +1076,7 @@ def naive_min_abs_det(spec: CodeSpec, bounds) -> DecayReport:
         det_p_exponent=s,
         abs_sq=absq,
         evaluated=count,
+        screened=0,
         wall_time=time.perf_counter() - t0,
     )
 

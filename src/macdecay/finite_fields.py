@@ -152,11 +152,15 @@ def pf_mul(a: list, b: list, gf: GF) -> list:
 
 
 def pf_mod(a: list, b: list, gf: GF) -> list:
-    """The remainder of a modulo a nonzero b."""
+    """The remainder of a modulo a nonzero b.  A monic b (Rabin's
+    modulus) needs no inverse of its leading coefficient."""
     rem = list(a)
-    lead_inv = gf.inv(b[-1])
+    monic = b[-1] == gf.one()
+    lead_inv = None if monic else gf.inv(b[-1])
     for i in range(len(rem) - len(b), -1, -1):
-        c = gf.mul(rem[i + len(b) - 1], lead_inv)
+        c = rem[i + len(b) - 1]
+        if not monic:
+            c = gf.mul(c, lead_inv)
         if not gf.is_zero(c):
             for j, bc in enumerate(b):
                 rem[i + j] = gf.sub(rem[i + j], gf.mul(c, bc))

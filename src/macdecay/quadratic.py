@@ -220,10 +220,24 @@ def ok_valuation(x: QuadElem, p: QuadElem) -> int | float:
 
 
 def canonical_associate(x: QuadElem) -> QuadElem:
-    """The associate of x that is first in lexicographic (a, b) order."""
+    """The associate of x that is first in lexicographic (a, b) order.
+
+    The associates x * u of the units(x.tag) are linear in (a, b), and are
+    formed on Python ints when x is integral: with mu^2 = -1, x * mu =
+    (-b, a); with mu^2 = mu - 1, x * mu = (-b, a + b) and x * (mu - 1) =
+    (-a - b, a)."""
     if not x:
         return x
-    return min((x * u for u in units(x.tag)), key=lambda z: (z.a, z.b))
+    a, b, tag = x.a, x.b, x.tag
+    if x.is_integral():
+        a, b = a.numerator, b.numerator
+    if tag is RingTag.GAUSSIAN:
+        pairs = ((a, b), (-b, a), (-a, -b), (b, -a))
+    elif tag is RingTag.EISENSTEIN:
+        pairs = ((a, b), (-b, a + b), (-a - b, a), (-a, -b), (b, -a - b), (a + b, -a))
+    else:
+        pairs = ((a, b), (-a, -b))
+    return QuadElem(*min(pairs), tag)
 
 
 def _rational_primes(bound: int):

@@ -690,6 +690,26 @@ class TestFactoredScreen:
                 got.append(sizes[0])
             assert got == counts, pattern
 
+    def test_golden_curve_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
+        # in a curve, each point's exact stage takes the candidates of its
+        # shell plus the previous argmin; test_golden_exact_stage_counts_frozen
+        # holds the counts of each box alone
+        stage, sizes = decay._exact_stage, []
+
+        def counted_stage(ctx, vec_arrays):
+            sizes.append(vec_arrays[0].shape[0])
+            return stage(ctx, vec_arrays)
+
+        monkeypatch.setattr(decay, "_exact_stage", counted_stage)
+        want = {
+            FIRST_USER: [6, 2, 3, 4, 5, 8, 12, 19],
+            ALL_USERS: [6, 4, 5],
+        }
+        for pattern, counts in want.items():
+            sizes.clear()
+            decay_curve(golden_spec, len(counts), pattern=pattern)
+            assert sizes == counts, pattern
+
 
 class TestNaiveOracle:
     def test_engine_matches_naive_enumeration(self, golden_spec):
@@ -1005,6 +1025,67 @@ class TestDecayCurve:
         for rep, w in zip(curve, want):
             same_report(rep, w)
 
+    @pytest.mark.parametrize(
+        "spec_name, pattern, N_max",
+        [("golden_spec", FIRST_USER, 8), ("golden_spec", ALL_USERS, 3),
+         ("eisenstein_spec", FIRST_USER, 6), ("eisenstein_spec", ALL_USERS, 2)],
+    )
+    def test_shell_scan_matches_each_box_alone(
+        self, spec_name, pattern, N_max, request, monkeypatch
+    ):
+        # each point after the first scans only its box minus the previous
+        # one and decides it against the previous argmin; every report is
+        # still the one min_abs_det gives for the box on its own, whatever
+        # the chunking
+        spec = request.getfixturevalue(spec_name)
+        want = [
+            min_abs_det(spec, (N, 1) if pattern == FIRST_USER else (N, N))
+            for N in range(1, N_max + 1)
+        ]
+        for rows in (1, 7, 512):
+            monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
+            curve = decay_curve(spec, N_max, pattern=pattern)
+            assert len(curve) == N_max
+            for rep, w in zip(curve, want):
+                same_report(rep, w)
+
+    def test_tied_minimum_moves_to_the_shell(self, golden_spec):
+        # golden N = 2 ties N = 1, and its first minimizer in lex order lies
+        # in the shell, ahead of the previous argmin
+        one, two = decay_curve(golden_spec, 2)
+        assert two.abs_sq == one.abs_sq and two.D_value == one.D_value
+        assert one.argmin.vectors == ((-1, -1, 0, 0), (-1, -1, 1, 0))
+        assert two.argmin.vectors == ((-2, -1, 1, 1), (-1, -1, 0, 0))
+        assert max(map(abs, two.argmin.vectors[0])) == 2
+
+    def test_screened_counts_frozen(self, golden_spec):
+        # codewords whose float bounds a point computed: the shell's in a
+        # curve, the whole orbit-reduced box for min_abs_det alone
+        want = {
+            FIRST_USER: (
+                [400, 2720, 8880, 20800, 40400, 69600, 110320, 164480],
+                [400, 3120, 12000, 32800, 73200, 142800, 253120, 417600],
+            ),
+            ALL_USERS: ([400, 23936, 335664], [400, 24336, 360000]),
+        }
+        for pattern, (in_curve, alone) in want.items():
+            curve = decay_curve(golden_spec, len(in_curve), pattern=pattern)
+            assert [r.screened for r in curve] == in_curve, pattern
+            boxes = [r.bounds for r in curve]
+            assert [min_abs_det(golden_spec, b).screened for b in boxes] == alone
+        sampled = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=300, seed=5)
+        assert sampled.screened == 300
+        assert naive_min_abs_det(golden_spec, (1, 1)).screened == 0
+
+    def test_curve_budget_refusal_unchanged(self, golden_spec):
+        # the budget still applies to the whole box, not to its shell
+        with pytest.raises(
+            BudgetExceeded,
+            match=r"^exhaustive search needs 5760000 codewords, budget is 400000;"
+            r" use SAMPLED mode$",
+        ):
+            decay_curve(golden_spec, 3, pattern=ALL_USERS, budget=400_000)
+
     def test_curve_argument_validation(self, golden_spec):
         with pytest.raises(ValueError):
             decay_curve(golden_spec, 0)
@@ -1027,6 +1108,7 @@ def synthetic_report(golden_spec, N, D, radius=1e-18):
         det_p_exponent=0,
         abs_sq=one.abs_sq_real(),
         evaluated=1,
+        screened=0,
         wall_time=0.0,
     )
 

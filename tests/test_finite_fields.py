@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from macdecay.finite_fields import (
-    GF, InertnessInconclusive, is_irreducible_mod_p, pf_gcd, pf_mul,
+    GF, InertnessInconclusive, is_irreducible_mod_p, pf_gcd, pf_mod, pf_mul,
     pf_powmod, reduce_poly_mod_p, residue_field,
 )
 from macdecay.quadratic import (
     GAUSSIAN, EISENSTEIN, QuadElem, enumerate_primes, sqrt_minus3,
 )
 
-from util import irreducible_by_roots_reference
+from util import irreducible_by_roots_reference, pf_mod_reference
 
 F5 = (-1, 1, 1)      # conductor 5, degree 2
 F7 = (-1, -2, 1, 1)  # conductor 7, degree 3
@@ -153,3 +153,26 @@ class TestPolyModP:
         g = pf_gcd(prod, a, gf)
         # gcd is monic x + 3
         assert g == a
+
+    @pytest.mark.parametrize(
+        "gf", [GF(7), GF(13), GF(7, (-1, 0)), GF(5, (-1, 1))],
+        ids=["F7", "F13", "F49", "F25"],
+    )
+    def test_mod_matches_the_inverting_form(self, gf):
+        # a monic b skips the inverse of its leading coefficient; a
+        # non-monic b (as pf_gcd passes) keeps it
+        rng = random.Random(61)
+
+        def elem():
+            return tuple(rng.randrange(gf.ell) for _ in range(gf.deg))
+
+        monic = 0
+        for _ in range(200):
+            a = [elem() for _ in range(rng.randint(0, 9))]
+            b = [elem() for _ in range(rng.randint(0, 5))]
+            b.append(gf.one() if rng.random() < 0.5 else elem())
+            if gf.is_zero(b[-1]):
+                continue
+            monic += b[-1] == gf.one()
+            assert pf_mod(a, b, gf) == pf_mod_reference(a, b, gf), (a, b)
+        assert monic > 50

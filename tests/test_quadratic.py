@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from macdecay import quadratic
 from macdecay.quadratic import (
     GAUSSIAN, EISENSTEIN, MAX_NORM_BOUND, QuadElem, RingTag, canonical_associate,
     enumerate_primes, mu, ok_valuation, primes_above, sqrt_minus3, units,
 )
+
+from util import canonical_associate_reference
 
 
 def G(a, b=0):
@@ -123,6 +126,26 @@ class TestAssociatesAndPrimes:
             x = QuadElem(3, 1, tag)
             for u in units(tag):
                 assert canonical_associate(x * u) == canonical_associate(x)
+
+    def test_canonical_associate_matches_the_product_form(self):
+        rng = random.Random(67)
+        for tag in (GAUSSIAN, EISENSTEIN):
+            for _ in range(300):
+                den = rng.choice((1, 1, 2, 3))
+                a = Fraction(rng.randint(-40, 40), den)
+                b = Fraction(rng.randint(-40, 40), den)
+                for x in (QuadElem(a, b, tag), QuadElem(a)):
+                    got = canonical_associate(x)
+                    want = canonical_associate_reference(x)
+                    assert (got.a, got.b, got.tag) == (want.a, want.b, want.tag), x
+
+    @pytest.mark.parametrize("tag", [GAUSSIAN, EISENSTEIN])
+    def test_enumerate_primes_matches_the_product_form(self, tag, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(quadratic, "canonical_associate", canonical_associate_reference)
+            want = enumerate_primes(tag, 5000)
+        got = enumerate_primes(tag, 5000)
+        assert [(p.a, p.b, p.tag) for p in got] == [(p.a, p.b, p.tag) for p in want]
 
     def test_primes_above_split_inert_ramified(self):
         two = primes_above(2, GAUSSIAN)

@@ -9,10 +9,11 @@ from macdecay.construction import (
     CodeSpec, CoefficientBox, assemble_codeword, gamma_basis,
 )
 from macdecay.decay import _laplace_det, _nonzero_vectors, abs_sq_of_det
-from macdecay.finite_fields import reduce_poly_mod_p
+from macdecay.finite_fields import pf_trim, reduce_poly_mod_p
 from macdecay.kernels import (
     DET_EVAL_REL, EMB_REL_ERR, GRID_ROW_CAP, det_float_batch,
 )
+from macdecay.quadratic import units
 
 
 def elem_from_gamma(tower, vec):
@@ -174,3 +175,24 @@ def irreducible_by_roots_reference(f, p, tag=None):
         if gf.is_zero(acc):
             return False
     return True
+
+
+def pf_mod_reference(a, b, gf):
+    """finite_fields.pf_mod with the leading coefficient of b always
+    inverted, the form the monic shortcut replaces."""
+    rem = list(a)
+    lead_inv = gf.inv(b[-1])
+    for i in range(len(rem) - len(b), -1, -1):
+        c = gf.mul(rem[i + len(b) - 1], lead_inv)
+        if not gf.is_zero(c):
+            for j, bc in enumerate(b):
+                rem[i + j] = gf.sub(rem[i + j], gf.mul(c, bc))
+    return pf_trim(rem, gf)
+
+
+def canonical_associate_reference(x):
+    """quadratic.canonical_associate as the QuadElem product with every
+    unit, the form the (a, b) formulas replace."""
+    if not x:
+        return x
+    return min((x * u for u in units(x.tag)), key=lambda z: (z.a, z.b))
