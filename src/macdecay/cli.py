@@ -247,6 +247,11 @@ def cmd_rank_check(args, cfg: dict) -> int:
         raise ValueError("samples must be positive")
     if seed < 0:  # random.Random(seed) reads |seed|
         raise ValueError("seed must be non-negative")
+    budget = _pick(args.budget, "MACDECAY_BUDGET", cfg, "budget", DEFAULT_BUDGET)
+    if budget < 1:
+        raise ValueError("budget must be positive")
+    if samples > budget:
+        raise BudgetExceeded(f"sample count {samples} exceeds budget {budget}")
     bounds = (bound,) * spec.U
 
     def boxes():

@@ -54,6 +54,12 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass
 class DecayReport:
+    """One point of a decay curve.  ``evaluated`` counts the codewords the
+    point covers; ``screened`` those whose float bounds it computed: the
+    meet-in-the-middle window pairs (EXHAUSTIVE, n_t = 1), the scanned
+    orbit-reduced codewords (EXHAUSTIVE, n_t >= 2), the samples (SAMPLED),
+    or 0 (naive_min_abs_det)."""
+
     bounds: tuple[int, ...]
     mode: str
     samples: int | None
@@ -208,11 +214,17 @@ def orbit_representatives(
     so the image's key minus v's is v @ shift with shift = kron(I, mat) @ w
     - w: one exact int64 product, a column per unit, decides every
     comparison (keys stay below the grid row cap)."""
-    r = grid.shape[1]
+    return grid[_orbit_minimal(grid, N, units)]
+
+
+def _orbit_minimal(rows: np.ndarray, N: int, units: list[np.ndarray]) -> np.ndarray:
+    """Whether each row of entries in [-N, N] is lex-smallest in its unit
+    orbit (see orbit_representatives)."""
+    r = rows.shape[1]
     w = (2 * N + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    eye = np.eye(r // units[0].shape[0], dtype=np.int64)
-    shift = np.stack([np.kron(eye, mat) @ w - w for mat in units], axis=1)
-    return grid[(grid @ shift >= 0).all(axis=1)]
+    slots = w.reshape(-1, units[0].shape[0])
+    shift = np.stack([(slots @ mat.T).ravel() - w for mat in units], axis=1)
+    return (rows @ shift >= 0).all(axis=1)
 
 
 class _SearchContext:
@@ -272,10 +284,11 @@ class _SearchContext:
         return minors, a, ab
 
 
-def _screen_sub(terms, pre, last):
-    """lo^2 and up^2 of |det| for prefix factors `pre` against last-user
-    factors `last`, as broadcast together: d by the Laplace terms, the
-    prefix minor first in each product, and the slack of both blocks."""
+def _float_det(terms, pre, last):
+    """(d, s) for prefix factors `pre` against last-user factors `last`,
+    as broadcast together: the float determinant d by the Laplace terms,
+    the prefix minor first in each product, and the slack s of both blocks,
+    |det - d| <= s (see _scan_chunk)."""
     pm, pa, pab = pre
     lm, la, lab = last
     d = pm[0] * lm[0]
@@ -284,7 +297,13 @@ def _screen_sub(terms, pre, last):
             d += p * l
         else:
             d -= p * l
-    s = det_slack_batch((pa, pab), (la, lab))
+    return d, det_slack_batch((pa, pab), (la, lab))
+
+
+def _screen_sub(terms, pre, last):
+    """lo^2 and up^2 of |det| for prefix factors `pre` against last-user
+    factors `last` (_float_det)."""
+    d, s = _float_det(terms, pre, last)
     ad = np.abs(d)
     lo = np.maximum(ad - s, 0.0)
     up = ad + s
@@ -465,6 +484,172 @@ def _box_parts(ins, shells, wholes):
             yield grids
 
 
+def _grid_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
+    """(candidates, screened) of the orbit-grid scan of the box `bounds`
+    minus the box of `prev` (see _minimum): the per-user rows of every
+    part's chunk candidates, plus prev's argmin, in no particular order,
+    and the number of codewords of the parts.  `grids` maps (N, r) to the
+    whole orbit grids of prev's box and is refilled with those of
+    `bounds`."""
+    inner = prev.bounds if prev is not None else (0,) * len(bounds)
+    ins, shells, wholes = _orbit_grids(ctx, bounds, inner, lengths, grids)
+    grids.clear()
+    grids.update(zip(zip(bounds, lengths), wholes))
+    parts = list(_box_parts(ins, shells, wholes))
+    screened = sum(math.prod(g.shape[0] for g in part) for part in parts)
+    per_chunk = [_scan_chunk(*c) for part in parts for c in _part_chunks(ctx, part)]
+    if prev is not None:
+        per_chunk.append([np.array([v], dtype=np.int64) for v in prev.argmin.vectors])
+    return [np.concatenate(user) for user in zip(*per_chunk)], screened
+
+
+def _half_grid(N: int, length: int) -> np.ndarray:
+    """Every integer vector with entries in [-N, N], zero included at row
+    (2N + 1)^length // 2, lex ascending."""
+    grid = coeff_grid(N, length)
+    return np.insert(grid, grid.shape[0] // 2, 0, axis=0)
+
+
+def _cofactors(ctx: _SearchContext, factors, rows, N: int):
+    """(c, S) for each k and the y that stacks row rows[j][k] of the grid
+    of user j + 2: c[k, g] = c~_g(y), the float det with user 1's row the
+    embedded generator g, and S[k] = S(y) = N sum_g (s_g + 2^-40 |c~_g|)
+    rounded up, with s_g its slack, so |det(x, y) - sum_g x_g c~_g| <=
+    S(y) for every x in [-N, N]^r (see _mitm_scan).  factors are the
+    float_factors of the identity (user 1's generators) and the grids of
+    users 2..U."""
+    pre, last = factors
+    r, nq = ctx.spec.r_per_user, rows[0].shape[0]
+    rows = [np.tile(np.arange(r), nq), *(np.repeat(i, r) for i in rows)]
+    p = ctx.prefix_factors(pre, rows[:-1], nq * r)
+    c, s = _float_det(ctx.terms, p, [f[..., rows[-1]] for f in last])
+    c = c.reshape(nq, r)
+    S = N * (s.reshape(nq, r) + 2.0**-40 * np.abs(c)).sum(axis=1) * (1 + 2.0**-30)
+    return c, S
+
+
+def _mitm_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
+    """(candidates, screened) of the box `bounds` for n_t = 1 by meet in
+    the middle (Horowitz and Sahni, JACM 1974), with the contract of
+    _grid_scan: user 1's whole box against the orbit representatives y of
+    users 2..U, and ``screened`` the number of window pairs below.  prev
+    only lends an upper bound on the minimum.  `grids` maps (N, r) to the
+    orbit representatives of users 2..U and is refilled with this box's.
+
+    With n_t = 1 user 1 owns one row, so det is linear in its coefficient
+    vector x: det(x, y) = sum_g x_g c_g(y), where c_g(y) is the det with
+    user 1's row replaced by its embedded generator g.  The float screen
+    gives each c_g as c~_g with |c_g - c~_g| <= s_g (_float_det on the
+    user-1 vectors e_g).  x splits into halves a (its first r // 2
+    coordinates) and b, each ranging over [-N, N] including 0.  With the
+    float64 half sums A_a = sum_(g in a) x_g c~_g and B_b likewise,
+
+        |det(x, y) - (A_a + B_b)| <= S(y) = N sum_g (s_g + 2^-40 |c~_g|),
+
+    where 2^-40 |c~_g| covers, many times over, the rounding of the half
+    sums (r terms, relative error r 2^-53), of |A_a + B_b| and of the
+    window ends below.  ub is a proven upper bound on the minimum of |det|
+    over the box, rounded up by 2^-40 each time it is set: prev's D_value
+    + error_radius (prev's box lies inside this one), then |A_a| + S or
+    |B_b| + S for a codeword with one half zero, then the least up below.
+
+    For every y the B sums are sorted by real part, and each A sum takes
+    the window Re B in [-Re A - T, -Re A + T], T = (ub + 2 S)(1 + 2^-50),
+    by searchsorted.  Every window pair but x = 0 gets lo = max(|A + B| -
+    S, 0) and up = |A + B| + S.  A batch of SUB_BATCH // (2N + 1)^(r -
+    r // 2) y is searched at once, each y's keys shifted by its own
+    offset; adding a constant is monotone in floats, so the shifted keys
+    stay sorted and every window keeps its pairs.  Pairs are expanded
+    SUB_BATCH at a time, so memory stays bounded whatever the box.
+
+    The candidates are the window pairs whose x is lex-smallest in its
+    unit orbit and whose lo^2 is at most the least up^2 of all window
+    pairs.  The first minimizer z of the box in lex order is one of them:
+    - z lies in its window, since |Re(A + B)| <= |det z| + S <= ub + S
+      (the second S and the factor on T cover the rounding of the window
+      ends), and lo^2(z) <= |det z|^2 <= up^2(z') for every z' (see
+      _scan_chunk).  So no pair outside the window, or with lo^2 above
+      the least up^2, is a minimizer.
+    - Each user's vector of z is lex-smallest in its orbit: the minimizers
+      are closed under each user's unit action (orbit_units), and the
+      representative of a vector that is not would give an earlier
+      minimizer.  Users 2..U run over their representatives only.
+    Decided exactly in lex order, the first exact minimizer among the
+    candidates is therefore z."""
+    N, r = bounds[0], lengths[0]
+    others = list(zip(bounds[1:], lengths[1:]))
+    reps = {k: grids[k] for k in others if k in grids}
+    for n, length in set(others) - reps.keys():
+        reps[n, length] = orbit_representatives(coeff_grid(n, length), n, ctx.units)
+    grids.clear()
+    grids.update(reps)
+    reps = [reps[k] for k in others]
+    sizes = [g.shape[0] for g in reps]
+    factors = ctx.float_factors([np.eye(r, dtype=np.int64), *reps])
+    HA, HB = _half_grid(N, r // 2), _half_grid(N, r - r // 2)
+    fa, fb = HA.T.astype(np.float64), HB.T.astype(np.float64)
+    na, nb = HA.shape[0], HB.shape[0]
+    za, zb = na // 2, nb // 2
+    ub = math.inf
+    if prev is not None:
+        ub = (prev.D_value + prev.error_radius) * (1 + 2.0**-40)
+    m, screened, kept = math.inf, 0, []
+    step = max(1, SUB_BATCH // nb)
+    count = math.prod(sizes)
+    for y0 in range(0, count, step):
+        q = np.arange(y0, min(y0 + step, count), dtype=np.int64)
+        nq = q.shape[0]
+        c, S = _cofactors(ctx, factors, np.unravel_index(q, sizes), N)
+        A, B = c[:, : r // 2] @ fa, c[:, r // 2 :] @ fb
+        # the codewords with one half zero bound the minimum
+        one_half = np.minimum(
+            np.delete(np.abs(A), za, axis=1).min(axis=1),
+            np.delete(np.abs(B), zb, axis=1).min(axis=1),
+        )
+        ub = min(ub, float((one_half + S).min()) * (1 + 2.0**-40))
+        T = ((ub + 2 * S) * (1 + 2.0**-50))[:, None]
+        oa = np.argsort(A.real, axis=1)[:, ::-1]
+        ob = np.argsort(B.real, axis=1)
+        As = np.take_along_axis(A, oa, axis=1)
+        Bs = np.take_along_axis(B, ob, axis=1)
+        lo_q, hi_q = -As.real - T, -As.real + T
+        # offsets more than twice any |key| apart keep the rows apart
+        gap = 4 * (np.abs(Bs.real).max() + np.abs(As.real).max() + T.max()) + 1
+        off = gap * np.arange(nq, dtype=np.float64)[:, None]
+        keys_b = (Bs.real + off).ravel()
+        start = np.searchsorted(keys_b, (lo_q + off).ravel(), side="left")
+        width = np.searchsorted(keys_b, (hi_q + off).ravel(), side="right") - start
+        As, Bs, oa, ob = As.ravel(), Bs.ravel(), oa.ravel(), ob.ravel()
+        ends = np.cumsum(width)
+        g0 = 0
+        while g0 < ends.shape[0]:
+            done = int(ends[g0 - 1]) if g0 else 0
+            g1 = max(g0 + 1, int(np.searchsorted(ends, done + SUB_BATCH, side="right")))
+            w = width[g0:g1]
+            grp = np.repeat(np.arange(g0, g1), w)
+            jb = np.arange(done, int(ends[g1 - 1])) + np.repeat(
+                start[g0:g1] - (ends[g0:g1] - w), w
+            )
+            row, i, j = grp // na, oa[grp], ob[jb]
+            nonzero = (i != za) | (j != zb)
+            grp, jb, row, i, j = (v[nonzero] for v in (grp, jb, row, i, j))
+            ad = np.abs(As[grp] + Bs[jb])
+            lo = np.maximum(ad - S[row], 0.0)
+            up = ad + S[row]
+            lo2, up2 = lo * lo, up * up
+            screened += lo2.shape[0]
+            m = min(m, float(up2.min(initial=np.inf)))
+            sel = lo2 <= m
+            kept.append((lo2[sel], q[row[sel]], i[sel], j[sel]))
+            g0 = g1
+        ub = min(ub, math.sqrt(m) * (1 + 2.0**-40))
+    lo2, yq, i, j = map(np.concatenate, zip(*kept))
+    x = np.concatenate([HA[i], HB[j]], axis=1)
+    sel = (lo2 <= m) & _orbit_minimal(x, N, ctx.units)
+    ys = np.unravel_index(yq[sel], sizes)
+    return [x[sel], *(g[k] for g, k in zip(reps, ys))], screened
+
+
 def _sampled_chunk(ctx: _SearchContext, vecs: list[np.ndarray]):
     """_scan_chunk's (pieces, vecs, rows_of) for one chunk of drawn
     samples, codeword k stacking row k of every user."""
@@ -625,27 +810,30 @@ def min_abs_det(
     so the draw's memory does not grow with ``samples`` and the drawn boxes
     are the same as one draw.
     The exhaustive scan covers one coefficient vector per unit orbit of
-    each user (see orbit_units; |det| is the same on the whole orbit), and
-    ``evaluated`` still counts every covered codeword.  The set of
-    minimizers is closed under the per-user unit action, so its
-    lex-smallest member survives the reduction and the first-index
-    tie-break picks the same argmin as a full scan.
+    each user (users 2..U with n_t = 1; see orbit_units, |det| is the same
+    on the whole orbit), and ``evaluated`` still counts every covered
+    codeword.  The set of minimizers is closed under the per-user unit
+    action, so its lex-smallest member survives the reduction and the
+    first-index tie-break picks the same argmin as a full scan.
 
-    Every chunk is scanned in the calling process, from one search
-    context.  The exhaustive scan is that of the box minus the empty box
-    (see _minimum), a single part: its grid is split into fixed chunks by
-    user-1 prefix (or sample index), and each chunk's screen keeps the
-    codewords that can reach its own float minimum.  The candidates of all
-    chunks, in lex order (sample order for SAMPLED), go to one exact
-    stage, and the first exact minimizer among them is the argmin.  That
-    is the first minimizer of the whole scan: it is a candidate of its
-    chunk (see _scan_chunk), and every candidate before it comes earlier
-    in the scan, so none of them is a minimizer.  The candidates are at
-    most ``evaluated`` rows, which the budget bounds.  ``screened`` counts
-    the codewords the float screen bounded: the orbit-reduced box, or the
-    samples.  The exact stage runs the int64 determinant DP, or the same
-    DP on Python ints if an audit fails, and a numerator not fixed by
-    tau = sigma^U raises ArithmeticError.
+    Every scan runs in the calling process, from one search context, and
+    the path is fixed by the code.  With n_t = 1, det is linear in user 1's
+    vector, and meet in the middle (_mitm_scan) windows user 1's two half
+    sums against each other for every orbit representative of the other
+    users.  With n_t >= 2, the orbit-grid scan (_grid_scan) splits the
+    grid into fixed chunks by user-1 prefix, and each chunk's screen keeps
+    the codewords that can reach its own float minimum.  SAMPLED screens
+    the samples chunk by chunk the same way.  The candidates, in lex order
+    (sample order for SAMPLED), go to one exact stage, and the first exact
+    minimizer among them is the argmin: the first minimizer of the box (or
+    the samples) is always a candidate, and every candidate before it comes
+    earlier, so none of them is a minimizer.  The candidates are at most
+    ``evaluated`` rows, which the budget bounds.  ``screened`` counts the
+    codewords whose float bounds were computed: the window pairs with
+    n_t = 1, the orbit-reduced box with n_t >= 2, or the samples.  The
+    exact stage runs the int64 determinant DP, or the same DP on Python
+    ints if an audit fails, and a numerator not fixed by tau = sigma^U
+    raises ArithmeticError.
     ``workers`` is accepted and ignored.
     """
     return _minimum(_SearchContext(spec), bounds, mode, samples, seed, budget)
@@ -655,21 +843,23 @@ def _minimum(
     ctx: _SearchContext, bounds, mode, samples, seed, budget, prev=None, grids=None
 ) -> DecayReport:
     """min_abs_det on the kernels of a search context, for the box
-    `bounds` minus the box of `prev`, an earlier report of the same
-    context over an inner box (the empty box without one).
+    `bounds` with `prev`, an earlier report of the same context over an
+    inner box (none for the empty box).
 
-    An EXHAUSTIVE point scans only the parts of bounds minus the inner box
-    (_box_parts) and sends prev's argmin to the exact stage with the
-    candidates of every part's chunks, all in lex order of their
-    concatenated coefficients, the scan order of one box.  The first exact
-    minimizer among them is the first minimizer of the whole box in lex
-    order: it lies in a part, and is then a candidate of its own chunk, or
-    it lies in the inner box, and is then the first minimizer of the inner
-    box, prev's argmin.  So the report is the one the whole box gives on
-    its own, with ``evaluated`` counting the whole box and the budget and
-    row cap applied to it; ``screened`` counts the codewords of the parts.
-    `grids` maps (N, r) to the whole orbit grids of prev's box and is
-    refilled with those of `bounds`.  A SAMPLED point ignores prev."""
+    An EXHAUSTIVE point takes its candidates from _mitm_scan when n_t = 1
+    and from _grid_scan otherwise, and sends them to one exact stage in lex
+    order of their concatenated coefficients, the scan order of one box;
+    the first exact minimizer among them is the argmin.  The grid scan
+    covers only the parts of bounds minus the inner box (_box_parts) and
+    adds prev's argmin: the first minimizer of the whole box in lex order
+    lies in a part, and is then a candidate of its own chunk, or it lies in
+    the inner box, and is then the first minimizer of the inner box, prev's
+    argmin.  The meet-in-the-middle scan covers the whole box and takes
+    from prev only an upper bound on the minimum.  Either way the report is
+    the one the whole box gives on its own, with ``evaluated`` counting the
+    whole box and the budget and row cap applied to it; ``screened`` counts
+    what the scan bounded in floats.  `grids` carries the scan's orbit
+    grids from prev's point to this one.  A SAMPLED point ignores prev."""
     t0 = time.perf_counter()
     spec = ctx.spec
     bounds = tuple(map(index, bounds))
@@ -683,7 +873,6 @@ def _minimum(
         # random.Random(seed) reads |seed|: seeds s and -s draw alike
         raise ValueError("seed must be non-negative")
     lengths = [spec.r_per_user for _ in bounds]
-    prior = []
 
     if mode == EXHAUSTIVE:
         evaluated = math.prod(map(grid_size, bounds, lengths))
@@ -699,16 +888,11 @@ def _minimum(
                     f"coefficient grid of {rows} rows exceeds the"
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
-        inner = prev.bounds if prev is not None else (0,) * len(bounds)
+        scan = _mitm_scan if spec.n_t == 1 else _grid_scan
         grids = {} if grids is None else grids
-        ins, shells, wholes = _orbit_grids(ctx, bounds, inner, lengths, grids)
-        grids.clear()
-        grids.update(zip(zip(bounds, lengths), wholes))
-        parts = list(_box_parts(ins, shells, wholes))
-        screened = sum(math.prod(g.shape[0] for g in part) for part in parts)
-        chunks = (chunk for part in parts for chunk in _part_chunks(ctx, part))
-        if prev is not None:
-            prior = [[np.array([v], dtype=np.int64) for v in prev.argmin.vectors]]
+        cands, screened = scan(ctx, bounds, lengths, prev, grids)
+        order = np.lexsort(np.concatenate(cands, axis=1).T[::-1])
+        cands = [c[order] for c in cands]
         samples_used = seed_used = None
     else:
         if not samples or samples < 1:
@@ -718,18 +902,13 @@ def _minimum(
                 f"sample count {samples} exceeds budget {budget}"
             )
         seed_used = 0 if seed is None else int(seed)
-        chunks = (
-            _sampled_chunk(ctx, vecs)
+        per_chunk = [
+            _scan_chunk(*_sampled_chunk(ctx, vecs))
             for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
-        )
+        ]
+        cands = [np.concatenate(user) for user in zip(*per_chunk)]
         samples_used = evaluated = screened = samples
 
-    per_chunk = [_scan_chunk(*chunk) for chunk in chunks] + prior
-    cands = [np.concatenate(user) for user in zip(*per_chunk)]
-    if mode == EXHAUSTIVE:
-        # the parts interleave in the scan order of one box, lex order
-        order = np.lexsort(np.concatenate(cands, axis=1).T[::-1])
-        cands = [c[order] for c in cands]
     nums, s, fixed = _exact_stage(ctx, cands)
     if not fixed.all():
         raise ArithmeticError("determinant is not fixed by tau = sigma^U")
@@ -774,14 +953,17 @@ def decay_curve(
     """D evaluated at N = 1..N_max with one user's box growing (FIRST_USER)
     or every user's box growing together (ALL_USERS).  ``workers`` is
     accepted and ignored (see min_abs_det).  One search context serves
-    every point.
+    every point, and each EXHAUSTIVE point hands its orbit grids and its
+    report to the next (see _minimum).
 
-    The boxes are nested, so D(N) is the exact minimum of D(N - 1) and the
-    minimum over box(N) minus box(N - 1): each EXHAUSTIVE point after the
-    first scans only that shell, against the previous point's argmin and
-    with its orbit grids (see _minimum), and reports what min_abs_det
-    reports for the box alone, but for ``wall_time`` and ``screened``,
-    which count the shell.  SAMPLED points are drawn one by one."""
+    The boxes are nested, so D(N - 1) bounds D(N) from above.  With n_t = 1
+    that bound narrows the next point's meet-in-the-middle windows, and
+    ``screened`` counts its window pairs.  With n_t >= 2, D(N) is the exact
+    minimum of D(N - 1) and the minimum over box(N) minus box(N - 1), so
+    each point after the first scans only that shell, against the previous
+    argmin, and ``screened`` counts the shell's codewords.  Either way every
+    point reports what min_abs_det reports for the box alone, but for
+    ``wall_time`` and ``screened``.  SAMPLED points are drawn one by one."""
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
     if pattern not in (FIRST_USER, ALL_USERS):

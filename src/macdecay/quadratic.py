@@ -283,9 +283,10 @@ def enumerate_primes(tag: RingTag, norm_bound: int) -> list[QuadElem]:
     sorted by (norm, a, b).  A bound above MAX_NORM_BOUND is refused."""
     if norm_bound > MAX_NORM_BOUND:
         raise ValueError(f"norm bound {norm_bound} exceeds {MAX_NORM_BOUND}")
-    found: list[QuadElem] = []
+    found = []
     for ell in _rational_primes(norm_bound):
         for p in primes_above(ell, tag):
-            if p.norm() <= norm_bound:
-                found.append(p)
-    return sorted(found, key=lambda z: (z.norm(), z.a, z.b))
+            n = p.norm()
+            if n <= norm_bound:
+                found.append((n, p.a, p.b, p))
+    return [p for *_, p in sorted(found, key=lambda t: t[:3])]

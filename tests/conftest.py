@@ -59,3 +59,16 @@ def eisenstein_tower():
 def eisenstein_spec(eisenstein_tower):
     # -2 + omega, the first inert prime find_inert_primes returns
     return CodeSpec(eisenstein_tower, QuadElem(-2, 1, RingTag.EISENSTEIN))
+
+
+@pytest.fixture(scope="session")
+def two_antenna_tower():
+    # degree-2 period field of conductor 5 over Q(i), one 2-antenna user
+    return build_tower(RingTag.GAUSSIAN, 1, 2)
+
+
+@pytest.fixture(scope="session")
+def two_antenna_spec(two_antenna_tower):
+    # n_t = 2, so the exhaustive search takes the orbit-grid scan: r = 8,
+    # 6,560 codewords at N = 1
+    return CodeSpec(two_antenna_tower, QuadElem(1, 1, RingTag.GAUSSIAN))

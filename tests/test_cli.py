@@ -127,6 +127,45 @@ class TestRankCheckCommand:
             "invalid configuration: sampled coefficient bounds must be below 2**63\n"
         )
 
+    @pytest.mark.parametrize(
+        "config, argv, env, message",
+        [
+            # the default budget, 10**8
+            ({"samples": 10**12}, [], None, "1000000000000 exceeds budget 100000000"),
+            ({"samples": 50}, ["--budget", "49"], None, "50 exceeds budget 49"),
+            # the environment over the config key
+            ({"samples": 50, "budget": 20}, [], "30", "50 exceeds budget 30"),
+            # the default 1,000 samples
+            ({"budget": 999}, [], None, "1000 exceeds budget 999"),
+        ],
+    )
+    def test_samples_over_budget_is_exit_3(
+        self, config, argv, env, message, tmp_path, capsys, monkeypatch
+    ):
+        # the sweep is counted up front: it used to run 10**12 boxes
+        def refused(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "rank_criterion_check", refused)
+        if env is None:
+            monkeypatch.delenv("MACDECAY_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("MACDECAY_BUDGET", env)
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), **config})
+        rc = cli.main(["rank-check", "--config", cfg, *argv])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == f"budget exceeded: sample count {message}\n"
+
+    def test_nonpositive_budget_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "rank_criterion_check", None)
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 5})
+        rc = cli.main(["rank-check", "--config", cfg, "--budget", "0"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "invalid configuration: budget must be positive\n"
+
 
 class TestDecayCommand:
     def test_exhaustive_curve_passes_default_tolerance(self, tmp_path, capsys):

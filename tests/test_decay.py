@@ -51,6 +51,13 @@ def random_boxes(spec, rng, count, bound=2):
     return out
 
 
+def grid_scan(monkeypatch):
+    """Send every EXHAUSTIVE search through the orbit-grid scan, n_t = 1
+    included, for the rest of the test; without this n_t = 1 takes the
+    meet-in-the-middle scan."""
+    monkeypatch.setattr(decay, "_mitm_scan", decay._grid_scan)
+
+
 def record_dtypes(monkeypatch):
     """Wrap decay.det_int_batch and decay._exact_stage.  Returns two lists
     that receive the dtype of every determinant batch run and of every
@@ -400,14 +407,18 @@ class TestMinAbsDetEngine:
     @pytest.mark.parametrize(
         "spec_name, bounds",
         [("golden_spec", (2, 1)), ("golden_spec", (2, 2)), ("golden_spec", (3, 1)),
-         ("eisenstein_spec", (1, 1)), ("eisenstein_spec", (2, 1))],
+         ("eisenstein_spec", (1, 1)), ("eisenstein_spec", (2, 1)),
+         ("two_antenna_spec", (1,))],
     )
     def test_exhaustive_report_does_not_depend_on_chunking(
         self, spec_name, bounds, request, monkeypatch
     ):
         # with one user-1 row per chunk, minimizers with different user-1
         # vectors fall in different chunks; the first-index tie-break must
-        # still pick the argmin of the one-chunk scan
+        # still pick the argmin of the one-chunk scan.  Chunks exist only
+        # on the orbit-grid scan: n_t = 2 takes it by structure, n_t = 1
+        # is sent to it
+        grid_scan(monkeypatch)
         spec = request.getfixturevalue(spec_name)
         reps = []
         for rows in (1, 7, 512):
@@ -666,49 +677,69 @@ class TestFactoredScreen:
 
     def test_golden_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
         # candidates each point of the benchmark's golden curves sends to
-        # the exact stage, gathered over all its chunks into one call;
-        # ALL_USERS N = 2 is box (2, 2)
-        stage, sizes = decay._exact_stage, []
-
-        def counted_stage(ctx, vec_arrays):
-            sizes.append(vec_arrays[0].shape[0])
-            return stage(ctx, vec_arrays)
-
-        monkeypatch.setattr(decay, "_exact_stage", counted_stage)
-        want = {
+        # the exact stage on the orbit-grid scan, gathered over all its
+        # chunks into one call; ALL_USERS N = 2 is box (2, 2)
+        grid_scan(monkeypatch)
+        assert box_stage_sizes(golden_spec, monkeypatch) == {
             FIRST_USER: [6, 7, 8, 11, 13, 20, 33, 52],
             ALL_USERS: [6, 2, 6],
         }
-        for pattern, counts in want.items():
-            got = []
-            for N in range(1, len(counts) + 1):
-                sizes.clear()
-                min_abs_det(
-                    golden_spec, (N, 1) if pattern == FIRST_USER else (N, N)
-                )
-                assert len(sizes) == 1, (pattern, N)
-                got.append(sizes[0])
-            assert got == counts, pattern
 
     def test_golden_curve_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
-        # in a curve, each point's exact stage takes the candidates of its
-        # shell plus the previous argmin; test_golden_exact_stage_counts_frozen
-        # holds the counts of each box alone
-        stage, sizes = decay._exact_stage, []
-
-        def counted_stage(ctx, vec_arrays):
-            sizes.append(vec_arrays[0].shape[0])
-            return stage(ctx, vec_arrays)
-
-        monkeypatch.setattr(decay, "_exact_stage", counted_stage)
-        want = {
+        # in a curve on the orbit-grid scan, each point's exact stage takes
+        # the candidates of its shell plus the previous argmin;
+        # test_golden_exact_stage_counts_frozen holds the counts of each
+        # box alone
+        grid_scan(monkeypatch)
+        assert curve_stage_sizes(golden_spec, monkeypatch) == {
             FIRST_USER: [6, 2, 3, 4, 5, 8, 12, 19],
             ALL_USERS: [6, 4, 5],
         }
-        for pattern, counts in want.items():
+
+    def test_golden_window_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
+        # the meet-in-the-middle scan sends the window pairs that can reach
+        # the least upper bound and whose user-1 vector is lex-smallest in
+        # its orbit; a curve's point scans its whole box too
+        want = {FIRST_USER: [6, 7, 2, 3, 3, 4, 1, 2], ALL_USERS: [6, 2, 4]}
+        assert box_stage_sizes(golden_spec, monkeypatch) == want
+        assert curve_stage_sizes(golden_spec, monkeypatch) == want
+
+
+def stage_sizes(monkeypatch) -> list:
+    """Wrap decay._exact_stage; the returned list receives the row count
+    of every call."""
+    stage, sizes = decay._exact_stage, []
+
+    def counted_stage(ctx, vec_arrays):
+        sizes.append(vec_arrays[0].shape[0])
+        return stage(ctx, vec_arrays)
+
+    monkeypatch.setattr(decay, "_exact_stage", counted_stage)
+    return sizes
+
+
+def box_stage_sizes(spec, monkeypatch) -> dict:
+    """Exact-stage rows of min_abs_det at the boxes of the golden-curves
+    points, one call per box."""
+    sizes, out = stage_sizes(monkeypatch), {}
+    for pattern, n_max in ((FIRST_USER, 8), (ALL_USERS, 3)):
+        out[pattern] = []
+        for N in range(1, n_max + 1):
             sizes.clear()
-            decay_curve(golden_spec, len(counts), pattern=pattern)
-            assert sizes == counts, pattern
+            min_abs_det(spec, (N, 1) if pattern == FIRST_USER else (N, N))
+            assert len(sizes) == 1, (pattern, N)
+            out[pattern] += sizes
+    return out
+
+
+def curve_stage_sizes(spec, monkeypatch) -> dict:
+    """Exact-stage rows of each point of the golden-curves curves."""
+    sizes, out = stage_sizes(monkeypatch), {}
+    for pattern, n_max in ((FIRST_USER, 8), (ALL_USERS, 3)):
+        sizes.clear()
+        decay_curve(spec, n_max, pattern=pattern)
+        out[pattern] = list(sizes)
+    return out
 
 
 class TestNaiveOracle:
@@ -736,6 +767,109 @@ class TestNaiveOracle:
         assert rep.det_numerator == num
         assert rep.det_p_exponent == s
         assert rep.evaluated == count == 6400
+
+
+    def test_two_antenna_engine_matches_naive(self, two_antenna_spec):
+        # n_t = 2: the orbit-grid scan, by structure
+        fast = min_abs_det(two_antenna_spec, (1,))
+        same_report(naive_min_abs_det(two_antenna_spec, (1,)), fast)
+        assert fast.evaluated == 6560 and fast.screened == 1640
+
+
+class TestMeetInTheMiddle:
+    """The n_t = 1 meet-in-the-middle scan against the orbit-grid scan
+    and against exact determinants."""
+
+    @pytest.mark.parametrize(
+        "spec_name, pattern, N_max",
+        [("golden_spec", FIRST_USER, 3), ("golden_spec", ALL_USERS, 3),
+         ("eisenstein_spec", FIRST_USER, 3), ("eisenstein_spec", ALL_USERS, 2)],
+    )
+    def test_matches_grid_scan(self, spec_name, pattern, N_max, request, monkeypatch):
+        # every report field but screened and wall_time, in a curve and
+        # box by box
+        spec = request.getfixturevalue(spec_name)
+
+        def reports():
+            curve = decay_curve(spec, N_max, pattern=pattern)
+            return curve + [min_abs_det(spec, rep.bounds) for rep in curve]
+
+        got = reports()
+        grid_scan(monkeypatch)
+        for rep, want in zip(got, reports(), strict=True):
+            same_report(rep, want)
+
+    def test_cubic_unit_box_matches_grid_scan(self, cubic_spec, monkeypatch):
+        # three users: y runs over pairs of orbit representatives
+        got = min_abs_det(cubic_spec, (1, 1, 1), budget=10**9)
+        assert got.D_value == 0.009679581540225938
+        assert got.argmin.vectors == (
+            (-1, -1, 0, -1, 1, -1), (-1, -1, 0, 0, 0, 0), (-1, -1, 1, -1, 0, -1),
+        )
+        grid_scan(monkeypatch)
+        same_report(got, min_abs_det(cubic_spec, (1, 1, 1), budget=10**9))
+
+    def test_tie_with_the_previous_point_matches_grid_scan(
+        self, golden_spec, monkeypatch
+    ):
+        # golden N = 2 ties N = 1 exactly, and the first minimizer in lex
+        # order is new at N = 2; the previous D only bounds the windows
+        got = decay_curve(golden_spec, 2)
+        assert got[1].abs_sq == got[0].abs_sq
+        assert got[1].argmin.vectors == ((-2, -1, 1, 1), (-1, -1, 0, 0))
+        same_report(got[1], min_abs_det(golden_spec, (2, 1)))
+        grid_scan(monkeypatch)
+        for rep, want in zip(got, decay_curve(golden_spec, 2), strict=True):
+            same_report(rep, want)
+
+    def test_builds_no_whole_user_one_grid(self, golden_spec, monkeypatch):
+        # user 1's box is two half grids of (2N + 1)^2 rows each, never the
+        # (2N + 1)^4 grid; user 2's N = 1 grid is built once per curve
+        calls, grid = [], decay.coeff_grid
+
+        def recorded(N, length):
+            calls.append((N, length))
+            return grid(N, length)
+
+        monkeypatch.setattr(decay, "coeff_grid", recorded)
+        decay_curve(golden_spec, 8)
+        assert sorted(set(calls)) == [(1, 2), (1, 4)] + [(N, 2) for N in range(2, 9)]
+        assert calls.count((1, 4)) == 1
+
+    @pytest.mark.parametrize("sub_batch", [1, 7, 50])
+    def test_report_does_not_depend_on_batching(
+        self, golden_spec, monkeypatch, sub_batch
+    ):
+        # one y per batch and window pairs expanded a few at a time: the
+        # upper bound and the candidates change, the report does not
+        boxes = ((3, 1), (2, 2))
+        want = [min_abs_det(golden_spec, b) for b in boxes]
+        monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
+        for bounds, rep in zip(boxes, want):
+            same_report(min_abs_det(golden_spec, bounds), rep)
+
+    @pytest.mark.parametrize(
+        "spec_name, N",
+        [("golden_spec", 3), ("golden_spec", 2**20), ("eisenstein_spec", 3),
+         ("cubic_spec", 2)],
+    )
+    def test_cofactor_slack_is_sound(self, spec_name, N, request):
+        # |det(x, y) - sum_g x_g c~_g(y)| <= S(y) for x in [-N, N]^r: the
+        # bracket around the float sum meets the exact |det|
+        spec = request.getfixturevalue(spec_name)
+        ctx = decay._SearchContext(spec)
+        r = spec.r_per_user
+        reps = orbit_grids(ctx, (1,) * spec.U)[1:]
+        factors = ctx.float_factors([np.eye(r, dtype=np.int64), *reps])
+        gen = np.random.default_rng(191)
+        rows = [gen.integers(0, g.shape[0], 60) for g in reps]
+        c, S = decay._cofactors(ctx, factors, rows, N)
+        x = gen.integers(-N, N + 1, (60, r))
+        x[:, 0] = np.where(x.any(axis=1), x[:, 0], 1)
+        ad = np.abs((x * c).sum(axis=1))
+        lo2, up2 = np.maximum(ad - S, 0.0) ** 2, (ad + S) ** 2
+        vecs = [x, *(g[k] for g, k in zip(reps, rows))]
+        assert_screen_brackets_exact(spec, lo2, up2, vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -1033,10 +1167,11 @@ class TestDecayCurve:
     def test_shell_scan_matches_each_box_alone(
         self, spec_name, pattern, N_max, request, monkeypatch
     ):
-        # each point after the first scans only its box minus the previous
-        # one and decides it against the previous argmin; every report is
-        # still the one min_abs_det gives for the box on its own, whatever
-        # the chunking
+        # on the orbit-grid scan, each point after the first scans only its
+        # box minus the previous one and decides it against the previous
+        # argmin; every report is still the one min_abs_det gives for the
+        # box on its own, whatever the chunking
+        grid_scan(monkeypatch)
         spec = request.getfixturevalue(spec_name)
         want = [
             min_abs_det(spec, (N, 1) if pattern == FIRST_USER else (N, N))
@@ -1059,23 +1194,32 @@ class TestDecayCurve:
         assert max(map(abs, two.argmin.vectors[0])) == 2
 
     def test_screened_counts_frozen(self, golden_spec):
-        # codewords whose float bounds a point computed: the shell's in a
-        # curve, the whole orbit-reduced box for min_abs_det alone
+        # codewords whose float bounds a point computed: on the
+        # meet-in-the-middle scan, the window pairs, which the previous
+        # point's D narrows in a curve
         want = {
+            FIRST_USER: (
+                [98, 458, 1394, 1488, 2772, 4580, 7026, 8414],
+                [98, 458, 1394, 3006, 5018, 8262, 12662, 11598],
+            ),
+            ALL_USERS: ([98, 2318, 13054], [98, 2318, 13054]),
+        }
+        assert screened_counts(golden_spec) == want
+        sampled = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=300, seed=5)
+        assert sampled.screened == 300
+        assert naive_min_abs_det(golden_spec, (1, 1)).screened == 0
+
+    def test_grid_screened_counts_frozen(self, golden_spec, monkeypatch):
+        # on the orbit-grid scan: the shell's codewords in a curve, the
+        # whole orbit-reduced box for min_abs_det alone
+        grid_scan(monkeypatch)
+        assert screened_counts(golden_spec) == {
             FIRST_USER: (
                 [400, 2720, 8880, 20800, 40400, 69600, 110320, 164480],
                 [400, 3120, 12000, 32800, 73200, 142800, 253120, 417600],
             ),
             ALL_USERS: ([400, 23936, 335664], [400, 24336, 360000]),
         }
-        for pattern, (in_curve, alone) in want.items():
-            curve = decay_curve(golden_spec, len(in_curve), pattern=pattern)
-            assert [r.screened for r in curve] == in_curve, pattern
-            boxes = [r.bounds for r in curve]
-            assert [min_abs_det(golden_spec, b).screened for b in boxes] == alone
-        sampled = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=300, seed=5)
-        assert sampled.screened == 300
-        assert naive_min_abs_det(golden_spec, (1, 1)).screened == 0
 
     def test_curve_budget_refusal_unchanged(self, golden_spec):
         # the budget still applies to the whole box, not to its shell
@@ -1091,6 +1235,17 @@ class TestDecayCurve:
             decay_curve(golden_spec, 0)
         with pytest.raises(ValueError):
             decay_curve(golden_spec, 2, pattern="sideways")
+
+
+def screened_counts(spec) -> dict:
+    """``screened`` of the golden-curves points, in their curve and each
+    box alone."""
+    out = {}
+    for pattern, n_max in ((FIRST_USER, 8), (ALL_USERS, 3)):
+        curve = decay_curve(spec, n_max, pattern=pattern)
+        alone = [min_abs_det(spec, r.bounds) for r in curve]
+        out[pattern] = ([r.screened for r in curve], [r.screened for r in alone])
+    return out
 
 
 def synthetic_report(golden_spec, N, D, radius=1e-18):
