@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 import time
 from array import array
 from dataclasses import dataclass
@@ -145,9 +146,10 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     Also records tau-fixedness of every determinant numerator, so one sweep
     certifies both the rank criterion and membership of det(A) in F.  Every
     box must hold spec.U vectors of length spec.r_per_user, each nonzero;
-    otherwise ValueError.  Boxes are read SUB_BATCH at a time and decided by
-    _exact_stage, a batch holding a coefficient past int64 as an object
-    array."""
+    otherwise ValueError.  Boxes are read SUB_BATCH at a time, packed into
+    one int64 array (an object array if a coefficient is past int64) and
+    decided by _exact_stage, which picks each stage's integer width from
+    its overflow audits."""
     ctx = _SearchContext(spec)
     U, r = spec.U, spec.r_per_user
     zero_failures: list[CoefficientBox] = []
@@ -162,13 +164,15 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
                 f"rank criterion needs {U} coefficient vectors of length "
                 f"{r} per box"
             )
-        if not all(map(any, vecs)):
-            raise ValueError("rank criterion requires every user active")
+        count = len(vecs) * r
         try:
-            coeffs = np.fromiter(chain.from_iterable(vecs), np.int64, len(vecs) * r)
-        except OverflowError:  # a coefficient past int64
-            coeffs = np.fromiter(chain.from_iterable(vecs), object, len(vecs) * r)
+            packed = struct.pack(f"{count}q", *chain.from_iterable(vecs))
+            coeffs = np.frombuffer(packed, np.int64)
+        except struct.error:  # a coefficient past int64
+            coeffs = np.fromiter(chain.from_iterable(vecs), object, count)
         coeffs = coeffs.reshape(len(batch), U, r)
+        if not coeffs.any(axis=2).all():
+            raise ValueError("rank criterion requires every user active")
         nums, _, fixed = _exact_stage(ctx, [coeffs[:, j] for j in range(U)])
         zero_failures += compress(batch, ~nums.any(axis=1))
         tau_failures += compress(batch, ~fixed)
@@ -315,10 +319,12 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
     det_int_batch's scaled numerators and p-exponent, and whether each
     numerator is fixed by tau = sigma^U.
 
-    The arrays go through blocks_int, stack_users and det_int_batch in
-    int64; where an audit refuses that (OverflowRisk), the same calls run
-    again on the arrays cast to dtype=object, in Python ints.  When the tau
-    product could pass INT64_LIMIT, nums is cast to dtype=object for it."""
+    The arrays go through blocks_int, stack_users and det_int_batch, whose
+    overflow audits run each stage in int32 or int64; where an audit
+    refuses int64 (OverflowRisk), the same calls run again on the arrays
+    cast to dtype=object, in Python ints.  nums is int64 or dtype=object;
+    when the tau product could pass INT64_LIMIT, it is cast to dtype=object
+    for it."""
 
     def numerators(vecs):
         stacked = stack_users([ut.blocks_int(v) for ut, v in zip(ctx.uts, vecs)])
@@ -963,11 +969,17 @@ def decay_curve(
     each point after the first scans only that shell, against the previous
     argmin, and ``screened`` counts the shell's codewords.  Either way every
     point reports what min_abs_det reports for the box alone, but for
-    ``wall_time`` and ``screened``.  SAMPLED points are drawn one by one."""
+    ``wall_time`` and ``screened``.  SAMPLED points are drawn one by one,
+    and the budget bounds the whole curve: N_max * samples above it raises
+    BudgetExceeded before the first draw."""
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
     if pattern not in (FIRST_USER, ALL_USERS):
         raise ValueError(f"unknown pattern {pattern!r}")
+    if mode == SAMPLED and samples and N_max * samples > budget:
+        raise BudgetExceeded(
+            f"sampled curve needs {N_max} x {samples} samples, budget is {budget}"
+        )
     ctx = _SearchContext(spec)
     out, grids = [], {}
     for N in range(1, N_max + 1):

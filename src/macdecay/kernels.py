@@ -8,11 +8,12 @@ batch.  Every integer linear map is a ``SparseMap`` (one multiply-add per
 nonzero entry): a user's coefficient-to-block map and the p-power maps.
 A product first sums the pairs of coordinates whose basis products
 gamma_a * gamma_b are the same element, then reduces each distinct product
-to coordinates once.  The integer code runs without BLAS in its input's
-dtype: int64, audited first for overflow on exact per-coordinate bounds in
-Python ints, or dtype=object, exact Python ints for batches that fail the
-audit.  Every float screen carries a rigorous slack so it can only propose
-candidates, never decide a comparison.
+to coordinates once.  The integer code runs without BLAS, and exact
+per-coordinate overflow audits in Python ints pick its width: int32 where
+every audited bound stays below INT32_LIMIT, int64 where it stays below
+INT64_LIMIT, and otherwise dtype=object, exact Python ints.  Every float
+screen carries a rigorous slack so it can only propose candidates, never
+decide a comparison.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .construction import CodeSpec, gamma_basis, lattice_basis
 from .number_field import FieldElem, Tower
 
 INT64_LIMIT = 1 << 62
+INT32_LIMIT = 1 << 30  # the same one-bit margin below int32's range
 GRID_ROW_CAP = 40_000_000  # largest coefficient grid coeff_grid will build
 # covers enclosure radii, float64 conversion and linear-combination rounding
 EMB_REL_ERR = 2.0**-44
@@ -34,8 +36,8 @@ DET_EVAL_REL = 2.0**-44
 
 
 class OverflowRisk(ArithmeticError):
-    """An int64 batch could exceed 2^62; the same kernels run exactly on the
-    input cast to dtype=object."""
+    """An integer batch could reach INT64_LIMIT; the same kernels run
+    exactly on the input cast to dtype=object."""
 
 
 class SparseMap:
@@ -45,12 +47,15 @@ class SparseMap:
     Output coordinate c is accumulated from the nonzero entries of column c
     only, one multiply-add each; ``bound`` is its overflow audit, exact in Python
     ints, and bounds every partial sum, since each is a sum of terms the
-    audit counts in absolute value.  It maps a user's coefficients to its
-    blocks, the distinct basis products of IntKernel.mul to coordinates,
-    and applies powers of p."""
+    audit counts in absolute value.  ``top`` is the largest |weight|: a
+    batch may run in a dtype only if its weights fit there too, since an
+    input coordinate bounded by 0 hides its weights from ``bound``.  It maps
+    a user's coefficients to its blocks, the distinct basis products of
+    IntKernel.mul to coordinates, and applies powers of p."""
 
     def __init__(self, mat: np.ndarray):
         self.cols = [[(g, w) for g, w in enumerate(col) if w] for col in mat.T.tolist()]
+        self.top = max((abs(w) for terms in self.cols for _, w in terms), default=0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         out = np.zeros((len(self.cols),) + x.shape[1:], dtype=x.dtype)
@@ -186,10 +191,17 @@ class IntKernel:
 
 
 def _max_abs(x: np.ndarray, axis: int) -> list:
-    """max |x| along axis as (nested lists of) Python ints, 0 for an empty
-    axis.  Exact at -2**63 too: its int64 abs wraps to itself, which reads
-    2**63 as uint64."""
-    return np.abs(x).view(np.uint64).max(axis=axis, initial=0).tolist()
+    """max |x| along axis of a signed integer array as (nested lists of)
+    Python ints, 0 for an empty axis.  Exact at the dtype's least value too
+    (-2**31, -2**63): its abs wraps to itself, which reads as 2**31 or 2**63
+    through the unsigned type of the same width."""
+    unsigned = np.dtype(f"u{x.dtype.itemsize}")
+    return np.abs(x).view(unsigned).max(axis=axis, initial=0).tolist()
+
+
+def _width(peak: int) -> type:
+    """The narrower integer dtype an audited magnitude bound admits."""
+    return np.int32 if peak < INT32_LIMIT else np.int64
 
 
 def coeff_grid(N: int, length: int) -> np.ndarray:
@@ -271,24 +283,41 @@ def det_schedule(E) -> DetSchedule:
     return _SCHED_CACHE[key]
 
 
-def _dp_audit(sched: DetSchedule, kern: IntKernel, pmaps, entries: np.ndarray):
+def _dp_audit(
+    sched: DetSchedule, kern: IntKernel, pmaps, entries: np.ndarray
+) -> dict[int, int]:
     """Raise OverflowRisk unless every partial sum of det_int_batch's DP on
-    int64 entries is bounded below INT64_LIMIT."""
+    integer entries is bounded below INT64_LIMIT.
+
+    Otherwise return each subset's peak, a Python int: the largest bound on
+    a value the subset's step reads or forms.  That covers its row's
+    entries and its sub-minors (the inputs it casts to its own dtype), each
+    product and padded term, each partial sum, and the weights of the maps
+    it applies (SparseMap.top)."""
     ub_entry = _max_abs(entries, axis=3)
     ub = {0: [1] + [0] * (kern.dim - 1)}
+    peaks = {}
     for i, level in enumerate(sched.steps):
         for mask, terms in level:
             bound = [0] * kern.dim
+            peak = 0
             for c, _, pad in terms:
-                pb = kern.product_bound(ub_entry[i][c], ub[mask ^ (1 << c)])
+                sub = mask ^ (1 << c)
+                pb = kern.product_bound(ub_entry[i][c], ub[sub])
+                peak = max(peak, *ub_entry[i][c], *ub[sub], *pb)
+                if sub:
+                    peak = max(peak, kern._reduce.top)
                 if pad:
                     pb = pmaps[pad].bound(pb)
+                    peak = max(peak, pmaps[pad].top)
                 bound = [x + y for x, y in zip(bound, pb)]
                 if any(b >= INT64_LIMIT for b in bound):
                     raise OverflowRisk(
                         f"determinant DP bound exceeds int64 at subset {mask:b}"
                     )
             ub[mask] = bound
+            peaks[mask] = max(peak, *bound)
+    return peaks
 
 
 def det_int_batch(
@@ -301,9 +330,16 @@ def det_int_batch(
     p^(-E[r][c]) with the structural exponents.  Returns (nums, s) with
     det = FieldElem(tower, row, entry_scale) * p^(-s) for each row of nums;
     nums itself carries one factor of entry_scale so it stays integral even
-    when the true numerator has denominators over the basis.  The DP runs
-    in stacked's dtype; an int64 batch raises OverflowRisk if its audited
-    bounds could leave int64.
+    when the true numerator has denominators over the basis, and it is
+    int64 or dtype=object, never int32.
+
+    An integer batch is audited first (_dp_audit): it raises OverflowRisk
+    if a partial sum could reach INT64_LIMIT, and otherwise each subset
+    runs in int32 if its peak is below INT32_LIMIT and in int64 if not.
+    A subset casts its row's entries and its sub-minors to its own dtype,
+    so every product, padded term and in-place sum has that dtype, and the
+    audit covers every narrowing cast.  An object batch runs on Python
+    ints throughout.
 
     The subset DP runs coordinate-major on stacked's (n, n, dim, batch)
     transpose, which is a copy only when stacked is not the batch-first
@@ -317,18 +353,21 @@ def det_int_batch(
     pmaps = kern.power_maps(spec.p, sched.max_pad)
 
     entries = np.ascontiguousarray(stacked.transpose(1, 2, 3, 0))
+    widths = {}
     if entries.dtype != object:
-        _dp_audit(sched, kern, pmaps, entries)
+        peaks = _dp_audit(sched, kern, pmaps, entries)
+        widths = {mask: _width(peak) for mask, peak in peaks.items()}
     dp = {}
     for i, level in enumerate(sched.steps):
         new_dp = {}
         for mask, terms in level:
-            acc = np.zeros(entries.shape[2:], dtype=entries.dtype)
+            dtype = widths.get(mask, object)
+            acc = np.zeros(entries.shape[2:], dtype=dtype)
             for c, sign, pad in terms:
                 sub = mask ^ (1 << c)
-                term = entries[i, c]
+                term = entries[i, c].astype(dtype, copy=False)
                 if sub:
-                    term = kern.mul(term, dp[sub])
+                    term = kern.mul(term, dp[sub].astype(dtype, copy=False))
                 if pad:
                     term = pmaps[pad](term)
                 if sign < 0:
@@ -337,7 +376,7 @@ def det_int_batch(
                     acc += term
             new_dp[mask] = acc
         dp = new_dp
-    nums = dp[(1 << n) - 1]
+    nums = dp[(1 << n) - 1].astype(np.int64 if widths else object, copy=False)
     if kern.entry_scale != 1:
         # dp carries entry_scale^n; one factor stays on the output so it
         # remains integral (the true numerator may have basis denominators).
@@ -462,14 +501,21 @@ class UserTensors:
         scaled by the kernel's entry_scale (1 on sigma-stable towers).
 
         The blocks are numv's SparseMap applied to the coordinate-major
-        coefficients, in vecs' dtype; the result is the batch-first view of
-        that (n_t, width, dim, n) array.  Unless vecs is dtype=object,
-        raises OverflowRisk if the exact bound sum_g max|vecs[:, g]| *
-        |numv[g]| on a block coordinate reaches INT64_LIMIT."""
-        audit = vecs.dtype != object
-        if audit and max(self._numv_map.bound(_max_abs(vecs, axis=0))) >= INT64_LIMIT:
-            raise OverflowRisk("block coordinates could exceed int64")
-        out = self._numv_map(np.ascontiguousarray(vecs.T))
+        coefficients; the result is the batch-first view of that (n_t,
+        width, dim, n) array.  A dtype=object batch runs on Python ints.  An
+        integer batch raises OverflowRisk if the exact bound sum_g
+        max|vecs[:, g]| * |numv[g]| on a block coordinate reaches
+        INT64_LIMIT; otherwise the map runs in int32 if that bound, the
+        coefficients and numv's entries all stay below INT32_LIMIT, and in
+        int64 if not."""
+        dtype = object
+        if vecs.dtype != object:
+            ub = _max_abs(vecs, axis=0)
+            bound = self._numv_map.bound(ub)
+            if max(bound) >= INT64_LIMIT:
+                raise OverflowRisk("block coordinates could exceed int64")
+            dtype = _width(max(bound + ub + [self._numv_map.top]))
+        out = self._numv_map(np.ascontiguousarray(vecs.T, dtype=dtype))
         return out.reshape(self.numv.shape[1:] + (len(vecs),)).transpose(3, 0, 1, 2)
 
 

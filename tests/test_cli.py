@@ -242,6 +242,28 @@ class TestDecayCommand:
         assert rc == 3
         assert "budget exceeded" in captured.err
 
+    def test_sampled_curve_over_budget_is_exit_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the budget covers N_max x samples: this run used to go on, its
+        # report list growing with N_max
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(decay, "_sample_chunks", no_draw)
+        monkeypatch.delenv("MACDECAY_BUDGET", raising=False)
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 10})
+        rc = cli.main(
+            ["decay", "--config", cfg, "--mode", "sampled", "--nmax", "100000000"]
+        )
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: sampled curve needs 100000000 x 10 samples,"
+            " budget is 100000000\n"
+        )
+
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
     @pytest.mark.parametrize("budget", [0, -5])
     def test_nonpositive_budget_is_exit_2(

@@ -241,6 +241,33 @@ class TestRankCriterion:
                 with pytest.raises(ValueError, match="vectors of length 4"):
                     rank_criterion_check(golden_spec, boxes)
 
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            (((1, 0, 0, 0),) * 3, "needs 2 coefficient vectors of length 4 per box"),
+            (((1, 0, 0, 0),), "needs 2 coefficient vectors of length 4 per box"),
+            (((1, 0, 0), (0, 1, 0, 0)), "needs 2 coefficient vectors of length 4 per box"),
+            (((1, 0, 0, 0), (0, 0, 0, 0)), "requires every user active"),
+        ],
+        ids=["U+1", "U-1", "length", "inactive"],
+    )
+    @pytest.mark.parametrize("good", [1, 2**70], ids=["int64", "object"])
+    def test_packed_ingest_keeps_every_refusal(self, vectors, message, good, golden_spec):
+        # the same refusal whether the batch packs into int64 or not
+        bad = CoefficientBox((2**70,) * len(vectors), vectors)
+        ok = CoefficientBox((2**70, 2**70), ((good, 0, 0, 0), (0, 1, 0, 0)))
+        for boxes in ([bad], [ok, bad], [bad, ok]):
+            with pytest.raises(ValueError, match=f"^rank criterion {message}$"):
+                rank_criterion_check(golden_spec, boxes)
+
+    def test_true_coefficient_reads_as_one(self, golden_spec, monkeypatch):
+        ones = CoefficientBox((1, 1), ((1, 0, 1, 0), (0, 1, 0, 0)))
+        trues = CoefficientBox((1, 1), ((True, 0, True, False), (False, True, 0, 0)))
+        want = rank_criterion_check(golden_spec, [ones])
+        batches, _ = record_dtypes(monkeypatch)
+        assert rank_criterion_check(golden_spec, [trues]) == want == RankReport(1, [], [])
+        assert batches == [np.dtype(np.int32)]
+
     def test_ragged_user_counts_rejected(self, golden_spec):
         # U + 1 vectors in one box and U - 1 in the next: the batch holds
         # 2 * U vectors of the right length, so only a per-box count sees it
@@ -266,11 +293,18 @@ class TestRankCriterion:
         # the block audit refused int64, so the one DP ran on Python ints
         assert batches == [np.dtype(object)]
 
-    def test_coefficient_beyond_int64_takes_the_object_path(self, golden_spec):
+    def test_coefficient_beyond_int64_takes_the_object_path(
+        self, golden_spec, monkeypatch
+    ):
         good = CoefficientBox((2**70, 1), ((1, 0, 0, 0), (0, 1, 0, 0)))
-        big = CoefficientBox((2**70, 1), ((2**70, 0, 0, 0), (0, 1, 0, 0)))
-        report = rank_criterion_check(golden_spec, [good, big, good])
-        assert report == RankReport(3, [], [])
+        batches, _ = record_dtypes(monkeypatch)
+        # 2**63 is the least coefficient the packed int64 ingest refuses
+        for c in (2**70, 2**63):
+            big = CoefficientBox((2**70, 1), ((c, 0, 0, 0), (0, 1, 0, 0)))
+            batches.clear()
+            report = rank_criterion_check(golden_spec, [good, big, good])
+            assert report == RankReport(3, [], [])
+            assert batches == [np.dtype(object)]
         # a batch past int64 is still refused for an inactive user
         idle = CoefficientBox((2**70, 1), ((2**70, 0, 0, 0), (0, 0, 0, 0)))
         with pytest.raises(ValueError, match="every user active"):
@@ -320,9 +354,10 @@ class TestRankCriterion:
         batches, stages = record_dtypes(monkeypatch)
         # kernels: the block audit fails, and the DP runs on Python ints;
         # decay: the tau-product guard fails, and the int64 numerators are
-        # cast to Python ints for the tau product
+        # cast to Python ints for the tau product.  The blocks of these
+        # small boxes pass the int32 audit, so that batch comes in as int32
         monkeypatch.setattr(module, "INT64_LIMIT", 1)
-        want_batches = {kernels: [object], decay: [np.int64]}[module]
+        want_batches = {kernels: [object], decay: [np.int32]}[module]
         for (spec, boxes), want in zip(sweeps, wants):
             batches.clear()
             stages.clear()
@@ -1229,6 +1264,27 @@ class TestDecayCurve:
             r" use SAMPLED mode$",
         ):
             decay_curve(golden_spec, 3, pattern=ALL_USERS, budget=400_000)
+
+    def test_sampled_curve_budget_covers_the_curve(self, golden_spec, monkeypatch):
+        # each point's 10 samples fit the budget; the curve's 10**9 do not
+        def no_draw(*args):
+            raise AssertionError("a sample was drawn")
+
+        draw = decay._sample_chunks
+        monkeypatch.setattr(decay, "_sample_chunks", no_draw)
+        for n_max, samples, budget in ((10**8, 10, 10**8), (3, 34, 100)):
+            with pytest.raises(
+                BudgetExceeded,
+                match=rf"^sampled curve needs {n_max} x {samples} samples,"
+                rf" budget is {budget}$",
+            ):
+                decay_curve(
+                    golden_spec, n_max, mode=SAMPLED, samples=samples, budget=budget
+                )
+        # N_max x samples equal to the budget runs
+        monkeypatch.setattr(decay, "_sample_chunks", draw)
+        curve = decay_curve(golden_spec, 3, mode=SAMPLED, samples=33, budget=99)
+        assert [rep.samples for rep in curve] == [33, 33, 33]
 
     def test_curve_argument_validation(self, golden_spec):
         with pytest.raises(ValueError):

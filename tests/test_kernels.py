@@ -5,13 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from macdecay.construction import assemble_codeword
+from macdecay.construction import CoefficientBox, assemble_codeword
 from macdecay.decay import det_exact
 from macdecay.kernels import (
-    INT64_LIMIT, IntKernel, OverflowRisk, SparseMap, UserTensors,
-    coeff_grid, det_float_batch, det_int_batch, det_schedule,
+    INT32_LIMIT, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
+    UserTensors, coeff_grid, det_float_batch, det_int_batch, det_schedule,
     det_slack_batch, exponent_matrix, grid_size, laplace_terms,
-    slack_factors, stack_users,
+    slack_factors, stack_users, _dp_audit, _max_abs,
 )
 from macdecay.number_field import FieldElem
 
@@ -340,6 +340,20 @@ class TestBatchedDeterminants:
             ut.blocks_int(vecs), np.tensordot(vecs, ut.numv, axes=([1], [0]))
         )
 
+    def test_blocks_int_width_edge(self, quartic_spec):
+        # the int32 audit mirrors the int64 one: the least c whose bound
+        # |c| * max|numv[4]| reaches INT32_LIMIT runs in int64, the next
+        # smaller in int32, and both are the exact blocks
+        kern = IntKernel(quartic_spec.tower)
+        ut = UserTensors(quartic_spec, kern, 1)
+        vecs = np.zeros((3, ut.r), dtype=np.int64)
+        c = -(-INT32_LIMIT // int(np.abs(ut.numv[4]).max()))
+        for coeff, dtype in ((-c, np.int64), (1 - c, np.int32)):
+            vecs[1, 4] = coeff
+            got = ut.blocks_int(vecs)
+            assert got.dtype == dtype
+            assert np.array_equal(got, np.tensordot(vecs, ut.numv, axes=([1], [0])))
+
     def test_stacked_blocks_are_coordinate_major(self, request):
         for spec_name in ALL_SPECS:
             spec = request.getfixturevalue(spec_name)
@@ -378,3 +392,118 @@ def test_laplace_terms_expand_the_determinant():
                 for C, S, sign in terms
             )
             assert abs(total - np.linalg.det(A)) <= 1e-9
+
+
+def record_mul_dtypes(monkeypatch) -> list:
+    """Wrap IntKernel.mul; the returned list receives the dtype of every
+    product it runs, in call order."""
+    seen = []
+    mul = IntKernel.mul
+
+    def recorded(self, u, v):
+        seen.append(np.result_type(u, v))
+        return mul(self, u, v)
+
+    monkeypatch.setattr(IntKernel, "mul", recorded)
+    return seen
+
+
+class TestIntegerWidths:
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_max_abs_reads_every_width_exactly(self, dtype):
+        # abs wraps the least value to itself; read unsigned, it is 2**31 or
+        # 2**63, and neighbouring entries never merge into one word
+        least = int(np.iinfo(dtype).min)
+        x = np.array([[least, 3, 0], [-5, 7, 0]], dtype=dtype)
+        assert _max_abs(x, axis=0) == [-least, 7, 0]
+        # the DP audit's axis: the last of a 4-d array
+        entries = np.stack([x, -x])[None].transpose(0, 1, 3, 2)
+        assert _max_abs(entries, axis=3) == [[[-least, 7, 0], [-least, 7, 0]]]
+        assert _max_abs(np.zeros((2, 0), dtype=dtype), axis=1) == [0, 0]
+        assert _max_abs(np.zeros((0, 3), dtype=dtype), axis=0) == [0, 0, 0]
+
+    def test_dp_width_edge(self, cubic_spec, monkeypatch):
+        # user 1's coefficients scaled by c scale every subset's peak: one
+        # below the least c whose largest peak reaches INT32_LIMIT every
+        # product runs in int32, at that c the largest subset's run in int64,
+        # and both batches give det_exact's numerators, in int64
+        spec = cubic_spec
+        kern = IntKernel(spec.tower)
+        uts = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
+        sched = det_schedule(exponent_matrix(spec))
+        pmaps = kern.power_maps(spec.p, sched.max_pad)
+        rng = random.Random(263)
+        boxes = [rand_box(spec, rng, 2) for _ in range(4)]
+
+        def scaled(c):
+            return [
+                CoefficientBox(
+                    (2 * c,) + box.bounds[1:],
+                    (tuple(c * x for x in box.vectors[0]),) + box.vectors[1:],
+                )
+                for box in boxes
+            ]
+
+        def stacked(c):
+            vecs = [
+                np.array([b.vectors[j] for b in scaled(c)], dtype=np.int64)
+                for j in range(spec.U)
+            ]
+            return stack_users([ut.blocks_int(v) for ut, v in zip(uts, vecs)])
+
+        def peaks(c):
+            entries = np.ascontiguousarray(stacked(c).transpose(1, 2, 3, 0))
+            return _dp_audit(sched, kern, pmaps, entries)
+
+        lo, hi = 1, 2**20
+        assert max(peaks(lo).values()) < INT32_LIMIT <= max(peaks(hi).values())
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if max(peaks(mid).values()) < INT32_LIMIT:
+                lo = mid
+            else:
+                hi = mid
+        seen = record_mul_dtypes(monkeypatch)
+        for c in (lo, hi):
+            seen.clear()
+            nums, s = det_int_batch(spec, kern, stacked(c))
+            assert nums.dtype == np.int64
+            wide = [mask for mask, peak in peaks(c).items() if peak >= INT32_LIMIT]
+            if c == lo:
+                assert wide == [] and set(seen) == {np.dtype(np.int32)}
+            else:
+                assert wide and np.dtype(np.int64) in seen
+                # the subsets that run in int64 are those the audit widens
+                want = [
+                    np.dtype(np.int64 if mask in wide else np.int32)
+                    for level in sched.steps
+                    for mask, terms in level
+                    for col, _, _ in terms
+                    if mask ^ (1 << col)
+                ]
+                assert seen == want
+            for row, box in zip(nums.tolist(), scaled(c)):
+                num, s_ref = det_exact(assemble_codeword(spec, box))
+                assert s == s_ref
+                assert row == list((num * kern.entry_scale).num), c
+
+    @pytest.mark.parametrize(
+        "spec_name, levels",
+        [
+            # per level of the DP, the dtype of each product it runs
+            ("cubic_spec", [[], [np.int32] * 6, [np.int32] * 3]),
+            ("quartic_spec", [[], [np.int32] * 12, [np.int64] * 12, [np.int64] * 4]),
+        ],
+    )
+    def test_rank_sweep_widths_frozen(self, spec_name, levels, request, monkeypatch):
+        # a rank-sweep batch: SUB_BATCH boxes with coefficients in [-2, 2]
+        spec = request.getfixturevalue(spec_name)
+        kern = IntKernel(spec.tower)
+        rng = np.random.default_rng(269)
+        vecs = rng.integers(-2, 3, (16384, spec.r_per_user))
+        blocks = [UserTensors(spec, kern, j + 1).blocks_int(vecs) for j in range(spec.U)]
+        assert {b.dtype for b in blocks} == {np.dtype(np.int32)}
+        seen = record_mul_dtypes(monkeypatch)
+        nums, _ = det_int_batch(spec, kern, stack_users(blocks))
+        assert nums.dtype == np.int64
+        assert seen == [np.dtype(t) for level in levels for t in level]
