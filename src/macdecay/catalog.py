@@ -367,9 +367,17 @@ def verify_orbit_product(tower: Tower) -> bool:
     return coeffs == expected
 
 
+# largest degree catalog_rows accepts: its cost grows steeply, from 0.5 s
+# for degrees up to 12 to about 12 s up to 24 (one Xeon core)
+MAX_DEGREE = 24
+
+
 def catalog_rows(max_degree: int = 7, norm_bound: int = 10) -> list[dict]:
     """Standard tower data per degree, with certified inert primes for both
-    base fields.  Degrees 3..7 reproduce the published example table."""
+    base fields.  Degrees 3..7 reproduce the published example table.  A
+    max_degree below 2 or above MAX_DEGREE is refused."""
+    if not 2 <= max_degree <= MAX_DEGREE:
+        raise ValueError(f"max degree {max_degree} is outside 2..{MAX_DEGREE}")
     rows = []
     for d in range(2, max_degree + 1):
         ps = standard_period_spec(d)

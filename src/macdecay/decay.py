@@ -39,8 +39,8 @@ FIRST_USER = "FIRST_USER"
 ALL_USERS = "ALL_USERS"
 
 DEFAULT_BUDGET = 10**8
-# user-1 grid rows per EXHAUSTIVE chunk; each chunk screens against its own
-# least upper bound, so the chunking fixes the candidate counts
+# shell rows per chunk of the n_t >= 2 EXHAUSTIVE scan; each chunk screens
+# against its own least upper bound, so the chunking fixes the candidate counts
 CHUNK_U1_ROWS = 512
 SAMPLE_CHUNK = 32768
 DRAW_WORDS = 1 << 13  # fresh stream words one numpy pass of the draw parses
@@ -58,8 +58,8 @@ class DecayReport:
     """One point of a decay curve.  ``evaluated`` counts the codewords the
     point covers; ``screened`` those whose float bounds it computed: the
     meet-in-the-middle window pairs (EXHAUSTIVE, n_t = 1), the scanned
-    orbit-reduced codewords (EXHAUSTIVE, n_t >= 2), the samples (SAMPLED),
-    or 0 (naive_min_abs_det)."""
+    orbit representatives of the one user's shell (EXHAUSTIVE, n_t >= 2),
+    the samples (SAMPLED), or 0 (naive_min_abs_det)."""
 
     bounds: tuple[int, ...]
     mode: str
@@ -245,8 +245,9 @@ class _SearchContext:
     float_factors builds, for coefficient vectors of every user, each
     prefix user's float blocks and slack factors, and the last user's
     slack factors and n_t x n_t minors on every column set of ``terms``.
-    EXHAUSTIVE builds them once over the user grids, so a chunk evaluates
-    only its prefix rows; SAMPLED builds them per chunk."""
+    The n_t >= 2 EXHAUSTIVE scan builds them once over its shell, the
+    meet-in-the-middle scan once over user 1's generators and the other
+    users' orbit grids, and SAMPLED once per chunk of samples."""
 
     def __init__(self, spec: CodeSpec):
         self.spec = spec
@@ -304,16 +305,6 @@ def _float_det(terms, pre, last):
     return d, det_slack_batch((pa, pab), (la, lab))
 
 
-def _screen_sub(terms, pre, last):
-    """lo^2 and up^2 of |det| for prefix factors `pre` against last-user
-    factors `last` (_float_det)."""
-    d, s = _float_det(terms, pre, last)
-    ad = np.abs(d)
-    lo = np.maximum(ad - s, 0.0)
-    up = ad + s
-    return lo * lo, up * up
-
-
 def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
     """(nums, s, fixed) for the boxes stacking row i of every user's array:
     det_int_batch's scaled numerators and p-exponent, and whether each
@@ -360,44 +351,28 @@ def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
     return absq, vec, tuple(tuple(v[i].tolist()) for v in vec_arrays)
 
 
-def _screen_paired(ctx: _SearchContext, pre, last, count: int, rows_of):
-    """(lo^2, up^2) of SAMPLED codewords, codeword k pairing prefix k with
-    last-user row k, in pieces of at most SUB_BATCH codewords."""
+def _screen_paired(ctx: _SearchContext, pre, last, count: int):
+    """(lo^2, up^2) of codewords 0..count-1, codeword k pairing row k of
+    every user's factors, in pieces of at most SUB_BATCH codewords."""
     for off in range(0, count, SUB_BATCH):
         span = slice(off, min(off + SUB_BATCH, count))
-        p = ctx.prefix_factors(pre, rows_of(span)[:-1], span.stop - off)
-        yield _screen_sub(ctx.terms, p, [f[..., span] for f in last])
+        p = ctx.prefix_factors(pre, [span] * len(pre), span.stop - off)
+        d, s = _float_det(ctx.terms, p, [f[..., span] for f in last])
+        ad = np.abs(d)
+        lo = np.maximum(ad - s, 0.0)
+        up = ad + s
+        yield lo * lo, up * up
 
 
-def _screen_crossed(ctx: _SearchContext, pre, last, count: int, rows_of):
-    """(lo^2, up^2) of EXHAUSTIVE codewords in flat order, codeword
-    k = q * m + l pairing prefix q with last-user row l, every prefix
-    broadcast against the m last-user rows, in pieces of at most SUB_BATCH
-    codewords (or one prefix against SUB_BATCH rows)."""
-    m = last[1].shape[0]
-    step = max(1, SUB_BATCH // m)
-    for q0 in range(0, count // m, step):
-        q = np.arange(q0, min(q0 + step, count // m), dtype=np.int64)
-        p = ctx.prefix_factors(pre, rows_of(q * m)[:-1], q.shape[0])
-        p = [f[..., None] for f in p]
-        for l0 in range(0, m, SUB_BATCH):
-            lo2, up2 = _screen_sub(
-                ctx.terms, p, [f[..., None, l0 : l0 + SUB_BATCH] for f in last]
-            )
-            yield lo2.ravel(), up2.ravel()
-
-
-def _scan_chunk(pieces, vecs, rows_of) -> list[np.ndarray]:
+def _scan_chunk(ctx: _SearchContext, vecs, factors) -> list[np.ndarray]:
     """The per-user coefficient rows of a chunk's screen candidates, in
-    flat order: every codeword whose lower bound reaches the chunk's least
+    chunk order: every codeword whose lower bound reaches the chunk's least
     upper bound, lo^2 <= min up^2.  A true minimizer of the chunk has
     lo^2 <= |det|^2 <= min up^2, since its |det| is at most every other
     codeword's, so it is always a candidate.
 
-    `pieces` yields the chunk's (lo^2, up^2) in flat order (_screen_paired
-    or _screen_crossed), and rows_of maps flat codeword indices to one row
-    index per user; codeword k stacks row rows_of(k)[j] of user j's
-    coefficient vectors vecs.
+    Codeword k stacks row k of every user's coefficient array in vecs, and
+    factors are the float_factors of those rows (_screen_paired).
 
     The float determinant is the Laplace expansion over the last user's
     rows, a sum of C(n, n_t) products of two minors from det_float_batch
@@ -415,98 +390,40 @@ def _scan_chunk(pieces, vecs, rows_of) -> list[np.ndarray]:
     up^2 are the same to the bit."""
     lo2_parts = []
     up2_min = np.inf
-    for lo2, up2 in pieces:
+    for lo2, up2 in _screen_paired(ctx, *factors, vecs[0].shape[0]):
         up2_min = min(up2_min, up2.min())
         lo2_parts.append(lo2)
     cands = np.nonzero(np.concatenate(lo2_parts) <= up2_min)[0]
-    return [v[r] for v, r in zip(vecs, rows_of(cands))]
+    return [v[cands] for v in vecs]
 
 
-def _exhaustive_chunk(ctx: _SearchContext, grids, factors, start: int, stop: int):
-    """_scan_chunk's (pieces, vecs, rows_of) for user-1 grid rows
-    start..stop against every other-user row, the last user fastest;
-    factors are the float_factors of the grids."""
-    pre, last = factors
-    o_sizes = [g.shape[0] for g in grids[1:]]
-    others = math.prod(o_sizes)
+def _grid_scan(ctx: _SearchContext, bounds, lengths, prev):
+    """(candidates, screened) of the one-user box `bounds` minus the box
+    of `prev` (see _minimum) for n_t >= 2: the rows of every chunk's
+    candidates plus prev's argmin, in no particular order, and the number
+    of rows scanned.  r = 2 U n_t^2, so with a second user the grid has
+    3^16 rows at N = 1, which _minimum refuses by the row cap.
 
-    def rows_of(idx):
-        rows = list(np.unravel_index(idx, (stop - start, *o_sizes)))
-        rows[0] += start
-        return rows
-
-    if not pre:
-        # one user: the chunk's own grid rows are the last-user rows
-        last = [f[..., start:stop] for f in last]
-    count = (stop - start) * others
-    return _screen_crossed(ctx, pre, last, count, rows_of), grids, rows_of
-
-
-def _part_chunks(ctx: _SearchContext, grids):
-    """_exhaustive_chunk for each CHUNK_U1_ROWS user-1 rows of one part's
-    grids, in order."""
-    factors = ctx.float_factors(grids)
-    g1 = grids[0].shape[0]
-    for i in range(0, g1, CHUNK_U1_ROWS):
-        yield _exhaustive_chunk(ctx, grids, factors, i, min(i + CHUNK_U1_ROWS, g1))
-
-
-def _orbit_grids(ctx: _SearchContext, bounds, inner, lengths, known):
-    """Per user, the orbit grids (inner, shell, whole) of the box `bounds`
-    around the box `inner` (bound 0 for the empty box): the unit-orbit
-    representatives (orbit_representatives) of the inner box, of the shell
-    of coeff_grid rows with max |coeff| > the inner bound, and of the whole
-    box.  `known` maps (N, r) to the whole grids of the inner box.
-
-    Signed permutations keep max |coeff|, so a shell is a union of unit
-    orbits, and being lex-smallest in an orbit does not depend on N: the
-    whole grid is the inner grid followed by the shell's.  A shell is lex
-    ascending, so the whole grid of a box around the empty box is too; the
-    exact stage puts its candidates in lex order whatever the grid order.
-    Each distinct shell is built once."""
-    empty = {r: np.empty((0, r), dtype=np.int64) for r in lengths}
-    shells = {}
-    for N, n_in, r in set(zip(bounds, inner, lengths)):
-        shells[N, n_in, r] = empty[r]
-        if N > n_in:
-            grid = coeff_grid(N, r)
-            if n_in:
-                grid = grid[np.abs(grid).max(axis=1) > n_in]
-            shells[N, n_in, r] = orbit_representatives(grid, N, ctx.units)
-    ins = [known[n, r] if n else empty[r] for n, r in zip(inner, lengths)]
-    outs = [shells[u] for u in zip(bounds, inner, lengths)]
-    return ins, outs, [np.concatenate(g) for g in zip(ins, outs)]
-
-
-def _box_parts(ins, shells, wholes):
-    """The grids of the parts of a box minus an inner box: part j takes
-    users < j from the inner grids, user j from its shell and users > j
-    from the whole grids.  The parts are disjoint and together cover the
-    box minus the inner box; a part with an empty grid is left out, so
-    the empty inner box leaves one part, the whole box."""
-    for j, shell in enumerate(shells):
-        grids = [*ins[:j], shell, *wholes[j + 1 :]]
-        if all(g.shape[0] for g in grids):
-            yield grids
-
-
-def _grid_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
-    """(candidates, screened) of the orbit-grid scan of the box `bounds`
-    minus the box of `prev` (see _minimum): the per-user rows of every
-    part's chunk candidates, plus prev's argmin, in no particular order,
-    and the number of codewords of the parts.  `grids` maps (N, r) to the
-    whole orbit grids of prev's box and is refilled with those of
-    `bounds`."""
-    inner = prev.bounds if prev is not None else (0,) * len(bounds)
-    ins, shells, wholes = _orbit_grids(ctx, bounds, inner, lengths, grids)
-    grids.clear()
-    grids.update(zip(zip(bounds, lengths), wholes))
-    parts = list(_box_parts(ins, shells, wholes))
-    screened = sum(math.prod(g.shape[0] for g in part) for part in parts)
-    per_chunk = [_scan_chunk(*c) for part in parts for c in _part_chunks(ctx, part)]
+    The rows are the orbit representatives of the shell of coeff_grid rows
+    with max |coeff| above prev's bound (the whole grid without prev).
+    Their float factors are built once, and the shell is screened
+    CHUNK_U1_ROWS rows at a time, each chunk against its own least upper
+    bound (_scan_chunk)."""
+    (N,), (r,) = bounds, lengths
+    shell = coeff_grid(N, r)
+    if prev is not None:
+        shell = shell[np.abs(shell).max(axis=1) > prev.bounds[0]]
+    shell = orbit_representatives(shell, N, ctx.units)
+    pre, last = ctx.float_factors([shell])
+    per_chunk = []
+    for i in range(0, shell.shape[0], CHUNK_U1_ROWS):
+        rows = slice(i, i + CHUNK_U1_ROWS)
+        per_chunk.append(
+            _scan_chunk(ctx, [shell[rows]], (pre, [f[..., rows] for f in last]))
+        )
     if prev is not None:
         per_chunk.append([np.array([v], dtype=np.int64) for v in prev.argmin.vectors])
-    return [np.concatenate(user) for user in zip(*per_chunk)], screened
+    return [np.concatenate(user) for user in zip(*per_chunk)], shell.shape[0]
 
 
 def _half_grid(N: int, length: int) -> np.ndarray:
@@ -654,17 +571,6 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
     sel = (lo2 <= m) & _orbit_minimal(x, N, ctx.units)
     ys = np.unravel_index(yq[sel], sizes)
     return [x[sel], *(g[k] for g, k in zip(reps, ys))], screened
-
-
-def _sampled_chunk(ctx: _SearchContext, vecs: list[np.ndarray]):
-    """_scan_chunk's (pieces, vecs, rows_of) for one chunk of drawn
-    samples, codeword k stacking row k of every user."""
-
-    def rows_of(idx):
-        return [idx] * len(vecs)
-
-    pieces = _screen_paired(ctx, *ctx.float_factors(vecs), vecs[0].shape[0], rows_of)
-    return pieces, vecs, rows_of
 
 
 def _attempt_words(N: int) -> int:
@@ -826,20 +732,21 @@ def min_abs_det(
     the path is fixed by the code.  With n_t = 1, det is linear in user 1's
     vector, and meet in the middle (_mitm_scan) windows user 1's two half
     sums against each other for every orbit representative of the other
-    users.  With n_t >= 2, the orbit-grid scan (_grid_scan) splits the
-    grid into fixed chunks by user-1 prefix, and each chunk's screen keeps
-    the codewords that can reach its own float minimum.  SAMPLED screens
-    the samples chunk by chunk the same way.  The candidates, in lex order
-    (sample order for SAMPLED), go to one exact stage, and the first exact
-    minimizer among them is the argmin: the first minimizer of the box (or
-    the samples) is always a candidate, and every candidate before it comes
-    earlier, so none of them is a minimizer.  The candidates are at most
-    ``evaluated`` rows, which the budget bounds.  ``screened`` counts the
-    codewords whose float bounds were computed: the window pairs with
-    n_t = 1, the orbit-reduced box with n_t >= 2, or the samples.  The
-    exact stage runs the int64 determinant DP, or the same DP on Python
-    ints if an audit fails, and a numerator not fixed by tau = sigma^U
-    raises ArithmeticError.
+    users.  With n_t >= 2 the row cap admits only one-user boxes, and the
+    shell scan (_grid_scan) screens the user's orbit representatives in
+    fixed chunks, each keeping the codewords that can reach its own float
+    minimum.  SAMPLED screens the samples chunk by chunk the same way.
+    The candidates, in lex order (sample order for SAMPLED), go to one
+    exact stage, and the first exact minimizer among them is the argmin:
+    the first minimizer of the box (or the samples) is always a candidate,
+    and every candidate before it comes earlier, so none of them is a
+    minimizer.  The candidates are at most ``evaluated`` rows, which the
+    budget bounds.  ``screened`` counts the codewords whose float bounds
+    were computed: the window pairs with n_t = 1, the user's orbit
+    representatives with n_t >= 2, or the samples.  The exact stage runs
+    the int64 determinant DP, or the same DP on Python ints if an audit
+    fails, and a numerator not fixed by tau = sigma^U raises
+    ArithmeticError.
     ``workers`` is accepted and ignored.
     """
     return _minimum(_SearchContext(spec), bounds, mode, samples, seed, budget)
@@ -856,16 +763,17 @@ def _minimum(
     and from _grid_scan otherwise, and sends them to one exact stage in lex
     order of their concatenated coefficients, the scan order of one box;
     the first exact minimizer among them is the argmin.  The grid scan
-    covers only the parts of bounds minus the inner box (_box_parts) and
-    adds prev's argmin: the first minimizer of the whole box in lex order
-    lies in a part, and is then a candidate of its own chunk, or it lies in
-    the inner box, and is then the first minimizer of the inner box, prev's
+    covers only the shell, bounds minus the inner box, and adds prev's
+    argmin: the first minimizer of the whole box in lex order lies in the
+    shell, and is then a candidate of its own chunk, or it lies in the
+    inner box, and is then the first minimizer of the inner box, prev's
     argmin.  The meet-in-the-middle scan covers the whole box and takes
     from prev only an upper bound on the minimum.  Either way the report is
     the one the whole box gives on its own, with ``evaluated`` counting the
     whole box and the budget and row cap applied to it; ``screened`` counts
-    what the scan bounded in floats.  `grids` carries the scan's orbit
-    grids from prev's point to this one.  A SAMPLED point ignores prev."""
+    what the scan bounded in floats.  `grids` carries the meet-in-the-middle
+    scan's orbit grids from prev's point to this one.  A SAMPLED point
+    ignores prev."""
     t0 = time.perf_counter()
     spec = ctx.spec
     bounds = tuple(map(index, bounds))
@@ -894,9 +802,11 @@ def _minimum(
                     f"coefficient grid of {rows} rows exceeds the"
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
-        scan = _mitm_scan if spec.n_t == 1 else _grid_scan
-        grids = {} if grids is None else grids
-        cands, screened = scan(ctx, bounds, lengths, prev, grids)
+        if spec.n_t == 1:
+            grids = {} if grids is None else grids
+            cands, screened = _mitm_scan(ctx, bounds, lengths, prev, grids)
+        else:
+            cands, screened = _grid_scan(ctx, bounds, lengths, prev)
         order = np.lexsort(np.concatenate(cands, axis=1).T[::-1])
         cands = [c[order] for c in cands]
         samples_used = seed_used = None
@@ -909,7 +819,7 @@ def _minimum(
             )
         seed_used = 0 if seed is None else int(seed)
         per_chunk = [
-            _scan_chunk(*_sampled_chunk(ctx, vecs))
+            _scan_chunk(ctx, vecs, ctx.float_factors(vecs))
             for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
         ]
         cands = [np.concatenate(user) for user in zip(*per_chunk)]
@@ -959,19 +869,20 @@ def decay_curve(
     """D evaluated at N = 1..N_max with one user's box growing (FIRST_USER)
     or every user's box growing together (ALL_USERS).  ``workers`` is
     accepted and ignored (see min_abs_det).  One search context serves
-    every point, and each EXHAUSTIVE point hands its orbit grids and its
-    report to the next (see _minimum).
+    every point, and each EXHAUSTIVE point hands its report (and, with
+    n_t = 1, its orbit grids) to the next (see _minimum).
 
     The boxes are nested, so D(N - 1) bounds D(N) from above.  With n_t = 1
     that bound narrows the next point's meet-in-the-middle windows, and
     ``screened`` counts its window pairs.  With n_t >= 2, D(N) is the exact
     minimum of D(N - 1) and the minimum over box(N) minus box(N - 1), so
     each point after the first scans only that shell, against the previous
-    argmin, and ``screened`` counts the shell's codewords.  Either way every
-    point reports what min_abs_det reports for the box alone, but for
-    ``wall_time`` and ``screened``.  SAMPLED points are drawn one by one,
-    and the budget bounds the whole curve: N_max * samples above it raises
-    BudgetExceeded before the first draw."""
+    argmin, and ``screened`` counts the shell's orbit representatives (the
+    row cap admits one user only).  Either way every point reports what
+    min_abs_det reports for the box alone, but for ``wall_time`` and
+    ``screened``.  SAMPLED points are drawn one by one, and the budget
+    bounds the whole curve: N_max * samples above it raises BudgetExceeded
+    before the first draw."""
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
     if pattern not in (FIRST_USER, ALL_USERS):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from macdecay import cli, decay
+from macdecay.catalog import MAX_DEGREE
 
 from util import draw_samples_reference
 
@@ -29,6 +30,20 @@ class TestCatalogCommand:
         assert len(rows) == 1 and rows[0]["degree"] == 2
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["task"] == "catalog" and resolved["max_degree"] == 2
+
+    @pytest.mark.parametrize("degree", [-3, 1, MAX_DEGREE + 1])
+    def test_degree_outside_the_catalog_is_exit_2(self, tmp_path, capsys, degree):
+        # -3 and 1 used to write an empty catalog and exit 0; degrees far
+        # past the cap ran for minutes
+        out = tmp_path / "out"
+        rc = cli.main(["catalog", "--nmax", str(degree), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            f"invalid configuration: max degree {degree} is outside"
+            f" 2..{MAX_DEGREE}\n"
+        )
 
 
 class TestInertSearchCommand:

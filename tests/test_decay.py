@@ -51,13 +51,6 @@ def random_boxes(spec, rng, count, bound=2):
     return out
 
 
-def grid_scan(monkeypatch):
-    """Send every EXHAUSTIVE search through the orbit-grid scan, n_t = 1
-    included, for the rest of the test; without this n_t = 1 takes the
-    meet-in-the-middle scan."""
-    monkeypatch.setattr(decay, "_mitm_scan", decay._grid_scan)
-
-
 def record_dtypes(monkeypatch):
     """Wrap decay.det_int_batch and decay._exact_stage.  Returns two lists
     that receive the dtype of every determinant batch run and of every
@@ -439,28 +432,27 @@ class TestMinAbsDetEngine:
             for rep in reps.values():
                 same_report(rep, reps[1])
 
-    @pytest.mark.parametrize(
-        "spec_name, bounds",
-        [("golden_spec", (2, 1)), ("golden_spec", (2, 2)), ("golden_spec", (3, 1)),
-         ("eisenstein_spec", (1, 1)), ("eisenstein_spec", (2, 1)),
-         ("two_antenna_spec", (1,))],
-    )
+    @pytest.mark.parametrize("rows, stage_rows", [(1, 1640), (7, 347), (512, 126)])
     def test_exhaustive_report_does_not_depend_on_chunking(
-        self, spec_name, bounds, request, monkeypatch
+        self, two_antenna_spec, rows, stage_rows, monkeypatch
     ):
-        # with one user-1 row per chunk, minimizers with different user-1
-        # vectors fall in different chunks; the first-index tie-break must
-        # still pick the argmin of the one-chunk scan.  Chunks exist only
-        # on the orbit-grid scan: n_t = 2 takes it by structure, n_t = 1
-        # is sent to it
-        grid_scan(monkeypatch)
-        spec = request.getfixturevalue(spec_name)
-        reps = []
-        for rows in (1, 7, 512):
-            monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
-            reps.append(min_abs_det(spec, bounds))
-        for rep in reps[1:]:
-            same_report(rep, reps[0])
+        # with one shell row per chunk, minimizers fall in different
+        # chunks; the first-index tie-break must still pick the argmin of
+        # the one-chunk scan.  Chunks exist only on the n_t >= 2 shell
+        # scan.  Each chunk keeps the candidates under its own least upper
+        # bound, so only the exact stage's rows depend on the chunking;
+        # every value as the orbit-grid scan gave it at commit 58b5794
+        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
+        sizes = stage_sizes(monkeypatch)
+        rep = min_abs_det(two_antenna_spec, (1,))
+        assert sizes == [stage_rows]
+        assert rep.screened == 1640 and rep.evaluated == 6560
+        assert rep.D_value == 0.5
+        assert rep.argmin.vectors == ((-1, -1, -1, 0, -1, -1, 1, 1),)
+        assert [(q.a, q.b) for q in rep.det_numerator.coords] == [(0, -1), (0, 0)]
+        assert rep.det_p_exponent == 2
+        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", grid_size(1, 8))
+        same_report(rep, min_abs_det(two_antenna_spec, (1,)))
 
     def test_sampled_seeded_frozen(self, golden_spec):
         rep = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
@@ -483,6 +475,32 @@ class TestMinAbsDetEngine:
             min_abs_det(
                 golden_spec, (1, 1), mode=SAMPLED, samples=2000, budget=1000
             )
+
+    @pytest.mark.parametrize(
+        "bounds, rows",
+        [((1, 1), 43046721), ((1, 3), 43046721), ((2, 1), 152587890625),
+         ((3, 3), 33232930569601)],
+    )
+    def test_row_cap_refuses_every_multi_user_two_antenna_box(
+        self, quartic_spec, bounds, rows, monkeypatch
+    ):
+        # U = 2, n_t = 2: r = 16, so N = 1 already needs 3^16 grid rows
+        # per user, and user 1's (2 N_1 + 1)^16 rows are refused first.
+        # The budget admits the box's codewords (1.85e15 at (1, 1)), the
+        # row cap does not; this refusal is why the n_t >= 2 scan serves
+        # one user only
+        def no_grid(N, length):
+            raise AssertionError("a coefficient grid was built")
+
+        monkeypatch.setattr(decay, "coeff_grid", no_grid)
+        assert rows == grid_size(bounds[0], 16) + 1 > GRID_ROW_CAP
+        budget = math.prod(grid_size(N, 16) for N in bounds)
+        with pytest.raises(
+            BudgetExceeded,
+            match=rf"^coefficient grid of {rows} rows exceeds the {GRID_ROW_CAP}"
+            r"-row cap; use SAMPLED mode$",
+        ):
+            min_abs_det(quartic_spec, bounds, budget=budget)
 
     def test_argument_validation(self, golden_spec):
         with pytest.raises(ValueError):
@@ -590,14 +608,17 @@ def test_numerator_off_the_fixed_field_is_caught(golden_spec, monkeypatch):
             min_abs_det(golden_spec, (1, 1))
 
 
-def screened_chunk(chunk):
-    """lo^2, up^2 and the per-user coefficient vectors of every codeword of
-    one chunk (_exhaustive_chunk's or _sampled_chunk's scan arguments), in
-    the engine's flat order."""
-    pieces, vecs, rows_of = chunk
+def screened_chunk(ctx, vecs, factors):
+    """lo^2 and up^2 of every codeword of one chunk, codeword k stacking
+    row k of every user's vecs, whose float_factors are `factors`; checks
+    that the chunk's candidates (_scan_chunk) are the codewords with lo^2
+    at most the least up^2."""
+    pieces = decay._screen_paired(ctx, *factors, vecs[0].shape[0])
     lo2, up2 = map(np.concatenate, zip(*pieces))
-    rows = rows_of(np.arange(lo2.shape[0], dtype=np.int64))
-    return lo2, up2, [v[r] for v, r in zip(vecs, rows)]
+    keep = lo2 <= up2.min()
+    cands = decay._scan_chunk(ctx, vecs, factors)
+    assert all(np.array_equal(c, v[keep]) for c, v in zip(cands, vecs, strict=True))
+    return lo2, up2
 
 
 def orbit_grids(ctx, bounds):
@@ -606,12 +627,6 @@ def orbit_grids(ctx, bounds):
         orbit_representatives(coeff_grid(N, ut.r), N, ctx.units)
         for N, ut in zip(bounds, ctx.uts)
     ]
-
-
-def grid_chunk(ctx, grids, start, stop):
-    """_exhaustive_chunk's scan arguments for user-1 rows start..stop of
-    the given per-user grids."""
-    return decay._exhaustive_chunk(ctx, grids, ctx.float_factors(grids), start, stop)
 
 
 def _sq_range(lo, hi):
@@ -649,87 +664,46 @@ class TestFactoredScreen:
             for j in range(spec.U)
         ]
         ctx = decay._SearchContext(spec)
-        lo2, up2, got = screened_chunk(decay._sampled_chunk(ctx, vecs))
-        assert all(np.array_equal(g, v) for g, v in zip(got, vecs))
+        lo2, up2 = screened_chunk(ctx, vecs, ctx.float_factors(vecs))
         assert np.all(lo2 <= up2)
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
 
-    @pytest.mark.parametrize("spec_name", ALL_SPECS)
+    @pytest.mark.parametrize("spec_name", ["two_antenna_spec", "miso_spec"])
     def test_exhaustive_screen_is_sound(self, spec_name, request):
-        # the full N = 1 cross product where the grids fit, small random
-        # grids elsewhere; with one user the chunk is a slice of the grid
+        # a chunk of the one-user shell scan: a slice of the rows whose
+        # float factors were built once; the two-antenna code's N = 1
+        # orbit grid, random rows for the miso code's 3^18-row grid
         spec = request.getfixturevalue(spec_name)
         ctx = decay._SearchContext(spec)
-        if grid_size(1, spec.r_per_user) <= 100:
-            grids = orbit_grids(ctx, (1,) * spec.U)
+        if spec.n_t == 2:
+            grid = orbit_grids(ctx, (1,))[0]
         else:
-            gen = np.random.default_rng(179)
-            grids = []
-            for _ in range(spec.U):
-                g = gen.integers(-2, 3, (5, spec.r_per_user))
-                g[:, 0] = np.where(g.any(axis=1), g[:, 0], 1)
-                grids.append(g)
-        rows = grids[0].shape[0]
-        start, stop = (1, rows - 1) if spec.U == 1 else (0, rows)
-        lo2, up2, vecs = screened_chunk(grid_chunk(ctx, grids, start, stop))
-        assert lo2.shape[0] == (stop - start) * math.prod(
-            g.shape[0] for g in grids[1:]
-        )
-        assert np.array_equal(vecs[0][0], grids[0][start])
+            grid = np.random.default_rng(179).integers(-2, 3, (5, spec.r_per_user))
+            grid[:, 0] = np.where(grid.any(axis=1), grid[:, 0], 1)
+        pre, last = ctx.float_factors([grid])
+        rows = slice(1, grid.shape[0] - 1)
+        vecs = [grid[rows]]
+        lo2, up2 = screened_chunk(ctx, vecs, (pre, [f[..., rows] for f in last]))
+        assert lo2.shape[0] == grid.shape[0] - 2
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
 
     @pytest.mark.parametrize("sub_batch", [7, 50, decay.SUB_BATCH])
-    def test_golden_exhaustive_matches_concatenated_form(
+    def test_golden_sampled_matches_concatenated_form(
         self, golden_spec, monkeypatch, sub_batch
     ):
-        # pieces that split the last user's 20 rows, that hold two prefixes,
-        # and the default: the same lo^2 and up^2 to the bit
+        # pieces of a few codewords each and the default: the same lo^2
+        # and up^2 to the bit
         monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
-        ctx = decay._SearchContext(golden_spec)
-        grids = orbit_grids(ctx, (2, 1))
-        chunk = grid_chunk(ctx, grids, 3, grids[0].shape[0])
-        lo2, up2, _ = screened_chunk(chunk)
-        rows_of = chunk[2]
-        idx = rows_of(np.arange(lo2.shape[0], dtype=np.int64))
-        floats = [ut.blocks_float(g) for ut, g in zip(ctx.uts, grids)]
-        mats = stack_users([b[r] for (b, _), r in zip(floats, idx)])
-        errs = stack_users([e[r] for (_, e), r in zip(floats, idx)])
-        want_lo2, want_up2 = screen_reference(mats, errs)
-        assert np.array_equal(lo2, want_lo2)
-        assert np.array_equal(up2, want_up2)
-
-    def test_golden_sampled_matches_concatenated_form(self, golden_spec):
         rng = random.Random(181)
         vecs = decay._draw_samples(rng, (4, 4), (4, 4), 3000)
         ctx = decay._SearchContext(golden_spec)
-        lo2, up2, _ = screened_chunk(decay._sampled_chunk(ctx, vecs))
+        lo2, up2 = screened_chunk(ctx, vecs, ctx.float_factors(vecs))
         floats = [ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)]
         want_lo2, want_up2 = screen_reference(
             stack_users([b for b, _ in floats]), stack_users([e for _, e in floats])
         )
         assert np.array_equal(lo2, want_lo2)
         assert np.array_equal(up2, want_up2)
-
-    def test_golden_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
-        # candidates each point of the benchmark's golden curves sends to
-        # the exact stage on the orbit-grid scan, gathered over all its
-        # chunks into one call; ALL_USERS N = 2 is box (2, 2)
-        grid_scan(monkeypatch)
-        assert box_stage_sizes(golden_spec, monkeypatch) == {
-            FIRST_USER: [6, 7, 8, 11, 13, 20, 33, 52],
-            ALL_USERS: [6, 2, 6],
-        }
-
-    def test_golden_curve_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
-        # in a curve on the orbit-grid scan, each point's exact stage takes
-        # the candidates of its shell plus the previous argmin;
-        # test_golden_exact_stage_counts_frozen holds the counts of each
-        # box alone
-        grid_scan(monkeypatch)
-        assert curve_stage_sizes(golden_spec, monkeypatch) == {
-            FIRST_USER: [6, 2, 3, 4, 5, 8, 12, 19],
-            ALL_USERS: [6, 4, 5],
-        }
 
     def test_golden_window_exact_stage_counts_frozen(self, golden_spec, monkeypatch):
         # the meet-in-the-middle scan sends the window pairs that can reach
@@ -805,57 +779,141 @@ class TestNaiveOracle:
 
 
     def test_two_antenna_engine_matches_naive(self, two_antenna_spec):
-        # n_t = 2: the orbit-grid scan, by structure
+        # n_t = 2: the one-user shell scan, by structure
         fast = min_abs_det(two_antenna_spec, (1,))
         same_report(naive_min_abs_det(two_antenna_spec, (1,)), fast)
         assert fast.evaluated == 6560 and fast.screened == 1640
 
 
+# The reports of the orbit-grid scan that the meet-in-the-middle scan
+# replaced for n_t = 1 codes, captured at commit 58b5794 with that scan
+# forced (every curve point equalled its box alone): per curve, its CSV
+# rows after the header, and each point's evaluated, numerator coordinates
+# and p-exponent.
+GRID_SCAN_REPORTS = {
+    ("golden_spec", FIRST_USER): (
+        """\
+1,0.2245139882897927,1.994118674515895e-16,EXHAUSTIVE,,-1;-1;0;0;-1;-1;1;0,
+2,0.2245139882897927,1.994118674515895e-16,EXHAUSTIVE,,-2;-1;1;1;-1;-1;0;0,
+3,0.10081306187557834,8.954168004767662e-17,EXHAUSTIVE,,-3;-2;2;3;-1;-1;0;-1,
+4,0.10081306187557834,8.954168004767662e-17,EXHAUSTIVE,,-4;2;3;4;0;-1;0;0,
+5,0.10081306187557834,8.954168004767662e-17,EXHAUSTIVE,,-4;2;3;4;0;-1;0;0,
+6,0.10081306187557834,8.954168004767662e-17,EXHAUSTIVE,,-4;1;2;-6;-1;1;0;0,
+7,0.09179966818128432,8.153617828014349e-17,EXHAUSTIVE,,-7;-3;-2;6;0;-1;0;0,
+8,0.09179966818128432,8.153617828014349e-17,EXHAUSTIVE,,-7;-3;-2;6;0;-1;0;0,
+""",
+        [
+            (6400, [(-1, 1), (2, -1)], 2),
+            (49920, [(1, 1), (-1, -2)], 2),
+            (192000, [(-3, 6), (5, -10)], 2),
+            (524800, [(6, 3), (-10, -5)], 2),
+            (1171200, [(6, 3), (-10, -5)], 2),
+            (2284800, [(3, -6), (-5, 10)], 2),
+            (4049920, [(2, 10), (-3, -16)], 2),
+            (6681600, [(2, 10), (-3, -16)], 2),
+        ],
+    ),
+    ("golden_spec", ALL_USERS): (
+        """\
+1,0.2245139882897927,1.994118674515895e-16,EXHAUSTIVE,,-1;-1;0;0;-1;-1;1;0,
+2,0.22061377239704208,1.9594777986347696e-16,EXHAUSTIVE,,-2;-1;0;-2;-2;1;-1;0,
+3,0.09179966818128432,8.153617828014349e-17,EXHAUSTIVE,,-3;-1;2;3;-1;-2;0;-1,
+""",
+        [
+            (6400, [(-1, 1), (2, -1)], 2),
+            (389376, [(5, -6), (-8, 9)], 2),
+            (5760000, [(2, 10), (-3, -16)], 2),
+        ],
+    ),
+    ("eisenstein_spec", FIRST_USER): (
+        """\
+1,0.2470155823363351,2.193972976925813e-16,EXHAUSTIVE,,-1;-1;-1;0;-1;0;0;0,
+2,0.175347613892046,1.5574335473661416e-16,EXHAUSTIVE,,-2;2;-1;-1;0;-1;1;-1,
+3,0.175347613892046,1.5574335473661416e-16,EXHAUSTIVE,,-3;-1;0;-3;0;-1;0;0,
+4,0.030374859903646904,2.6978718584307433e-17,EXHAUSTIVE,,-2;-3;-3;-4;-1;1;1;1,
+5,0.030374859903646904,2.6978718584307433e-17,EXHAUSTIVE,,-5;-3;-4;-5;0;-1;-1;-1,
+6,0.030374859903646904,2.6978718584307433e-17,EXHAUSTIVE,,-5;-3;-4;-5;0;-1;-1;-1,
+""",
+        [
+            (6400, [(-2, 1), (4, -3)], 2),
+            (49920, [(6, 2), (-9, -3)], 2),
+            (192000, [(8, -6), (-12, 9)], 2),
+            (524800, [(-24, 8), (39, -13)], 2),
+            (1171200, [(24, -8), (-39, 13)], 2),
+            (2284800, [(24, -8), (-39, 13)], 2),
+        ],
+    ),
+    ("eisenstein_spec", ALL_USERS): (
+        """\
+1,0.2470155823363351,2.193972976925813e-16,EXHAUSTIVE,,-1;-1;-1;0;-1;0;0;0,
+2,0.07539245107656081,6.69636421203933e-17,EXHAUSTIVE,,-2;-1;-2;-2;-1;-2;-2;-2,
+""",
+        [
+            (6400, [(-2, 1), (4, -3)], 2),
+            (389376, [(15, -3), (-24, 5)], 2),
+        ],
+    ),
+    ("cubic_spec", FIRST_USER): (
+        """\
+1,0.009679581540225938,8.597407193993192e-18,EXHAUSTIVE,,-1;-1;0;-1;1;-1;-1;-1;0;0;0;0;-1;-1;1;-1;0;-1,
+""",
+        [
+            (385828352, [(60, 129), (-12, -10), (-29, -75)], 3),
+        ],
+    ),
+}
+
+
+def assert_grid_scan_reports(spec_name, pattern, reports):
+    """reports are the first points of the frozen curve of spec_name and
+    pattern: the same CSV bytes and exact data."""
+    rows, exact = GRID_SCAN_REPORTS[spec_name, pattern]
+    want_rows = rows.splitlines(keepends=True)[: len(reports)]
+    assert curve_csv_text(reports) == CSV_HEADER + "\n" + "".join(want_rows)
+    for rep, (evaluated, num, s) in zip(reports, exact):
+        assert rep.evaluated == evaluated
+        assert [(q.a, q.b) for q in rep.det_numerator.coords] == num
+        assert rep.det_p_exponent == s
+
+
 class TestMeetInTheMiddle:
-    """The n_t = 1 meet-in-the-middle scan against the orbit-grid scan
-    and against exact determinants."""
+    """The n_t = 1 meet-in-the-middle scan against the reports of the
+    orbit-grid scan it replaced and against exact determinants."""
 
-    @pytest.mark.parametrize(
-        "spec_name, pattern, N_max",
-        [("golden_spec", FIRST_USER, 3), ("golden_spec", ALL_USERS, 3),
-         ("eisenstein_spec", FIRST_USER, 3), ("eisenstein_spec", ALL_USERS, 2)],
-    )
-    def test_matches_grid_scan(self, spec_name, pattern, N_max, request, monkeypatch):
-        # every report field but screened and wall_time, in a curve and
-        # box by box
+    @pytest.mark.parametrize("spec_name, pattern", list(GRID_SCAN_REPORTS))
+    def test_matches_grid_scan(self, spec_name, pattern, request):
+        # the frozen CSV bytes and exact data of a curve; cubic (1, 1, 1)
+        # has three users, so y runs over pairs of orbit representatives
         spec = request.getfixturevalue(spec_name)
+        n_max = len(GRID_SCAN_REPORTS[spec_name, pattern][1])
+        curve = decay_curve(spec, n_max, pattern=pattern, budget=10**9)
+        assert len(curve) == n_max
+        assert_grid_scan_reports(spec_name, pattern, curve)
 
-        def reports():
-            curve = decay_curve(spec, N_max, pattern=pattern)
-            return curve + [min_abs_det(spec, rep.bounds) for rep in curve]
+    @pytest.mark.parametrize("spec_name, pattern", list(GRID_SCAN_REPORTS))
+    def test_each_box_alone_matches_grid_scan(self, spec_name, pattern, request):
+        # each curve point's box on its own gives the same frozen CSV
+        # bytes and exact data as the curve (test_matches_grid_scan), so
+        # every curve point equals min_abs_det of its box alone
+        spec = request.getfixturevalue(spec_name)
+        n_max = len(GRID_SCAN_REPORTS[spec_name, pattern][1])
+        alone = [
+            min_abs_det(
+                spec, (N,) + ((1,) if pattern == FIRST_USER else (N,)) * (spec.U - 1),
+                budget=10**9,
+            )
+            for N in range(1, n_max + 1)
+        ]
+        assert_grid_scan_reports(spec_name, pattern, alone)
 
-        got = reports()
-        grid_scan(monkeypatch)
-        for rep, want in zip(got, reports(), strict=True):
-            same_report(rep, want)
-
-    def test_cubic_unit_box_matches_grid_scan(self, cubic_spec, monkeypatch):
-        # three users: y runs over pairs of orbit representatives
-        got = min_abs_det(cubic_spec, (1, 1, 1), budget=10**9)
-        assert got.D_value == 0.009679581540225938
-        assert got.argmin.vectors == (
-            (-1, -1, 0, -1, 1, -1), (-1, -1, 0, 0, 0, 0), (-1, -1, 1, -1, 0, -1),
-        )
-        grid_scan(monkeypatch)
-        same_report(got, min_abs_det(cubic_spec, (1, 1, 1), budget=10**9))
-
-    def test_tie_with_the_previous_point_matches_grid_scan(
-        self, golden_spec, monkeypatch
-    ):
+    def test_tie_with_the_previous_point_matches_grid_scan(self, golden_spec):
         # golden N = 2 ties N = 1 exactly, and the first minimizer in lex
         # order is new at N = 2; the previous D only bounds the windows
         got = decay_curve(golden_spec, 2)
         assert got[1].abs_sq == got[0].abs_sq
         assert got[1].argmin.vectors == ((-2, -1, 1, 1), (-1, -1, 0, 0))
         same_report(got[1], min_abs_det(golden_spec, (2, 1)))
-        grid_scan(monkeypatch)
-        for rep, want in zip(got, decay_curve(golden_spec, 2), strict=True):
-            same_report(rep, want)
+        assert_grid_scan_reports("golden_spec", FIRST_USER, got)
 
     def test_builds_no_whole_user_one_grid(self, golden_spec, monkeypatch):
         # user 1's box is two half grids of (2N + 1)^2 rows each, never the
@@ -1195,29 +1253,34 @@ class TestDecayCurve:
             same_report(rep, w)
 
     @pytest.mark.parametrize(
-        "spec_name, pattern, N_max",
-        [("golden_spec", FIRST_USER, 8), ("golden_spec", ALL_USERS, 3),
-         ("eisenstein_spec", FIRST_USER, 6), ("eisenstein_spec", ALL_USERS, 2)],
+        "rows, curve_rows, alone_rows",
+        [(512, [126, 1332], [126, 1532]), (7, [347, 15439], [347, 15782])],
     )
     def test_shell_scan_matches_each_box_alone(
-        self, spec_name, pattern, N_max, request, monkeypatch
+        self, two_antenna_spec, rows, curve_rows, alone_rows, monkeypatch
     ):
-        # on the orbit-grid scan, each point after the first scans only its
-        # box minus the previous one and decides it against the previous
-        # argmin; every report is still the one min_abs_det gives for the
-        # box on its own, whatever the chunking
-        grid_scan(monkeypatch)
-        spec = request.getfixturevalue(spec_name)
-        want = [
-            min_abs_det(spec, (N, 1) if pattern == FIRST_USER else (N, N))
-            for N in range(1, N_max + 1)
+        # on the n_t >= 2 shell scan, each point after the first scans only
+        # its box minus the previous one and decides it against the
+        # previous argmin; every report is still the one min_abs_det gives
+        # for the box on its own, whatever the chunking.  screened counts
+        # the shell's orbit representatives in a curve and the whole box's
+        # alone; the exact stage takes every chunk's candidates (plus the
+        # previous argmin in a curve), so its rows depend on the chunking
+        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
+        sizes = stage_sizes(monkeypatch)
+        curve = decay_curve(two_antenna_spec, 2)
+        assert [rep.screened for rep in curve] == [1640, 96016]
+        assert sizes == curve_rows
+        sizes.clear()
+        alone = [min_abs_det(two_antenna_spec, rep.bounds) for rep in curve]
+        assert [rep.screened for rep in alone] == [1640, 97656]
+        assert sizes == alone_rows
+        for rep, want in zip(curve, alone, strict=True):
+            same_report(rep, want)
+            assert rep.D_value == 0.5
+        assert [rep.argmin.vectors for rep in curve] == [
+            ((-1, -1, -1, 0, -1, -1, 1, 1),), ((-2, -2, -2, 1, -2, -2, 1, 2),),
         ]
-        for rows in (1, 7, 512):
-            monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
-            curve = decay_curve(spec, N_max, pattern=pattern)
-            assert len(curve) == N_max
-            for rep, w in zip(curve, want):
-                same_report(rep, w)
 
     def test_tied_minimum_moves_to_the_shell(self, golden_spec):
         # golden N = 2 ties N = 1, and its first minimizer in lex order lies
@@ -1243,18 +1306,6 @@ class TestDecayCurve:
         sampled = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=300, seed=5)
         assert sampled.screened == 300
         assert naive_min_abs_det(golden_spec, (1, 1)).screened == 0
-
-    def test_grid_screened_counts_frozen(self, golden_spec, monkeypatch):
-        # on the orbit-grid scan: the shell's codewords in a curve, the
-        # whole orbit-reduced box for min_abs_det alone
-        grid_scan(monkeypatch)
-        assert screened_counts(golden_spec) == {
-            FIRST_USER: (
-                [400, 2720, 8880, 20800, 40400, 69600, 110320, 164480],
-                [400, 3120, 12000, 32800, 73200, 142800, 253120, 417600],
-            ),
-            ALL_USERS: ([400, 23936, 335664], [400, 24336, 360000]),
-        }
 
     def test_curve_budget_refusal_unchanged(self, golden_spec):
         # the budget still applies to the whole box, not to its shell
