@@ -16,7 +16,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, starmap
 from operator import attrgetter, index
 
 import numpy as np
@@ -146,30 +146,32 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     Also records tau-fixedness of every determinant numerator, so one sweep
     certifies both the rank criterion and membership of det(A) in F.  Every
     box must hold spec.U vectors of length spec.r_per_user, each nonzero;
-    otherwise ValueError.  Boxes are read SUB_BATCH at a time, packed into
-    one int64 array (an object array if a coefficient is past int64) and
-    decided by _exact_stage, which picks each stage's integer width from
-    its overflow audits."""
+    otherwise ValueError.  Boxes are read SUB_BATCH at a time and packed
+    vector by vector into one int64 array; a vector that does not pack (a
+    wrong length, or a coefficient past int64) sends the batch to the
+    length check and then to an object array.  _exact_stage decides each
+    batch, and picks each stage's integer width from its overflow audits.
+    The sweep never screens, so its context never builds the float half
+    of its UserTensors."""
     ctx = _SearchContext(spec)
     U, r = spec.U, spec.r_per_user
+    misshapen = f"rank criterion needs {U} coefficient vectors of length {r} per box"
+    pack = struct.Struct(f"{r}q").pack
     zero_failures: list[CoefficientBox] = []
     tau_failures: list[CoefficientBox] = []
     total = 0
     boxes = iter(boxes)
     while batch := list(islice(boxes, SUB_BATCH)):
         per_box = list(map(attrgetter("vectors"), batch))
+        if set(map(len, per_box)) != {U}:
+            raise ValueError(misshapen)
         vecs = list(chain.from_iterable(per_box))
-        if set(map(len, per_box)) != {U} or set(map(len, vecs)) != {r}:
-            raise ValueError(
-                f"rank criterion needs {U} coefficient vectors of length "
-                f"{r} per box"
-            )
-        count = len(vecs) * r
         try:
-            packed = struct.pack(f"{count}q", *chain.from_iterable(vecs))
-            coeffs = np.frombuffer(packed, np.int64)
-        except struct.error:  # a coefficient past int64
-            coeffs = np.fromiter(chain.from_iterable(vecs), object, count)
+            coeffs = np.frombuffer(b"".join(starmap(pack, vecs)), np.int64)
+        except struct.error:  # a wrong length, or a coefficient past int64
+            if set(map(len, vecs)) != {r}:
+                raise ValueError(misshapen) from None
+            coeffs = np.fromiter(chain.from_iterable(vecs), object, len(vecs) * r)
         coeffs = coeffs.reshape(len(batch), U, r)
         if not coeffs.any(axis=2).all():
             raise ValueError("rank criterion requires every user active")
@@ -311,11 +313,12 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
     numerator is fixed by tau = sigma^U.
 
     The arrays go through blocks_int, stack_users and det_int_batch, whose
-    overflow audits run each stage in int32 or int64; where an audit
-    refuses int64 (OverflowRisk), the same calls run again on the arrays
-    cast to dtype=object, in Python ints.  nums is int64 or dtype=object;
-    when the tau product could pass INT64_LIMIT, it is cast to dtype=object
-    for it."""
+    overflow audits run each stage in int32 or int64, each DP subset on
+    the measured sizes of the sub-minors it reads; where an audit refuses
+    int64 (OverflowRisk), before the DP or partway through it, the same
+    calls run again on the arrays cast to dtype=object, in Python ints.
+    nums is int64 or dtype=object; when the tau product could pass
+    INT64_LIMIT, it is cast to dtype=object for it."""
 
     def numerators(vecs):
         stacked = stack_users([ut.blocks_int(v) for ut, v in zip(ctx.uts, vecs)])
@@ -744,9 +747,9 @@ def min_abs_det(
     budget bounds.  ``screened`` counts the codewords whose float bounds
     were computed: the window pairs with n_t = 1, the user's orbit
     representatives with n_t >= 2, or the samples.  The exact stage runs
-    the int64 determinant DP, or the same DP on Python ints if an audit
-    fails, and a numerator not fixed by tau = sigma^U raises
-    ArithmeticError.
+    the determinant DP with each subset in int32 or int64 as its overflow
+    audit admits, or the same DP on Python ints if an audit refuses int64,
+    and a numerator not fixed by tau = sigma^U raises ArithmeticError.
     ``workers`` is accepted and ignored.
     """
     return _minimum(_SearchContext(spec), bounds, mode, samples, seed, budget)

@@ -11,14 +11,16 @@ gamma_a * gamma_b are the same element, then reduces each distinct product
 to coordinates once.  The integer code runs without BLAS, and exact
 per-coordinate overflow audits in Python ints pick its width: int32 where
 every audited bound stays below INT32_LIMIT, int64 where it stays below
-INT64_LIMIT, and otherwise dtype=object, exact Python ints.  Every float
-screen carries a rigorous slack so it can only propose candidates, never
-decide a comparison.
+INT64_LIMIT, and otherwise dtype=object, exact Python ints.  The
+determinant DP audits each subset on the measured size of the sub-minors
+it reads.  Every float screen carries a rigorous slack so it can only
+propose candidates, never decide a comparison.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -283,41 +285,30 @@ def det_schedule(E) -> DetSchedule:
     return _SCHED_CACHE[key]
 
 
-def _dp_audit(
-    sched: DetSchedule, kern: IntKernel, pmaps, entries: np.ndarray
-) -> dict[int, int]:
-    """Raise OverflowRisk unless every partial sum of det_int_batch's DP on
-    integer entries is bounded below INT64_LIMIT.
-
-    Otherwise return each subset's peak, a Python int: the largest bound on
-    a value the subset's step reads or forms.  That covers its row's
-    entries and its sub-minors (the inputs it casts to its own dtype), each
-    product and padded term, each partial sum, and the weights of the maps
-    it applies (SparseMap.top)."""
-    ub_entry = _max_abs(entries, axis=3)
-    ub = {0: [1] + [0] * (kern.dim - 1)}
-    peaks = {}
-    for i, level in enumerate(sched.steps):
-        for mask, terms in level:
-            bound = [0] * kern.dim
-            peak = 0
-            for c, _, pad in terms:
-                sub = mask ^ (1 << c)
-                pb = kern.product_bound(ub_entry[i][c], ub[sub])
-                peak = max(peak, *ub_entry[i][c], *ub[sub], *pb)
-                if sub:
-                    peak = max(peak, kern._reduce.top)
-                if pad:
-                    pb = pmaps[pad].bound(pb)
-                    peak = max(peak, pmaps[pad].top)
-                bound = [x + y for x, y in zip(bound, pb)]
-                if any(b >= INT64_LIMIT for b in bound):
-                    raise OverflowRisk(
-                        f"determinant DP bound exceeds int64 at subset {mask:b}"
-                    )
-            ub[mask] = bound
-            peaks[mask] = max(peak, *bound)
-    return peaks
+def _subset_peak(kern: IntKernel, pmaps, ub_row, ub, mask: int, terms) -> int:
+    """The audited peak of one subset's step of det_int_batch's DP, a
+    Python int: the largest bound on a value the step reads or forms.  That
+    covers its row's entries and its sub-minors (the inputs it casts to its
+    own dtype), each product and padded term, each partial sum, and the
+    weights of the maps it applies (SparseMap.top).  ub_row[c] bounds the
+    entries of column c and ub[sub] the sub-minor on subset sub, per
+    coordinate.  Raises OverflowRisk if a partial sum could reach
+    INT64_LIMIT."""
+    bound = [0] * kern.dim
+    peak = 0
+    for c, _, pad in terms:
+        sub = mask ^ (1 << c)
+        pb = kern.product_bound(ub_row[c], ub[sub])
+        peak = max(peak, *ub_row[c], *ub[sub], *pb)
+        if sub:
+            peak = max(peak, kern._reduce.top)
+        if pad:
+            pb = pmaps[pad].bound(pb)
+            peak = max(peak, pmaps[pad].top)
+        bound = [x + y for x, y in zip(bound, pb)]
+        if any(b >= INT64_LIMIT for b in bound):
+            raise OverflowRisk(f"determinant DP bound exceeds int64 at subset {mask:b}")
+    return max(peak, *bound)
 
 
 def det_int_batch(
@@ -333,13 +324,17 @@ def det_int_batch(
     when the true numerator has denominators over the basis, and it is
     int64 or dtype=object, never int32.
 
-    An integer batch is audited first (_dp_audit): it raises OverflowRisk
-    if a partial sum could reach INT64_LIMIT, and otherwise each subset
-    runs in int32 if its peak is below INT32_LIMIT and in int64 if not.
-    A subset casts its row's entries and its sub-minors to its own dtype,
-    so every product, padded term and in-place sum has that dtype, and the
-    audit covers every narrowing cast.  An object batch runs on Python
-    ints throughout.
+    In an integer batch each subset is audited (_subset_peak) just before
+    it runs, on the measured max |coordinate| of its row's entries and of
+    the sub-minors the level below has just computed: those are exact,
+    since each sub-minor ran in a width its own audit admitted.  The audit
+    raises OverflowRisk, possibly partway through the DP, if a partial sum
+    could reach INT64_LIMIT; otherwise the subset runs in int32 if its peak
+    is below INT32_LIMIT and in int64 if not.  A subset casts its row's
+    entries and its sub-minors to its own dtype, so every product, padded
+    term and in-place sum has that dtype, and the audit covers every
+    narrowing cast.  The widths are batch-wide: one large row widens its
+    whole batch.  An object batch runs on Python ints throughout.
 
     The subset DP runs coordinate-major on stacked's (n, n, dim, batch)
     transpose, which is a copy only when stacked is not the batch-first
@@ -353,15 +348,18 @@ def det_int_batch(
     pmaps = kern.power_maps(spec.p, sched.max_pad)
 
     entries = np.ascontiguousarray(stacked.transpose(1, 2, 3, 0))
-    widths = {}
-    if entries.dtype != object:
-        peaks = _dp_audit(sched, kern, pmaps, entries)
-        widths = {mask: _width(peak) for mask, peak in peaks.items()}
+    integer = entries.dtype != object
+    if integer:
+        ub_entry = _max_abs(entries, axis=3)
+        ub = {0: [1] + [0] * (kern.dim - 1)}
     dp = {}
     for i, level in enumerate(sched.steps):
         new_dp = {}
         for mask, terms in level:
-            dtype = widths.get(mask, object)
+            dtype = object
+            if integer:
+                peak = _subset_peak(kern, pmaps, ub_entry[i], ub, mask, terms)
+                dtype = _width(peak)
             acc = np.zeros(entries.shape[2:], dtype=dtype)
             for c, sign, pad in terms:
                 sub = mask ^ (1 << c)
@@ -376,7 +374,9 @@ def det_int_batch(
                     acc += term
             new_dp[mask] = acc
         dp = new_dp
-    nums = dp[(1 << n) - 1].astype(np.int64 if widths else object, copy=False)
+        if integer and i < n - 1:
+            ub = {mask: _max_abs(acc, axis=1) for mask, acc in dp.items()}
+    nums = dp[(1 << n) - 1].astype(np.int64 if integer else object, copy=False)
     if kern.entry_scale != 1:
         # dp carries entry_scale^n; one factor stays on the output so it
         # remains integral (the true numerator may have basis denominators).
@@ -451,15 +451,19 @@ def det_slack_batch(*row_blocks) -> np.ndarray:
 
 
 class UserTensors:
-    """Per-user flattened generator data for batched codeword evaluation."""
+    """Per-user flattened generator data for batched codeword evaluation.
+
+    The integer half (numv and its SparseMap, read by blocks_int) is built
+    at construction.  The float half (emb, emb_err and their interleaved
+    real and imaginary parts, read only by blocks_float) is built on first
+    use, so a caller that never screens in floats, such as the rank sweep,
+    never builds it."""
 
     def __init__(self, spec: CodeSpec, kern: IntKernel, j: int):
         gens = lattice_basis(spec, j)
         r = len(gens)
         n_t, width = gens[0].shape
-        dim = kern.dim
-        numv = np.zeros((r, n_t, width, dim), dtype=np.int64)
-        emb = np.zeros((r, n_t, width), dtype=np.complex128)
+        numv = np.zeros((r, n_t, width, kern.dim), dtype=np.int64)
         E = exponent_matrix(spec)
         row_base = (j - 1) * n_t
         for gi, g in enumerate(gens):
@@ -472,16 +476,28 @@ class UserTensors:
                     if num.den != 1:
                         raise ValueError("element is not integral over the basis")
                     numv[gi, rr, cc] = num.num
-                    enc = g.entry_value(rr, cc).embed(50)
-                    emb[gi, rr, cc] = enc.mid()
         self.j = j
         self.r = r
         self.numv = numv
         self._numv_map = SparseMap(numv.reshape(r, -1))
-        self.emb = emb
-        self.emb_err = np.abs(emb) * EMB_REL_ERR + 1e-290
-        # emb's real and imaginary parts interleaved, one column each
-        self._emb_re_im = emb.view(np.float64).reshape(r, -1)
+        self._gens = gens
+
+    @cached_property
+    def emb(self) -> np.ndarray:
+        """(r, n_t, width) complex128 midpoints of the generators' entries."""
+        return np.array(
+            [[[e.embed(50).mid() for e in row] for row in g.values()] for g in self._gens],
+            dtype=np.complex128,
+        )
+
+    @cached_property
+    def emb_err(self) -> np.ndarray:
+        return np.abs(self.emb) * EMB_REL_ERR + 1e-290
+
+    @cached_property
+    def _emb_re_im(self) -> np.ndarray:
+        """emb's real and imaginary parts interleaved, one column each."""
+        return self.emb.view(np.float64).reshape(self.r, -1)
 
     def blocks_float(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, r) int coefficients -> (n, n_t, width) complex blocks + errors.

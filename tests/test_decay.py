@@ -30,7 +30,7 @@ from macdecay.number_field import FieldElem
 from macdecay.quadratic import QuadElem, RingTag
 
 from util import (
-    draw_samples_reference, naive_min_reference,
+    blocks_float_reference, draw_samples_reference, naive_min_reference,
     orbit_representatives_reference, rand_box, screen_reference,
 )
 
@@ -252,6 +252,64 @@ class TestRankCriterion:
         for boxes in ([bad], [ok, bad], [bad, ok]):
             with pytest.raises(ValueError, match=f"^rank criterion {message}$"):
                 rank_criterion_check(golden_spec, boxes)
+
+    @pytest.mark.parametrize("good", [1, 2**64], ids=["int64", "object"])
+    def test_packed_ingest_refuses_ragged_batches(self, good, golden_spec, monkeypatch):
+        # wrong lengths that a count of the batch's coefficients cannot see,
+        # next to a box that packs into int64 or only into an object array:
+        # the same refusal, and the object ingest is never started
+        fromiter, started = np.fromiter, []
+
+        def recorded(*args, **kwargs):
+            started.append(args)
+            return fromiter(*args, **kwargs)
+
+        def box(*vectors):
+            return CoefficientBox((2**70,) * len(vectors), vectors)
+
+        monkeypatch.setattr(decay.np, "fromiter", recorded)
+        ok = box((good, 0, 0, 0), (0, 1, 0, 0))
+        ragged = [
+            # a wrong-length vector beside a coefficient past int64
+            [box((2**64, 0, 0, 0), (0, 1, 0))],
+            # lengths r + 1 and r - 1, in one box and in two
+            [box((1, 0, 0, 0, 1), (0, 1, 0))],
+            [box((1, 0, 0, 0, 1), (0, 1, 0, 0)), box((1, 0, 0, 0), (0, 1, 0))],
+            # U + 1 vectors in one box, U - 1 in the next
+            [box(*((1, 0, 0, 0),) * 3), box((0, 1, 0, 0))],
+        ]
+        message = "^rank criterion needs 2 coefficient vectors of length 4 per box$"
+        for bad in ragged:
+            for boxes in (bad, [ok] + bad, bad + [ok]):
+                with pytest.raises(ValueError, match=message):
+                    rank_criterion_check(golden_spec, boxes)
+        assert started == []
+
+    @pytest.mark.parametrize("spec_name", ["cubic_spec", "quartic_spec"])
+    def test_rank_sweep_builds_no_float_data(self, spec_name, request, monkeypatch):
+        spec = request.getfixturevalue(spec_name)
+        boxes = random_boxes(spec, random.Random(283), 64)
+        bounds = (1,) * spec.U
+        # also runs lattice_basis's once-per-process rank certification,
+        # which embeds the generators
+        want = min_abs_det(spec, bounds, mode=SAMPLED, samples=300, seed=5)
+        vecs = np.array([b.vectors[0] for b in boxes])
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the rank sweep embedded an element")
+
+        monkeypatch.setattr(FieldElem, "embed", refuse)
+        assert rank_criterion_check(spec, boxes) == RankReport(64, [], [])
+        monkeypatch.undo()
+        # a fresh context still builds its float half on first use
+        got = min_abs_det(spec, bounds, mode=SAMPLED, samples=300, seed=5)
+        for field in ("D_value", "argmin", "det_numerator", "det_p_exponent", "screened"):
+            assert getattr(got, field) == getattr(want, field), field
+        ut = UserTensors(spec, IntKernel(spec.tower), 1)
+        blocks, errs = ut.blocks_float(vecs)
+        want_blocks, want_errs = blocks_float_reference(ut, vecs)
+        assert np.all(np.abs(blocks - want_blocks) <= errs)
+        assert np.all(np.abs(errs - want_errs) <= 1e-12 * errs)
 
     def test_true_coefficient_reads_as_one(self, golden_spec, monkeypatch):
         ones = CoefficientBox((1, 1), ((1, 0, 1, 0), (0, 1, 0, 0)))

@@ -5,18 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from macdecay import kernels
 from macdecay.construction import CoefficientBox, assemble_codeword
-from macdecay.decay import det_exact
+from macdecay.decay import _SearchContext, _exact_stage, det_exact
 from macdecay.kernels import (
     INT32_LIMIT, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
     UserTensors, coeff_grid, det_float_batch, det_int_batch, det_schedule,
     det_slack_batch, exponent_matrix, grid_size, laplace_terms,
-    slack_factors, stack_users, _dp_audit, _max_abs,
+    slack_factors, stack_users, _max_abs,
 )
 from macdecay.number_field import FieldElem
 
 from util import (
-    blocks_float_reference, coeff_grid_reference, rand_box, rand_elem,
+    a_priori_peaks, blocks_float_reference, coeff_grid_reference, rand_box,
+    rand_elem,
 )
 
 ALL_TOWERS = [
@@ -220,15 +222,17 @@ class TestSchedule:
                     assert 0 <= pad <= sched.max_pad
 
 
-class TestBatchedDeterminants:
-    def _batch(self, spec, kern, boxes):
-        tensors = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
-        blocks = []
-        for j, ut in enumerate(tensors):
-            vecs = np.array([b.vectors[j] for b in boxes], dtype=np.int64)
-            blocks.append(ut.blocks_int(vecs))
-        return stack_users(blocks)
+def stacked_blocks(spec, kern, boxes):
+    """The stacked integer blocks of a list of boxes, as the exact stage
+    builds them."""
+    blocks = []
+    for j in range(spec.U):
+        vecs = np.array([b.vectors[j] for b in boxes], dtype=np.int64)
+        blocks.append(UserTensors(spec, kern, j + 1).blocks_int(vecs))
+    return stack_users(blocks)
 
+
+class TestBatchedDeterminants:
     def test_matches_exact_determinant(self, request):
         rng = random.Random(149)
         for spec_name in ALL_SPECS:
@@ -236,7 +240,7 @@ class TestBatchedDeterminants:
             kern = IntKernel(spec.tower)
             for size in (1, 3, 200):
                 boxes = [rand_box(spec, rng, 2) for _ in range(size)]
-                stacked = self._batch(spec, kern, boxes)
+                stacked = stacked_blocks(spec, kern, boxes)
                 nums, s = det_int_batch(spec, kern, stacked)
                 assert nums.shape == (size, kern.dim)
                 assert s == det_schedule(exponent_matrix(spec)).total_exp
@@ -274,7 +278,7 @@ class TestBatchedDeterminants:
             errs = stack_users(ferrs)
             approx = det_float_batch(mats)
             slack = det_slack_batch(slack_factors(mats, errs, mats.shape[1]))
-            stacked = self._batch(spec, kern, boxes)
+            stacked = stacked_blocks(spec, kern, boxes)
             nums, s = det_int_batch(spec, kern, stacked)
             for a, sl, num, box in zip(approx, slack, nums, boxes):
                 num = FieldElem(spec.tower, num, kern.entry_scale)
@@ -408,6 +412,51 @@ def record_mul_dtypes(monkeypatch) -> list:
     return seen
 
 
+def record_subset_peaks(monkeypatch) -> dict:
+    """Wrap det_int_batch's per-subset audit; the returned dict receives
+    each audited subset's peak, by column mask."""
+    peaks = {}
+    subset_peak = kernels._subset_peak
+
+    def recorded(kern, pmaps, ub_row, ub, mask, terms):
+        peaks[mask] = subset_peak(kern, pmaps, ub_row, ub, mask, terms)
+        return peaks[mask]
+
+    monkeypatch.setattr(kernels, "_subset_peak", recorded)
+    return peaks
+
+
+def product_masks(spec) -> list[int]:
+    """The subset mask of every product det_int_batch runs, in call order."""
+    sched = det_schedule(exponent_matrix(spec))
+    return [
+        mask
+        for level in sched.steps
+        for mask, terms in level
+        for col, _, _ in terms
+        if mask ^ (1 << col)
+    ]
+
+
+def assert_exact(spec, kern, nums, s, boxes):
+    """Each row of det_int_batch's nums is det_exact's scaled numerator."""
+    for row, box in zip(nums.tolist(), boxes):
+        num, s_ref = det_exact(assemble_codeword(spec, box))
+        assert s == s_ref
+        assert row == list((num * kern.entry_scale).num), box
+
+
+def scaled_boxes(boxes, scales):
+    """The boxes with user j's coefficients times scales[j]."""
+    return [
+        CoefficientBox(
+            tuple(N * c for N, c in zip(box.bounds, scales)),
+            tuple(tuple(c * x for x in v) for v, c in zip(box.vectors, scales)),
+        )
+        for box in boxes
+    ]
+
+
 class TestIntegerWidths:
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
     def test_max_abs_reads_every_width_exactly(self, dtype):
@@ -423,76 +472,141 @@ class TestIntegerWidths:
         assert _max_abs(np.zeros((0, 3), dtype=dtype), axis=0) == [0, 0, 0]
 
     def test_dp_width_edge(self, cubic_spec, monkeypatch):
-        # user 1's coefficients scaled by c scale every subset's peak: one
-        # below the least c whose largest peak reaches INT32_LIMIT every
-        # product runs in int32, at that c the largest subset's run in int64,
-        # and both batches give det_exact's numerators, in int64
+        # user 1's coefficients scaled by c scale every subset's measured
+        # peak: one below the least c whose largest peak reaches INT32_LIMIT
+        # every product runs in int32, at that c exactly the subsets the
+        # measured audit widens run in int64, and both batches give
+        # det_exact's numerators, in int64
         spec = cubic_spec
         kern = IntKernel(spec.tower)
-        uts = [UserTensors(spec, kern, j + 1) for j in range(spec.U)]
-        sched = det_schedule(exponent_matrix(spec))
-        pmaps = kern.power_maps(spec.p, sched.max_pad)
         rng = random.Random(263)
         boxes = [rand_box(spec, rng, 2) for _ in range(4)]
+        masks = product_masks(spec)
+        peaks = record_subset_peaks(monkeypatch)
 
-        def scaled(c):
-            return [
-                CoefficientBox(
-                    (2 * c,) + box.bounds[1:],
-                    (tuple(c * x for x in box.vectors[0]),) + box.vectors[1:],
-                )
-                for box in boxes
-            ]
+        def run(c):
+            peaks.clear()
+            scaled = scaled_boxes(boxes, (c,) + (1,) * (spec.U - 1))
+            nums, s = det_int_batch(spec, kern, stacked_blocks(spec, kern, scaled))
+            return nums, s, scaled
 
-        def stacked(c):
-            vecs = [
-                np.array([b.vectors[j] for b in scaled(c)], dtype=np.int64)
-                for j in range(spec.U)
-            ]
-            return stack_users([ut.blocks_int(v) for ut, v in zip(uts, vecs)])
-
-        def peaks(c):
-            entries = np.ascontiguousarray(stacked(c).transpose(1, 2, 3, 0))
-            return _dp_audit(sched, kern, pmaps, entries)
+        def top(c):
+            run(c)
+            return max(peaks.values())
 
         lo, hi = 1, 2**20
-        assert max(peaks(lo).values()) < INT32_LIMIT <= max(peaks(hi).values())
+        assert top(lo) < INT32_LIMIT <= top(hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if max(peaks(mid).values()) < INT32_LIMIT:
+            if top(mid) < INT32_LIMIT:
                 lo = mid
             else:
                 hi = mid
         seen = record_mul_dtypes(monkeypatch)
         for c in (lo, hi):
             seen.clear()
-            nums, s = det_int_batch(spec, kern, stacked(c))
+            nums, s, scaled = run(c)
             assert nums.dtype == np.int64
-            wide = [mask for mask, peak in peaks(c).items() if peak >= INT32_LIMIT]
+            wide = {mask for mask, peak in peaks.items() if peak >= INT32_LIMIT}
             if c == lo:
-                assert wide == [] and set(seen) == {np.dtype(np.int32)}
+                assert wide == set() and set(seen) == {np.dtype(np.int32)}
             else:
                 assert wide and np.dtype(np.int64) in seen
                 # the subsets that run in int64 are those the audit widens
-                want = [
-                    np.dtype(np.int64 if mask in wide else np.int32)
-                    for level in sched.steps
-                    for mask, terms in level
-                    for col, _, _ in terms
-                    if mask ^ (1 << col)
+                assert seen == [
+                    np.dtype(np.int64 if mask in wide else np.int32) for mask in masks
                 ]
-                assert seen == want
-            for row, box in zip(nums.tolist(), scaled(c)):
-                num, s_ref = det_exact(assemble_codeword(spec, box))
-                assert s == s_ref
-                assert row == list((num * kern.entry_scale).num), c
+            assert_exact(spec, kern, nums, s, scaled)
+
+    def test_measured_audit_is_tighter_than_a_priori(self, cubic_spec, monkeypatch):
+        # user 1 scaled by c in one box and user 2 in the other: the
+        # per-coordinate maxima of row 1's entries and of the size-1
+        # sub-minors (row 0's entries) sit in different boxes, so the a
+        # priori bound of a size-2 sub-minor is about c^2 while its measured
+        # size is about c.  The full subset's a priori peak reaches
+        # INT32_LIMIT, its measured one does not, and it runs in int32 with
+        # exact numerators.
+        spec = cubic_spec
+        kern = IntKernel(spec.tower)
+        rng = random.Random(271)
+        base = [rand_box(spec, rng, 2) for _ in range(2)]
+        c = 2**8
+        boxes = scaled_boxes(base[:1], (c, 1, 1)) + scaled_boxes(base[1:], (1, c, 1))
+        stacked = stacked_blocks(spec, kern, boxes)
+        full = (1 << spec.U * spec.n_t) - 1
+        peaks = record_subset_peaks(monkeypatch)
+        seen = record_mul_dtypes(monkeypatch)
+        nums, s = det_int_batch(spec, kern, stacked)
+        a_priori = a_priori_peaks(spec, kern, stacked)
+        assert peaks[full] < INT32_LIMIT <= a_priori[full]
+        assert all(peaks[mask] <= peak for mask, peak in a_priori.items())
+        assert [t for t, m in zip(seen, product_masks(spec)) if m == full] == [
+            np.dtype(np.int32)
+        ] * spec.U * spec.n_t
+        assert_exact(spec, kern, nums, s, boxes)
+
+    def test_real_level3_past_int32_runs_in_int64(self, quartic_spec, monkeypatch):
+        # coefficients in [-32, 32]: some size-3 sub-minors really pass
+        # INT32_LIMIT (read from the same DP on Python ints), and each of
+        # them runs in int64; the numerators are exact
+        spec = quartic_spec
+        kern = IntKernel(spec.tower)
+        rng = random.Random(277)
+        boxes = [rand_box(spec, rng, 32) for _ in range(6)]
+        stacked = stacked_blocks(spec, kern, boxes)
+        masks = product_masks(spec)
+        full = (1 << spec.U * spec.n_t) - 1
+        sizes = []
+        mul = IntKernel.mul
+
+        def sized(self, u, v):
+            sizes.append(int(np.abs(v).max()))
+            return mul(self, u, v)
+
+        monkeypatch.setattr(IntKernel, "mul", sized)
+        det_int_batch(spec, kern, stacked.astype(object))
+        monkeypatch.undo()
+        # a last-level product's second factor is the size-3 sub-minor
+        # full ^ (1 << col)
+        sched = det_schedule(exponent_matrix(spec))
+        level3 = [full ^ (1 << col) for col, _, _ in sched.steps[-1][0][1]]
+        real = dict(zip(level3, sizes[-len(level3):]))
+        past = {mask for mask, size in real.items() if size >= INT32_LIMIT}
+        assert past and past != set(level3)
+        seen = record_mul_dtypes(monkeypatch)
+        nums, s = det_int_batch(spec, kern, stacked)
+        for mask in past:
+            assert {t for t, m in zip(seen, masks) if m == mask} == {np.dtype(np.int64)}
+        assert_exact(spec, kern, nums, s, boxes)
+
+    def test_overflow_risk_raised_partway(self, quartic_spec, monkeypatch):
+        # coefficients scaled to [-512, 512]: the subsets of sizes 1-3 pass
+        # their audits and run, the full subset's audit refuses int64, and
+        # _exact_stage's object rerun gives the exact numerators
+        spec = quartic_spec
+        kern = IntKernel(spec.tower)
+        rng = random.Random(281)
+        boxes = scaled_boxes([rand_box(spec, rng, 2) for _ in range(3)], (256, 256))
+        stacked = stacked_blocks(spec, kern, boxes)
+        masks = product_masks(spec)
+        full = (1 << spec.U * spec.n_t) - 1
+        seen = record_mul_dtypes(monkeypatch)
+        with pytest.raises(OverflowRisk, match=f"subset {full:b}$"):
+            det_int_batch(spec, kern, stacked)
+        assert len(seen) == len([m for m in masks if m != full])
+        monkeypatch.undo()
+        ctx = _SearchContext(spec)
+        vecs = [np.array([b.vectors[j] for b in boxes]) for j in range(spec.U)]
+        nums, s, fixed = _exact_stage(ctx, vecs)
+        assert nums.dtype == object and fixed.all()
+        assert_exact(spec, kern, nums, s, boxes)
 
     @pytest.mark.parametrize(
         "spec_name, levels",
         [
             # per level of the DP, the dtype of each product it runs
             ("cubic_spec", [[], [np.int32] * 6, [np.int32] * 3]),
-            ("quartic_spec", [[], [np.int32] * 12, [np.int64] * 12, [np.int64] * 4]),
+            ("quartic_spec", [[], [np.int32] * 12, [np.int32] * 12, [np.int64] * 4]),
         ],
     )
     def test_rank_sweep_widths_frozen(self, spec_name, levels, request, monkeypatch):

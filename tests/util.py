@@ -11,7 +11,8 @@ from macdecay.construction import (
 from macdecay.decay import _laplace_det, _nonzero_vectors, abs_sq_of_det
 from macdecay.finite_fields import pf_trim, reduce_poly_mod_p
 from macdecay.kernels import (
-    DET_EVAL_REL, EMB_REL_ERR, GRID_ROW_CAP, det_float_batch,
+    DET_EVAL_REL, EMB_REL_ERR, GRID_ROW_CAP, det_float_batch, det_schedule,
+    exponent_matrix,
 )
 from macdecay.quadratic import units
 
@@ -83,6 +84,34 @@ def blocks_float_reference(ut, vecs):
     blocks = np.tensordot(v.astype(np.complex128), ut.emb, axes=([1], [0]))
     errs = np.tensordot(np.abs(v), ut.emb_err, axes=([1], [0]))
     return blocks, errs + np.abs(blocks) * EMB_REL_ERR
+
+
+def a_priori_peaks(spec, kern, stacked):
+    """Each subset's peak under the a priori DP audit that det_int_batch's
+    measured one replaces: the same formula, but every sub-minor bounded by
+    the audited bound of the level below, never by its measured size."""
+    sched = det_schedule(exponent_matrix(spec))
+    pmaps = kern.power_maps(spec.p, sched.max_pad)
+    ub_entry = np.abs(stacked.astype(object)).max(axis=0).tolist()
+    ub = {0: [1] + [0] * (kern.dim - 1)}
+    peaks = {}
+    for i, level in enumerate(sched.steps):
+        for mask, terms in level:
+            bound = [0] * kern.dim
+            peak = 0
+            for c, _, pad in terms:
+                sub = mask ^ (1 << c)
+                pb = kern.product_bound(ub_entry[i][c], ub[sub])
+                peak = max(peak, *ub_entry[i][c], *ub[sub], *pb)
+                if sub:
+                    peak = max(peak, kern._reduce.top)
+                if pad:
+                    pb = pmaps[pad].bound(pb)
+                    peak = max(peak, pmaps[pad].top)
+                bound = [x + y for x, y in zip(bound, pb)]
+            ub[mask] = bound
+            peaks[mask] = max(peak, *bound)
+    return peaks
 
 
 def screen_reference(mats, errs):
