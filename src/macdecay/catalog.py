@@ -354,19 +354,6 @@ def find_inert_primes(tower: Tower, norm_bound: int) -> list[QuadElem]:
     return out
 
 
-def verify_orbit_product(tower: Tower) -> bool:
-    """Check prod_j (x - sigma^j(theta)) expands to f inside L[x]."""
-    th = tower.theta()
-    coeffs = [tower.one()]
-    for j in range(tower.d):
-        root = th.apply_sigma(j)
-        shifted = [tower.zero()] + coeffs
-        scaled = [root * c for c in coeffs] + [tower.zero()]
-        coeffs = [a - b for a, b in zip(shifted, scaled)]
-    expected = [tower.from_rational(c) for c in tower.f_coeffs]
-    return coeffs == expected
-
-
 # largest degree catalog_rows accepts: its cost grows steeply, from 0.5 s
 # for degrees up to 12 to about 12 s up to 24 (one Xeon core)
 MAX_DEGREE = 24

@@ -39,8 +39,9 @@ FIRST_USER = "FIRST_USER"
 ALL_USERS = "ALL_USERS"
 
 DEFAULT_BUDGET = 10**8
-# shell rows per chunk of the n_t >= 2 EXHAUSTIVE scan; each chunk screens
-# against its own least upper bound, so the chunking fixes the candidate counts
+# orbit representatives per chunk of the n_t >= 2 EXHAUSTIVE scan; each chunk
+# screens against its own least upper bound, so the chunking fixes the
+# candidate counts
 CHUNK_U1_ROWS = 512
 SAMPLE_CHUNK = 32768
 DRAW_WORDS = 1 << 13  # fresh stream words one numpy pass of the draw parses
@@ -57,9 +58,9 @@ class BudgetExceeded(RuntimeError):
 class DecayReport:
     """One point of a decay curve.  ``evaluated`` counts the codewords the
     point covers; ``screened`` those whose float bounds it computed: the
-    meet-in-the-middle window pairs (EXHAUSTIVE, n_t = 1), the scanned
-    orbit representatives of the one user's shell (EXHAUSTIVE, n_t >= 2),
-    the samples (SAMPLED), or 0 (naive_min_abs_det)."""
+    meet-in-the-middle window pairs (EXHAUSTIVE, n_t = 1), the orbit
+    representatives of the one user's box (EXHAUSTIVE, n_t >= 2), the
+    samples (SAMPLED), or 0 (naive_min_abs_det)."""
 
     bounds: tuple[int, ...]
     mode: str
@@ -210,10 +211,9 @@ def orbit_units(kern: IntKernel) -> list[np.ndarray]:
 def orbit_representatives(
     grid: np.ndarray, N: int, units: list[np.ndarray]
 ) -> np.ndarray:
-    """Rows of a lex-ascending coeff_grid(N, r), or of a subset of its
-    rows such as a shell, that are lex-smallest in their unit orbit, each
-    unit acting on every antenna slot's block of gamma-coordinates.  The
-    kept rows keep their order.
+    """Rows of a lex-ascending coeff_grid(N, r) that are lex-smallest in
+    their unit orbit, each unit acting on every antenna slot's block of
+    gamma-coordinates.  The kept rows keep their order.
 
     A row v's lex rank is its key (v + N) @ w, w the mixed-radix weights of
     base 2N + 1, and a unit maps v to v @ kron(I, mat).  The key is linear,
@@ -237,8 +237,8 @@ class _SearchContext:
     """The kernels of one spec: its IntKernel, every user's UserTensors,
     the orbit units (orbit_units), the Laplace terms of the factored float
     screen and the matrix of tau = sigma^U for the exact stage.  Nothing in
-    it depends on a box or a mode, so a decay curve builds one for all its
-    points.
+    it but the memo of orbit_grids depends on a box or a mode, so a decay
+    curve builds one for all its points.
 
     The float screen is factored by user.  A codeword's rows split into a
     prefix block (users 1..U-1) and the last user's n_t rows, and both the
@@ -247,9 +247,10 @@ class _SearchContext:
     float_factors builds, for coefficient vectors of every user, each
     prefix user's float blocks and slack factors, and the last user's
     slack factors and n_t x n_t minors on every column set of ``terms``.
-    The n_t >= 2 EXHAUSTIVE scan builds them once over its shell, the
-    meet-in-the-middle scan once over user 1's generators and the other
-    users' orbit grids, and SAMPLED once per chunk of samples."""
+    The n_t >= 2 EXHAUSTIVE scan builds them once over the user's orbit
+    representatives, the meet-in-the-middle scan once over user 1's
+    generators and the other users' orbit grids, and SAMPLED once per chunk
+    of samples."""
 
     def __init__(self, spec: CodeSpec):
         self.spec = spec
@@ -260,6 +261,19 @@ class _SearchContext:
         self.terms = laplace_terms(self.n, spec.n_t)
         # v is tau-fixed iff v @ tau == v * tau_den
         self.tau, self.tau_den = self.kern.sigma_vec_mat(spec.U)
+        self._grids: dict[tuple[int, int], np.ndarray] = {}
+
+    def orbit_grids(self, keys):
+        """The orbit representatives of coeff_grid(N, r) for each (N, r) in
+        keys, built only where the previous call did not build them.  The
+        memo keeps this call's grids only, so a curve's memory does not
+        grow with its points."""
+        self._grids = {
+            k: self._grids[k] if k in self._grids
+            else orbit_representatives(coeff_grid(*k), k[0], self.units)
+            for k in set(keys)
+        }
+        return [self._grids[k] for k in keys]
 
     def float_factors(self, vecs: list[np.ndarray]):
         """(pre, last) for per-user coefficient arrays: pre lists (blocks,
@@ -400,33 +414,27 @@ def _scan_chunk(ctx: _SearchContext, vecs, factors) -> list[np.ndarray]:
     return [v[cands] for v in vecs]
 
 
-def _grid_scan(ctx: _SearchContext, bounds, lengths, prev):
-    """(candidates, screened) of the one-user box `bounds` minus the box
-    of `prev` (see _minimum) for n_t >= 2: the rows of every chunk's
-    candidates plus prev's argmin, in no particular order, and the number
-    of rows scanned.  r = 2 U n_t^2, so with a second user the grid has
-    3^16 rows at N = 1, which _minimum refuses by the row cap.
+def _grid_scan(ctx: _SearchContext, bounds, lengths):
+    """(candidates, screened) of the one-user box `bounds` for n_t >= 2:
+    the rows of every chunk's candidates in lex order, and the number of
+    orbit representatives scanned.  r = 2 U n_t^2, so with a second user
+    the grid has 3^16 rows at N = 1, which _minimum refuses by the row cap.
 
-    The rows are the orbit representatives of the shell of coeff_grid rows
-    with max |coeff| above prev's bound (the whole grid without prev).
-    Their float factors are built once, and the shell is screened
-    CHUNK_U1_ROWS rows at a time, each chunk against its own least upper
-    bound (_scan_chunk)."""
+    The float factors of the box's orbit representatives are built once,
+    and they are screened CHUNK_U1_ROWS rows at a time, each chunk against
+    its own least upper bound (_scan_chunk).  coeff_grid is lex ascending
+    and every step keeps the order of the rows it keeps, so the candidates
+    need no sort."""
     (N,), (r,) = bounds, lengths
-    shell = coeff_grid(N, r)
-    if prev is not None:
-        shell = shell[np.abs(shell).max(axis=1) > prev.bounds[0]]
-    shell = orbit_representatives(shell, N, ctx.units)
-    pre, last = ctx.float_factors([shell])
+    grid = orbit_representatives(coeff_grid(N, r), N, ctx.units)
+    pre, last = ctx.float_factors([grid])
     per_chunk = []
-    for i in range(0, shell.shape[0], CHUNK_U1_ROWS):
+    for i in range(0, grid.shape[0], CHUNK_U1_ROWS):
         rows = slice(i, i + CHUNK_U1_ROWS)
         per_chunk.append(
-            _scan_chunk(ctx, [shell[rows]], (pre, [f[..., rows] for f in last]))
+            _scan_chunk(ctx, [grid[rows]], (pre, [f[..., rows] for f in last]))
         )
-    if prev is not None:
-        per_chunk.append([np.array([v], dtype=np.int64) for v in prev.argmin.vectors])
-    return [np.concatenate(user) for user in zip(*per_chunk)], shell.shape[0]
+    return [np.concatenate(user) for user in zip(*per_chunk)], grid.shape[0]
 
 
 def _half_grid(N: int, length: int) -> np.ndarray:
@@ -454,13 +462,14 @@ def _cofactors(ctx: _SearchContext, factors, rows, N: int):
     return c, S
 
 
-def _mitm_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
+def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
     """(candidates, screened) of the box `bounds` for n_t = 1 by meet in
     the middle (Horowitz and Sahni, JACM 1974), with the contract of
     _grid_scan: user 1's whole box against the orbit representatives y of
-    users 2..U, and ``screened`` the number of window pairs below.  prev
-    only lends an upper bound on the minimum.  `grids` maps (N, r) to the
-    orbit representatives of users 2..U and is refilled with this box's.
+    users 2..U (ctx.orbit_grids), the candidates in lex order of their
+    concatenated coefficients, and ``screened`` the number of window pairs
+    below.  ub is a proven upper bound on the minimum |det| over the box,
+    such as an inner box's D_value + error_radius rounded up by 2^-40.
 
     With n_t = 1 user 1 owns one row, so det is linear in its coefficient
     vector x: det(x, y) = sum_g x_g c_g(y), where c_g(y) is the det with
@@ -474,10 +483,9 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
 
     where 2^-40 |c~_g| covers, many times over, the rounding of the half
     sums (r terms, relative error r 2^-53), of |A_a + B_b| and of the
-    window ends below.  ub is a proven upper bound on the minimum of |det|
-    over the box, rounded up by 2^-40 each time it is set: prev's D_value
-    + error_radius (prev's box lies inside this one), then |A_a| + S or
-    |B_b| + S for a codeword with one half zero, then the least up below.
+    window ends below.  ub only falls, rounded up by 2^-40 each time it is
+    set: to |A_a| + S or |B_b| + S for a codeword with one half zero, then
+    to the least up below.
 
     For every y the B sums are sorted by real part, and each A sum takes
     the window Re B in [-Re A - T, -Re A + T], T = (ub + 2 S)(1 + 2^-50),
@@ -503,22 +511,13 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
     Decided exactly in lex order, the first exact minimizer among the
     candidates is therefore z."""
     N, r = bounds[0], lengths[0]
-    others = list(zip(bounds[1:], lengths[1:]))
-    reps = {k: grids[k] for k in others if k in grids}
-    for n, length in set(others) - reps.keys():
-        reps[n, length] = orbit_representatives(coeff_grid(n, length), n, ctx.units)
-    grids.clear()
-    grids.update(reps)
-    reps = [reps[k] for k in others]
+    reps = ctx.orbit_grids(list(zip(bounds[1:], lengths[1:])))
     sizes = [g.shape[0] for g in reps]
     factors = ctx.float_factors([np.eye(r, dtype=np.int64), *reps])
     HA, HB = _half_grid(N, r // 2), _half_grid(N, r - r // 2)
     fa, fb = HA.T.astype(np.float64), HB.T.astype(np.float64)
     na, nb = HA.shape[0], HB.shape[0]
     za, zb = na // 2, nb // 2
-    ub = math.inf
-    if prev is not None:
-        ub = (prev.D_value + prev.error_radius) * (1 + 2.0**-40)
     m, screened, kept = math.inf, 0, []
     step = max(1, SUB_BATCH // nb)
     count = math.prod(sizes)
@@ -573,7 +572,22 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, prev, grids):
     x = np.concatenate([HA[i], HB[j]], axis=1)
     sel = (lo2 <= m) & _orbit_minimal(x, N, ctx.units)
     ys = np.unravel_index(yq[sel], sizes)
-    return [x[sel], *(g[k] for g, k in zip(reps, ys))], screened
+    cands = [x[sel], *(g[k] for g, k in zip(reps, ys))]
+    order = np.lexsort(np.concatenate(cands, axis=1).T[::-1])
+    return [c[order] for c in cands], screened
+
+
+def _sample_scan(ctx: _SearchContext, bounds, lengths, samples: int, seed: int):
+    """(candidates, screened) of `samples` boxes drawn from `seed`
+    (_sample_chunks), with the contract of _grid_scan: every chunk's
+    candidates (_scan_chunk) in sample order, and ``screened`` the number
+    of samples.  Each chunk is drawn only after the previous one is
+    scanned."""
+    per_chunk = [
+        _scan_chunk(ctx, vecs, ctx.float_factors(vecs))
+        for vecs in _sample_chunks(seed, bounds, lengths, samples)
+    ]
+    return [np.concatenate(user) for user in zip(*per_chunk)], samples
 
 
 def _attempt_words(N: int) -> int:
@@ -731,52 +745,35 @@ def min_abs_det(
     action, so its lex-smallest member survives the reduction and the
     first-index tie-break picks the same argmin as a full scan.
 
-    Every scan runs in the calling process, from one search context, and
-    the path is fixed by the code.  With n_t = 1, det is linear in user 1's
-    vector, and meet in the middle (_mitm_scan) windows user 1's two half
-    sums against each other for every orbit representative of the other
-    users.  With n_t >= 2 the row cap admits only one-user boxes, and the
-    shell scan (_grid_scan) screens the user's orbit representatives in
-    fixed chunks, each keeping the codewords that can reach its own float
-    minimum.  SAMPLED screens the samples chunk by chunk the same way.
-    The candidates, in lex order (sample order for SAMPLED), go to one
-    exact stage, and the first exact minimizer among them is the argmin:
-    the first minimizer of the box (or the samples) is always a candidate,
-    and every candidate before it comes earlier, so none of them is a
-    minimizer.  The candidates are at most ``evaluated`` rows, which the
-    budget bounds.  ``screened`` counts the codewords whose float bounds
-    were computed: the window pairs with n_t = 1, the user's orbit
-    representatives with n_t >= 2, or the samples.  The exact stage runs
-    the determinant DP with each subset in int32 or int64 as its overflow
-    audit admits, or the same DP on Python ints if an audit refuses int64,
-    and a numerator not fixed by tau = sigma^U raises ArithmeticError.
-    ``workers`` is accepted and ignored.
+    Every scan runs in the calling process, from one search context, on a
+    path fixed by the code (_minimum).  Floats only propose candidates:
+    the first minimizer of the box (or the samples) is always one, and one
+    exact stage decides them in lex order (sample order for SAMPLED), so
+    its first exact minimizer is the argmin (_decide).  The candidates are
+    at most ``evaluated`` rows, which the budget bounds.  ``screened``
+    counts the codewords whose float bounds were computed: the window
+    pairs with n_t = 1, the user's orbit representatives with n_t >= 2,
+    or the samples.  A numerator not fixed by tau = sigma^U raises
+    ArithmeticError.  ``workers`` is accepted and ignored.
     """
     return _minimum(_SearchContext(spec), bounds, mode, samples, seed, budget)
 
 
 def _minimum(
-    ctx: _SearchContext, bounds, mode, samples, seed, budget, prev=None, grids=None
+    ctx: _SearchContext, bounds, mode, samples, seed, budget, ub=math.inf
 ) -> DecayReport:
-    """min_abs_det on the kernels of a search context, for the box
-    `bounds` with `prev`, an earlier report of the same context over an
-    inner box (none for the empty box).
-
-    An EXHAUSTIVE point takes its candidates from _mitm_scan when n_t = 1
-    and from _grid_scan otherwise, and sends them to one exact stage in lex
-    order of their concatenated coefficients, the scan order of one box;
-    the first exact minimizer among them is the argmin.  The grid scan
-    covers only the shell, bounds minus the inner box, and adds prev's
-    argmin: the first minimizer of the whole box in lex order lies in the
-    shell, and is then a candidate of its own chunk, or it lies in the
-    inner box, and is then the first minimizer of the inner box, prev's
-    argmin.  The meet-in-the-middle scan covers the whole box and takes
-    from prev only an upper bound on the minimum.  Either way the report is
-    the one the whole box gives on its own, with ``evaluated`` counting the
-    whole box and the budget and row cap applied to it; ``screened`` counts
-    what the scan bounded in floats.  `grids` carries the meet-in-the-middle
-    scan's orbit grids from prev's point to this one.  A SAMPLED point
-    ignores prev."""
+    """min_abs_det on the kernels of a search context, in three steps:
+    check the arguments and, for EXHAUSTIVE, the budget and the row cap on
+    the whole box; run one candidate producer; decide its candidates
+    (_decide).  With n_t = 1, det is linear in user 1's vector, and meet
+    in the middle (_mitm_scan) windows user 1's two half sums against each
+    other for every orbit representative of the other users.  With
+    n_t >= 2 the row cap admits only one-user boxes, and _grid_scan
+    screens the user's orbit representatives in fixed chunks.  SAMPLED
+    screens the samples chunk by chunk (_sample_scan).  ub is a proven
+    upper bound on the minimum |det| over the box.  Only the
+    meet-in-the-middle scan reads it, to narrow its windows, so it changes
+    ``screened`` and nothing else in the report."""
     t0 = time.perf_counter()
     spec = ctx.spec
     bounds = tuple(map(index, bounds))
@@ -805,14 +802,11 @@ def _minimum(
                     f"coefficient grid of {rows} rows exceeds the"
                     f" {GRID_ROW_CAP}-row cap; use SAMPLED mode"
                 )
+        samples = seed = None
         if spec.n_t == 1:
-            grids = {} if grids is None else grids
-            cands, screened = _mitm_scan(ctx, bounds, lengths, prev, grids)
+            scan = _mitm_scan(ctx, bounds, lengths, ub)
         else:
-            cands, screened = _grid_scan(ctx, bounds, lengths, prev)
-        order = np.lexsort(np.concatenate(cands, axis=1).T[::-1])
-        cands = [c[order] for c in cands]
-        samples_used = seed_used = None
+            scan = _grid_scan(ctx, bounds, lengths)
     else:
         if not samples or samples < 1:
             raise ValueError("SAMPLED mode requires a positive sample count")
@@ -820,14 +814,24 @@ def _minimum(
             raise BudgetExceeded(
                 f"sample count {samples} exceeds budget {budget}"
             )
-        seed_used = 0 if seed is None else int(seed)
-        per_chunk = [
-            _scan_chunk(ctx, vecs, ctx.float_factors(vecs))
-            for vecs in _sample_chunks(seed_used, bounds, lengths, samples)
-        ]
-        cands = [np.concatenate(user) for user in zip(*per_chunk)]
-        samples_used = evaluated = screened = samples
+        seed = 0 if seed is None else int(seed)
+        evaluated = samples
+        scan = _sample_scan(ctx, bounds, lengths, samples, seed)
+    return _decide(ctx, scan, t0, bounds, mode, samples, seed, evaluated)
 
+
+def _decide(
+    ctx: _SearchContext, scan, t0: float, bounds, mode, samples, seed, evaluated
+) -> DecayReport:
+    """The report on a producer's (candidates, screened), the candidates
+    per-user coefficient rows in decision order: one exact stage decides
+    them, a numerator not fixed by tau = sigma^U raises ArithmeticError,
+    and the first exact minimizer (_pick_min) is the argmin.  D_value is
+    the midpoint of a 60-bit enclosure of the exact |det|, error_radius
+    covers the enclosure and the rounding to float, and wall_time runs
+    from t0."""
+    spec = ctx.spec
+    cands, screened = scan
     nums, s, fixed = _exact_stage(ctx, cands)
     if not fixed.all():
         raise ArithmeticError("determinant is not fixed by tau = sigma^U")
@@ -840,8 +844,8 @@ def _minimum(
     return DecayReport(
         bounds=bounds,
         mode=mode,
-        samples=samples_used,
-        seed=seed_used,
+        samples=samples,
+        seed=seed,
         D_value=d_value,
         error_radius=radius,
         argmin=CoefficientBox(bounds, box),
@@ -872,20 +876,18 @@ def decay_curve(
     """D evaluated at N = 1..N_max with one user's box growing (FIRST_USER)
     or every user's box growing together (ALL_USERS).  ``workers`` is
     accepted and ignored (see min_abs_det).  One search context serves
-    every point, and each EXHAUSTIVE point hands its report (and, with
-    n_t = 1, its orbit grids) to the next (see _minimum).
+    every point, so the orbit grids of users 2..U that its last point
+    built are reused (_SearchContext.orbit_grids).
 
-    The boxes are nested, so D(N - 1) bounds D(N) from above.  With n_t = 1
-    that bound narrows the next point's meet-in-the-middle windows, and
-    ``screened`` counts its window pairs.  With n_t >= 2, D(N) is the exact
-    minimum of D(N - 1) and the minimum over box(N) minus box(N - 1), so
-    each point after the first scans only that shell, against the previous
-    argmin, and ``screened`` counts the shell's orbit representatives (the
-    row cap admits one user only).  Either way every point reports what
-    min_abs_det reports for the box alone, but for ``wall_time`` and
-    ``screened``.  SAMPLED points are drawn one by one, and the budget
-    bounds the whole curve: N_max * samples above it raises BudgetExceeded
-    before the first draw."""
+    The boxes are nested, so D(N - 1) bounds D(N) from above, and each
+    point hands the next one number: its D_value + error_radius, rounded
+    up by 2^-40, as ub (see _minimum).  With n_t = 1 that bound narrows
+    the next point's meet-in-the-middle windows, so a point reports what
+    min_abs_det reports for its box alone but for ``wall_time`` and
+    ``screened``; with n_t >= 2 every point scans its whole box and differs
+    from it in ``wall_time`` only.  SAMPLED points are drawn one by one,
+    and the budget bounds the whole curve: N_max * samples above it raises
+    BudgetExceeded before the first draw."""
     if N_max < 1:
         raise ValueError("N_max must be at least 1")
     if pattern not in (FIRST_USER, ALL_USERS):
@@ -895,13 +897,14 @@ def decay_curve(
             f"sampled curve needs {N_max} x {samples} samples, budget is {budget}"
         )
     ctx = _SearchContext(spec)
-    out, grids = [], {}
+    out, ub = [], math.inf
     for N in range(1, N_max + 1):
         bounds = (
             (N,) + (1,) * (spec.U - 1) if pattern == FIRST_USER else (N,) * spec.U
         )
-        prev = out[-1] if out else None
-        out.append(_minimum(ctx, bounds, mode, samples, seed, budget, prev, grids))
+        rep = _minimum(ctx, bounds, mode, samples, seed, budget, ub)
+        ub = (rep.D_value + rep.error_radius) * (1 + 2.0**-40)
+        out.append(rep)
     return out
 
 

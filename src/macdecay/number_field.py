@@ -634,9 +634,6 @@ class FieldElem(_Form):
                 out[half + i] = acc
         return _new(FieldElem, t, tuple(out), self.den * den)
 
-    def apply_tau(self, i: int = 1) -> FieldElem:
-        return self.apply_sigma(i * self.tower.U)
-
     def conj_complex(self) -> FieldElem:
         """Complex conjugation: theta is real, so it conjugates each K
         coordinate x + y mu (to x - y mu over Q(i), x + y - y mu over

@@ -69,6 +69,6 @@ def two_antenna_tower():
 
 @pytest.fixture(scope="session")
 def two_antenna_spec(two_antenna_tower):
-    # n_t = 2, so the exhaustive search takes the one-user shell scan: r = 8,
+    # n_t = 2, so the exhaustive search takes the one-user grid scan: r = 8,
     # 6,560 codewords at N = 1
     return CodeSpec(two_antenna_tower, QuadElem(1, 1, RingTag.GAUSSIAN))

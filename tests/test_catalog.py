@@ -6,12 +6,14 @@ import pytest
 from macdecay.catalog import (
     PeriodSpec, build_tower, catalog_rows, cyclotomic_poly, find_inert_primes,
     period_min_poly, quotient_generator, sigma_image_poly,
-    standard_generators, standard_period_spec, verify_orbit_product,
+    standard_generators, standard_period_spec,
 )
 from macdecay.quadratic import (
     GAUSSIAN, EISENSTEIN, QuadElem, canonical_associate,
     sqrt_minus3,
 )
+
+from util import verify_orbit_product
 
 # conductor, H generators, minimal polynomial (low-first), quotient generator
 STANDARD = {

@@ -108,9 +108,9 @@ class TestBuildM:
         m = build_M(quartic_spec, [x1, x2])
         assert m.shape == (2, 2)
         assert m.entry_value(0, 0) == x1
-        assert m.entry_value(0, 1) == x2.apply_tau(1) * p
+        assert m.entry_value(0, 1) == x2.apply_sigma(quartic_spec.U) * p
         assert m.entry_value(1, 0) == x2
-        assert m.entry_value(1, 1) == x1.apply_tau(1)
+        assert m.entry_value(1, 1) == x1.apply_sigma(quartic_spec.U)
 
     def test_entries_are_integral(self, miso_spec):
         rng = random.Random(89)

@@ -494,10 +494,10 @@ class TestMinAbsDetEngine:
     def test_exhaustive_report_does_not_depend_on_chunking(
         self, two_antenna_spec, rows, stage_rows, monkeypatch
     ):
-        # with one shell row per chunk, minimizers fall in different
-        # chunks; the first-index tie-break must still pick the argmin of
-        # the one-chunk scan.  Chunks exist only on the n_t >= 2 shell
-        # scan.  Each chunk keeps the candidates under its own least upper
+        # with one orbit representative per chunk, minimizers fall in
+        # different chunks; the first-index tie-break must still pick the
+        # argmin of the one-chunk scan.  Chunks exist only on the n_t >= 2
+        # grid scan.  Each chunk keeps the candidates under its own least upper
         # bound, so only the exact stage's rows depend on the chunking;
         # every value as the orbit-grid scan gave it at commit 58b5794
         monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
@@ -728,7 +728,7 @@ class TestFactoredScreen:
 
     @pytest.mark.parametrize("spec_name", ["two_antenna_spec", "miso_spec"])
     def test_exhaustive_screen_is_sound(self, spec_name, request):
-        # a chunk of the one-user shell scan: a slice of the rows whose
+        # a chunk of the one-user grid scan: a slice of the rows whose
         # float factors were built once; the two-antenna code's N = 1
         # orbit grid, random rows for the miso code's 3^18-row grid
         spec = request.getfixturevalue(spec_name)
@@ -837,7 +837,7 @@ class TestNaiveOracle:
 
 
     def test_two_antenna_engine_matches_naive(self, two_antenna_spec):
-        # n_t = 2: the one-user shell scan, by structure
+        # n_t = 2: the one-user grid scan, by structure
         fast = min_abs_det(two_antenna_spec, (1,))
         same_report(naive_min_abs_det(two_antenna_spec, (1,)), fast)
         assert fast.evaluated == 6560 and fast.screened == 1640
@@ -1310,31 +1310,46 @@ class TestDecayCurve:
         for rep, w in zip(curve, want):
             same_report(rep, w)
 
+    def test_orbit_grids_carry_between_points(self, golden_spec, monkeypatch):
+        # the search context keeps the latest point's orbit grids of users
+        # 2..U: a FIRST_USER curve builds user 2's N = 1 grid once, an
+        # ALL_USERS curve user 2's grid once per point.  User 1's half
+        # grids are the only other coeff_grid calls, of length r / 2
+        r, calls, grid = golden_spec.r_per_user, [], decay.coeff_grid
+
+        def recorded(N, length):
+            calls.append((N, length))
+            return grid(N, length)
+
+        monkeypatch.setattr(decay, "coeff_grid", recorded)
+        decay_curve(golden_spec, 4)
+        assert [c for c in calls if c[1] == r] == [(1, r)]
+        calls.clear()
+        decay_curve(golden_spec, 3, pattern=ALL_USERS)
+        assert [c for c in calls if c[1] == r] == [(1, r), (2, r), (3, r)]
+
     @pytest.mark.parametrize(
-        "rows, curve_rows, alone_rows",
-        [(512, [126, 1332], [126, 1532]), (7, [347, 15439], [347, 15782])],
+        "rows, stage_rows", [(512, [126, 1532]), (7, [347, 15782])]
     )
     def test_shell_scan_matches_each_box_alone(
-        self, two_antenna_spec, rows, curve_rows, alone_rows, monkeypatch
+        self, two_antenna_spec, rows, stage_rows, monkeypatch
     ):
-        # on the n_t >= 2 shell scan, each point after the first scans only
-        # its box minus the previous one and decides it against the
-        # previous argmin; every report is still the one min_abs_det gives
-        # for the box on its own, whatever the chunking.  screened counts
-        # the shell's orbit representatives in a curve and the whole box's
-        # alone; the exact stage takes every chunk's candidates (plus the
-        # previous argmin in a curve), so its rows depend on the chunking
+        # on the n_t >= 2 grid scan every curve point scans its whole box,
+        # so it is the report min_abs_det gives for the box on its own,
+        # screened and exact-stage rows included, whatever the chunking.
+        # screened counts the box's orbit representatives; the exact stage
+        # takes every chunk's candidates, so its rows depend on the chunking
         monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
         sizes = stage_sizes(monkeypatch)
         curve = decay_curve(two_antenna_spec, 2)
-        assert [rep.screened for rep in curve] == [1640, 96016]
-        assert sizes == curve_rows
+        assert [rep.screened for rep in curve] == [1640, 97656]
+        assert sizes == stage_rows
         sizes.clear()
         alone = [min_abs_det(two_antenna_spec, rep.bounds) for rep in curve]
-        assert [rep.screened for rep in alone] == [1640, 97656]
-        assert sizes == alone_rows
+        assert sizes == stage_rows
         for rep, want in zip(curve, alone, strict=True):
             same_report(rep, want)
+            assert rep.screened == want.screened
             assert rep.D_value == 0.5
         assert [rep.argmin.vectors for rep in curve] == [
             ((-1, -1, -1, 0, -1, -1, 1, 1),), ((-2, -2, -2, 1, -2, -2, 1, 2),),
@@ -1342,7 +1357,7 @@ class TestDecayCurve:
 
     def test_tied_minimum_moves_to_the_shell(self, golden_spec):
         # golden N = 2 ties N = 1, and its first minimizer in lex order lies
-        # in the shell, ahead of the previous argmin
+        # outside the N = 1 box, ahead of the previous argmin
         one, two = decay_curve(golden_spec, 2)
         assert two.abs_sq == one.abs_sq and two.D_value == one.D_value
         assert one.argmin.vectors == ((-1, -1, 0, 0), (-1, -1, 1, 0))
@@ -1366,7 +1381,7 @@ class TestDecayCurve:
         assert naive_min_abs_det(golden_spec, (1, 1)).screened == 0
 
     def test_curve_budget_refusal_unchanged(self, golden_spec):
-        # the budget still applies to the whole box, not to its shell
+        # the budget applies to the whole box of each point
         with pytest.raises(
             BudgetExceeded,
             match=r"^exhaustive search needs 5760000 codewords, budget is 400000;"

@@ -141,13 +141,15 @@ class TestEisensteinTower:
         for _ in range(25):
             x = rand_elem(quartic_tower, rng, 2)
             n = x.rel_norm(L_OVER_F)
-            assert n.apply_tau(1) == n
+            assert n.apply_sigma(quartic_tower.U) == n
 
     def test_tau_is_sigma_U(self, quartic_tower):
         rng = random.Random(47)
         x = rand_elem(quartic_tower, rng, 2)
-        assert x.apply_tau(1) == x.apply_sigma(quartic_tower.U)
-        assert x.apply_tau(2) == x
+        # tau = sigma^U has order n_t = 2
+        tau_x = x.apply_sigma(quartic_tower.U)
+        assert not tau_x == x
+        assert tau_x.apply_sigma(quartic_tower.U) == x
 
 
 class TestFieldArithmetic:

@@ -225,3 +225,16 @@ def canonical_associate_reference(x):
     if not x:
         return x
     return min((x * u for u in units(x.tag)), key=lambda z: (z.a, z.b))
+
+
+def verify_orbit_product(tower):
+    """Whether prod_j (x - sigma^j(theta)) expands to f inside L[x]."""
+    th = tower.theta()
+    coeffs = [tower.one()]
+    for j in range(tower.d):
+        root = th.apply_sigma(j)
+        shifted = [tower.zero()] + coeffs
+        scaled = [root * c for c in coeffs] + [tower.zero()]
+        coeffs = [a - b for a, b in zip(shifted, scaled)]
+    expected = [tower.from_rational(c) for c in tower.f_coeffs]
+    return coeffs == expected
