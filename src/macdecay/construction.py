@@ -225,12 +225,17 @@ def lattice_basis(spec: CodeSpec, j: int) -> list[CodeMatrix]:
     return out
 
 
+# per process, spec and user: the float rows that certified the rank
 _RANK_CACHE: dict = {}
 
 
+def _rank_key(spec: CodeSpec, j: int) -> tuple:
+    return (spec.tower.key, spec.p.a, spec.p.b, spec.k, j)
+
+
 def _certify_full_rank(spec: CodeSpec, j: int, mats: list[CodeMatrix]) -> None:
-    cache_key = (spec.tower.key, spec.p.a, spec.p.b, spec.k, j)
-    if _RANK_CACHE.get(cache_key):
+    cache_key = _rank_key(spec, j)
+    if cache_key in _RANK_CACHE:
         return
     vecs = []
     for m in mats:
@@ -246,7 +251,17 @@ def _certify_full_rank(spec: CodeSpec, j: int, mats: list[CodeMatrix]) -> None:
         raise ArithmeticError(
             f"lattice generators numerically rank deficient: {rank} < {len(mats)}"
         )
-    _RANK_CACHE[cache_key] = True
+    mat.flags.writeable = False
+    _RANK_CACHE[cache_key] = mat
+
+
+def certified_rows(spec: CodeSpec, j: int) -> np.ndarray:
+    """The float rows that certified user j's lattice generators full rank,
+    one per generator: its entries row by row, the real and imaginary parts
+    of each interleaved, each the midpoint of a 50-bit embedding.  One
+    read-only array per process, spec and user, there once lattice_basis(spec,
+    j) has run."""
+    return _RANK_CACHE[_rank_key(spec, j)]
 
 
 def codeword_from_coeffs(spec: CodeSpec, j: int, b) -> CodeMatrix:

@@ -28,7 +28,7 @@ from .construction import (
 from .kernels import (
     GRID_ROW_CAP, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
     UserTensors, coeff_grid, det_float_batch, det_int_batch, det_schedule,
-    det_slack_batch, grid_size, laplace_terms, slack_factors, stack_users,
+    det_slack_batch, grid_rows, grid_size, slack_factors, stack_users,
 )
 from .number_field import FieldElem, RealAlgebraic
 from .quadratic import QuadElem
@@ -43,6 +43,7 @@ DEFAULT_BUDGET = 10**8
 # screens against its own least upper bound, so the chunking fixes the
 # candidate counts
 CHUNK_U1_ROWS = 512
+GRID_SLICE_ROWS = 1 << 16  # lex rows of the n_t >= 2 grid built at once
 SAMPLE_CHUNK = 32768
 DRAW_WORDS = 1 << 13  # fresh stream words one numpy pass of the draw parses
 SUB_BATCH = 16384
@@ -152,8 +153,7 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     wrong length, or a coefficient past int64) sends the batch to the
     length check and then to an object array.  _exact_stage decides each
     batch, and picks each stage's integer width from its overflow audits.
-    The sweep never screens, so its context never builds the float half
-    of its UserTensors."""
+    The sweep never screens, so it computes no float block."""
     ctx = _SearchContext(spec)
     U, r = spec.U, spec.r_per_user
     misshapen = f"rank criterion needs {U} coefficient vectors of length {r} per box"
@@ -235,22 +235,17 @@ def _orbit_minimal(rows: np.ndarray, N: int, units: list[np.ndarray]) -> np.ndar
 
 class _SearchContext:
     """The kernels of one spec: its IntKernel, every user's UserTensors,
-    the orbit units (orbit_units), the Laplace terms of the factored float
-    screen and the matrix of tau = sigma^U for the exact stage.  Nothing in
-    it but the memo of orbit_grids depends on a box or a mode, so a decay
-    curve builds one for all its points.
+    the orbit units (orbit_units) and the matrix of tau = sigma^U for the
+    exact stage.  Nothing in it but the memo of orbit_grids depends on a
+    box or a mode, so a decay curve builds one for all its points.
 
-    The float screen is factored by user.  A codeword's rows split into a
-    prefix block (users 1..U-1) and the last user's n_t rows, and both the
-    determinant (Laplace over the last user's rows, ``terms``) and the
-    slack (det_slack_batch) are products of one factor per block.
+    The float screen takes one determinant per codeword: row k of every
+    user's float blocks stacked into an n x n matrix (_float_det).
     float_factors builds, for coefficient vectors of every user, each
-    prefix user's float blocks and slack factors, and the last user's
-    slack factors and n_t x n_t minors on every column set of ``terms``.
-    The n_t >= 2 EXHAUSTIVE scan builds them once over the user's orbit
-    representatives, the meet-in-the-middle scan once over user 1's
-    generators and the other users' orbit grids, and SAMPLED once per chunk
-    of samples."""
+    user's float blocks and the slack factors of its n_t rows, which
+    det_slack_batch multiplies together.  The n_t >= 2 EXHAUSTIVE scan and
+    SAMPLED build them once per chunk, the meet-in-the-middle scan once over
+    user 1's generators and the other users' orbit grids."""
 
     def __init__(self, spec: CodeSpec):
         self.spec = spec
@@ -258,7 +253,6 @@ class _SearchContext:
         self.uts = [UserTensors(spec, self.kern, j + 1) for j in range(spec.U)]
         self.units = orbit_units(self.kern)
         self.n = spec.U * spec.n_t
-        self.terms = laplace_terms(self.n, spec.n_t)
         # v is tau-fixed iff v @ tau == v * tau_den
         self.tau, self.tau_den = self.kern.sigma_vec_mat(spec.U)
         self._grids: dict[tuple[int, int], np.ndarray] = {}
@@ -276,49 +270,27 @@ class _SearchContext:
         return [self._grids[k] for k in keys]
 
     def float_factors(self, vecs: list[np.ndarray]):
-        """(pre, last) for per-user coefficient arrays: pre lists (blocks,
-        a, ab) of users 1..U-1, last is (minors, a, ab) of user U with
-        minors[t] the minor on column set S of terms[t]; a and ab are
-        slack_factors over each user's n_t rows."""
-        users = []
+        """(blocks, a, ab) of each user for per-user coefficient arrays:
+        its float blocks (blocks_float), and a and ab the slack_factors
+        over its n_t rows."""
+        out = []
         for ut, v in zip(self.uts, vecs):
             blocks, errs = ut.blocks_float(v)
-            users.append((blocks, *slack_factors(blocks, errs, self.n)))
-        blocks, a, ab = users.pop()
-        minors = np.stack([det_float_batch(blocks[:, :, S]) for _, S, _ in self.terms])
-        return users, (minors, a, ab)
-
-    def prefix_factors(self, pre, rows, count: int):
-        """(minors, a, ab) of the prefix blocks of `count` codewords, user
-        j's rows being rows[j] of pre[j]; minors[t] is on column set C of
-        terms[t].  With one user the prefix block is empty, its minor 1."""
-        if not pre:
-            one = np.ones(count)
-            return np.ones((1, count), dtype=np.complex128), one, one
-        mats = np.concatenate([b[r] for (b, _, _), r in zip(pre, rows)], axis=1)
-        minors = np.stack([det_float_batch(mats[:, :, C]) for C, _, _ in self.terms])
-        (_, a, ab), r = pre[0], rows[0]
-        a, ab = a[r], ab[r]
-        for (_, a_j, ab_j), r in zip(pre[1:], rows[1:]):
-            a = a * a_j[r]
-            ab = ab * ab_j[r]
-        return minors, a, ab
+            out.append((blocks, *slack_factors(blocks, errs, self.n)))
+        return out
 
 
-def _float_det(terms, pre, last):
-    """(d, s) for prefix factors `pre` against last-user factors `last`,
-    as broadcast together: the float determinant d by the Laplace terms,
-    the prefix minor first in each product, and the slack s of both blocks,
-    |det - d| <= s (see _scan_chunk)."""
-    pm, pa, pab = pre
-    lm, la, lab = last
-    d = pm[0] * lm[0]
-    for (_, _, sign), p, l in zip(terms[1:], pm[1:], lm[1:]):
-        if sign > 0:
-            d += p * l
-        else:
-            d -= p * l
-    return d, det_slack_batch((pa, pab), (la, lab))
+def _float_det(factors, rows):
+    """(d, s) of the codewords that stack row rows[j] of user j's
+    float_factors for every user j: d the det_float_batch of the stacked
+    (count, n, n) matrices and s the slack det_slack_batch of every user's
+    factors, |det - d| <= s (see _scan_chunk)."""
+    if len(factors) == 1:
+        mats = factors[0][0][rows[0]]
+    else:
+        mats = np.concatenate([b[r] for (b, _, _), r in zip(factors, rows)], axis=1)
+    s = det_slack_batch(*((a[r], ab[r]) for (_, a, ab), r in zip(factors, rows)))
+    return det_float_batch(mats), s
 
 
 def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
@@ -368,20 +340,19 @@ def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
     return absq, vec, tuple(tuple(v[i].tolist()) for v in vec_arrays)
 
 
-def _screen_paired(ctx: _SearchContext, pre, last, count: int):
+def _screen_paired(factors, count: int):
     """(lo^2, up^2) of codewords 0..count-1, codeword k pairing row k of
     every user's factors, in pieces of at most SUB_BATCH codewords."""
     for off in range(0, count, SUB_BATCH):
         span = slice(off, min(off + SUB_BATCH, count))
-        p = ctx.prefix_factors(pre, [span] * len(pre), span.stop - off)
-        d, s = _float_det(ctx.terms, p, [f[..., span] for f in last])
+        d, s = _float_det(factors, [span] * len(factors))
         ad = np.abs(d)
         lo = np.maximum(ad - s, 0.0)
         up = ad + s
         yield lo * lo, up * up
 
 
-def _scan_chunk(ctx: _SearchContext, vecs, factors) -> list[np.ndarray]:
+def _scan_chunk(vecs, factors) -> list[np.ndarray]:
     """The per-user coefficient rows of a chunk's screen candidates, in
     chunk order: every codeword whose lower bound reaches the chunk's least
     upper bound, lo^2 <= min up^2.  A true minimizer of the chunk has
@@ -391,23 +362,23 @@ def _scan_chunk(ctx: _SearchContext, vecs, factors) -> list[np.ndarray]:
     Codeword k stacks row k of every user's coefficient array in vecs, and
     factors are the float_factors of those rows (_screen_paired).
 
-    The float determinant is the Laplace expansion over the last user's
-    rows, a sum of C(n, n_t) products of two minors from det_float_batch
-    (closed forms up to 3 x 3) on float entries.  Like the cofactor and LU
-    forms it replaces, its rounding error is a small multiple of 2^-53 *
-    prod_r a_r: by Hadamard's inequality on each block, every product of
-    minors is at most prod_r a_r in size, and there are at most 6 of them
-    for n <= 4.  The slack already holds n^2 DET_EVAL_REL a_r in each b_r,
-    so it is at least n^3 DET_EVAL_REL prod_r a_r = n^3 2^9 * 2^-53 *
-    prod_r a_r (prod(a + b) - prod a >= sum_r b_r prod_(s != r) a_s),
-    which covers that rounding and the rounding of the norms, the factor
-    products and the squares many times over.  On the golden code (n = 2,
-    n_t = 1) the two terms are m00 m11 - m01 m10 on the same floats and
-    the slack products are those of the concatenated form, so lo^2 and
-    up^2 are the same to the bit."""
+    The float determinant is det_float_batch of the stacked float rows.
+    Up to n = 4 it is a closed form, a signed sum of at most 24 products of
+    one entry per row, evaluated as products of 2 x 2 minors.  Each such
+    product is at most prod_r a_r in size, so the rounding error is a small
+    multiple of 2^-53 * prod_r a_r.  The slack already holds n^2
+    DET_EVAL_REL a_r in each b_r, so it is at least n^3 DET_EVAL_REL prod_r
+    a_r = n^3 2^9 * 2^-53 * prod_r a_r (prod(a + b) - prod a >= sum_r b_r
+    prod_(s != r) a_s), which covers that rounding and the rounding of the
+    norms, the factor products and the squares many times over.  From n = 5
+    np.linalg.det's LU form, with pivot growth g, errs by about n^2 g
+    2^-53 prod_r a_r, which the same margin covers for g up to n 2^9.  On
+    the golden code (n = 2) the determinant is m00 m11 - m01 m10 and the
+    slack products are those of the concatenated form, so lo^2 and up^2
+    are the same to the bit."""
     lo2_parts = []
     up2_min = np.inf
-    for lo2, up2 in _screen_paired(ctx, *factors, vecs[0].shape[0]):
+    for lo2, up2 in _screen_paired(factors, vecs[0].shape[0]):
         up2_min = min(up2_min, up2.min())
         lo2_parts.append(lo2)
     cands = np.nonzero(np.concatenate(lo2_parts) <= up2_min)[0]
@@ -420,21 +391,30 @@ def _grid_scan(ctx: _SearchContext, bounds, lengths):
     orbit representatives scanned.  r = 2 U n_t^2, so with a second user
     the grid has 3^16 rows at N = 1, which _minimum refuses by the row cap.
 
-    The float factors of the box's orbit representatives are built once,
-    and they are screened CHUNK_U1_ROWS rows at a time, each chunk against
-    its own least upper bound (_scan_chunk).  coeff_grid is lex ascending
-    and every step keeps the order of the rows it keeps, so the candidates
-    need no sort."""
+    The grid is built GRID_SLICE_ROWS lex rows at a time (grid_rows), and
+    each slice keeps its orbit representatives.  They are screened in lex
+    order, CHUNK_U1_ROWS at a time, each chunk against its own least upper
+    bound (_scan_chunk); a partial chunk waits for the next slice's
+    representatives.  So memory holds one slice, and the chunks are those
+    of the whole grid's representatives.  Every step keeps the order of
+    the rows it keeps, so the candidates need no sort."""
     (N,), (r,) = bounds, lengths
-    grid = orbit_representatives(coeff_grid(N, r), N, ctx.units)
-    pre, last = ctx.float_factors([grid])
-    per_chunk = []
-    for i in range(0, grid.shape[0], CHUNK_U1_ROWS):
-        rows = slice(i, i + CHUNK_U1_ROWS)
-        per_chunk.append(
-            _scan_chunk(ctx, [grid[rows]], (pre, [f[..., rows] for f in last]))
-        )
-    return [np.concatenate(user) for user in zip(*per_chunk)], grid.shape[0]
+    count = grid_size(N, r)
+    reps = np.empty((0, r), dtype=np.int64)
+    per_chunk, screened = [], 0
+    for start in range(0, count, GRID_SLICE_ROWS):
+        stop = min(start + GRID_SLICE_ROWS, count)
+        rows = grid_rows(N, r, start, stop)
+        reps = np.concatenate([reps, rows[_orbit_minimal(rows, N, ctx.units)]])
+        ready = reps.shape[0]
+        if stop < count:
+            ready -= ready % CHUNK_U1_ROWS
+        for i in range(0, ready, CHUNK_U1_ROWS):
+            vecs = [reps[i : i + CHUNK_U1_ROWS]]
+            per_chunk.append(_scan_chunk(vecs, ctx.float_factors(vecs)))
+        screened += ready
+        reps = reps[ready:]
+    return [np.concatenate(user) for user in zip(*per_chunk)], screened
 
 
 def _half_grid(N: int, length: int) -> np.ndarray:
@@ -451,12 +431,11 @@ def _cofactors(ctx: _SearchContext, factors, rows, N: int):
     rounded up, with s_g its slack, so |det(x, y) - sum_g x_g c~_g| <=
     S(y) for every x in [-N, N]^r (see _mitm_scan).  factors are the
     float_factors of the identity (user 1's generators) and the grids of
-    users 2..U."""
-    pre, last = factors
+    users 2..U; each generator is tiled against every y, and _float_det
+    takes the stacked determinants."""
     r, nq = ctx.spec.r_per_user, rows[0].shape[0]
     rows = [np.tile(np.arange(r), nq), *(np.repeat(i, r) for i in rows)]
-    p = ctx.prefix_factors(pre, rows[:-1], nq * r)
-    c, s = _float_det(ctx.terms, p, [f[..., rows[-1]] for f in last])
+    c, s = _float_det(factors, rows)
     c = c.reshape(nq, r)
     S = N * (s.reshape(nq, r) + 2.0**-40 * np.abs(c)).sum(axis=1) * (1 + 2.0**-30)
     return c, S
@@ -474,10 +453,11 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
     With n_t = 1 user 1 owns one row, so det is linear in its coefficient
     vector x: det(x, y) = sum_g x_g c_g(y), where c_g(y) is the det with
     user 1's row replaced by its embedded generator g.  The float screen
-    gives each c_g as c~_g with |c_g - c~_g| <= s_g (_float_det on the
-    user-1 vectors e_g).  x splits into halves a (its first r // 2
-    coordinates) and b, each ranging over [-N, N] including 0.  With the
-    float64 half sums A_a = sum_(g in a) x_g c~_g and B_b likewise,
+    gives each c_g as c~_g with |c_g - c~_g| <= s_g (_cofactors).  x
+    splits into halves a (its first r / 2 coordinates) and b; r = 2 U
+    n_t^2 is even, so both range over one half grid, [-N, N]^(r / 2)
+    including 0, built once.  With the float64 half sums A_a = sum_(g in
+    a) x_g c~_g and B_b likewise,
 
         |det(x, y) - (A_a + B_b)| <= S(y) = N sum_g (s_g + 2^-40 |c~_g|),
 
@@ -490,10 +470,10 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
     For every y the B sums are sorted by real part, and each A sum takes
     the window Re B in [-Re A - T, -Re A + T], T = (ub + 2 S)(1 + 2^-50),
     by searchsorted.  Every window pair but x = 0 gets lo = max(|A + B| -
-    S, 0) and up = |A + B| + S.  A batch of SUB_BATCH // (2N + 1)^(r -
-    r // 2) y is searched at once, each y's keys shifted by its own
-    offset; adding a constant is monotone in floats, so the shifted keys
-    stay sorted and every window keeps its pairs.  Pairs are expanded
+    S, 0) and up = |A + B| + S.  A batch of SUB_BATCH // (2N + 1)^(r / 2)
+    y is searched at once, each y's keys shifted by its own offset; adding
+    a constant is monotone in floats, so the shifted keys stay sorted and
+    every window keeps its pairs.  Pairs are expanded
     SUB_BATCH at a time, so memory stays bounded whatever the box.
 
     The candidates are the window pairs whose x is lex-smallest in its
@@ -514,22 +494,22 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
     reps = ctx.orbit_grids(list(zip(bounds[1:], lengths[1:])))
     sizes = [g.shape[0] for g in reps]
     factors = ctx.float_factors([np.eye(r, dtype=np.int64), *reps])
-    HA, HB = _half_grid(N, r // 2), _half_grid(N, r - r // 2)
-    fa, fb = HA.T.astype(np.float64), HB.T.astype(np.float64)
-    na, nb = HA.shape[0], HB.shape[0]
-    za, zb = na // 2, nb // 2
+    H = _half_grid(N, r // 2)
+    f = H.T.astype(np.float64)
+    nh = H.shape[0]
+    z = nh // 2
     m, screened, kept = math.inf, 0, []
-    step = max(1, SUB_BATCH // nb)
+    step = max(1, SUB_BATCH // nh)
     count = math.prod(sizes)
     for y0 in range(0, count, step):
         q = np.arange(y0, min(y0 + step, count), dtype=np.int64)
         nq = q.shape[0]
         c, S = _cofactors(ctx, factors, np.unravel_index(q, sizes), N)
-        A, B = c[:, : r // 2] @ fa, c[:, r // 2 :] @ fb
+        A, B = c[:, : r // 2] @ f, c[:, r // 2 :] @ f
         # the codewords with one half zero bound the minimum
         one_half = np.minimum(
-            np.delete(np.abs(A), za, axis=1).min(axis=1),
-            np.delete(np.abs(B), zb, axis=1).min(axis=1),
+            np.delete(np.abs(A), z, axis=1).min(axis=1),
+            np.delete(np.abs(B), z, axis=1).min(axis=1),
         )
         ub = min(ub, float((one_half + S).min()) * (1 + 2.0**-40))
         T = ((ub + 2 * S) * (1 + 2.0**-50))[:, None]
@@ -555,8 +535,8 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
             jb = np.arange(done, int(ends[g1 - 1])) + np.repeat(
                 start[g0:g1] - (ends[g0:g1] - w), w
             )
-            row, i, j = grp // na, oa[grp], ob[jb]
-            nonzero = (i != za) | (j != zb)
+            row, i, j = grp // nh, oa[grp], ob[jb]
+            nonzero = (i != z) | (j != z)
             grp, jb, row, i, j = (v[nonzero] for v in (grp, jb, row, i, j))
             ad = np.abs(As[grp] + Bs[jb])
             lo = np.maximum(ad - S[row], 0.0)
@@ -569,7 +549,7 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
             g0 = g1
         ub = min(ub, math.sqrt(m) * (1 + 2.0**-40))
     lo2, yq, i, j = map(np.concatenate, zip(*kept))
-    x = np.concatenate([HA[i], HB[j]], axis=1)
+    x = np.concatenate([H[i], H[j]], axis=1)
     sel = (lo2 <= m) & _orbit_minimal(x, N, ctx.units)
     ys = np.unravel_index(yq[sel], sizes)
     cands = [x[sel], *(g[k] for g, k in zip(reps, ys))]
@@ -584,7 +564,7 @@ def _sample_scan(ctx: _SearchContext, bounds, lengths, samples: int, seed: int):
     of samples.  Each chunk is drawn only after the previous one is
     scanned."""
     per_chunk = [
-        _scan_chunk(ctx, vecs, ctx.float_factors(vecs))
+        _scan_chunk(vecs, ctx.float_factors(vecs))
         for vecs in _sample_chunks(seed, bounds, lengths, samples)
     ]
     return [np.concatenate(user) for user in zip(*per_chunk)], samples

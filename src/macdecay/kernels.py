@@ -20,12 +20,10 @@ propose candidates, never decide a comparison.
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import combinations
 
 import numpy as np
 
-from .construction import CodeSpec, gamma_basis, lattice_basis
+from .construction import CodeSpec, certified_rows, gamma_basis, lattice_basis
 from .number_field import FieldElem, Tower
 
 INT64_LIMIT = 1 << 62
@@ -206,19 +204,30 @@ def _width(peak: int) -> type:
     return np.int32 if peak < INT32_LIMIT else np.int64
 
 
+def grid_rows(N: int, length: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop - 1 of coeff_grid(N, length), built alone: each
+    row's mixed-radix digits of base 2N + 1, the zero vector's index
+    skipped.  The batch-first view of a coordinate-major (length, stop -
+    start) array."""
+    base = 2 * N + 1
+    idx = np.arange(start, stop, dtype=np.int64)
+    idx += idx >= (base**length - 1) // 2
+    cols = np.empty((length, idx.shape[0]), dtype=np.int64)
+    for c in range(length - 1, -1, -1):
+        idx, cols[c] = np.divmod(idx, base)
+    cols -= N
+    return cols.T
+
+
 def coeff_grid(N: int, length: int) -> np.ndarray:
     """All nonzero integer vectors with entries in [-N, N], lex ascending:
     the batch-first view of a coordinate-major (length, count) array."""
     if N < 1 or length < 1:
         raise ValueError("N and length must be positive")
-    base = 2 * N + 1
-    count = base**length
+    count = (2 * N + 1) ** length
     if count > GRID_ROW_CAP:
         raise MemoryError(f"coefficient grid of {count} rows is too large")
-    cols = np.indices((base,) * length, dtype=np.int64).reshape(length, count)
-    cols -= N
-    zero_row = (count - 1) // 2
-    return np.concatenate([cols[:, :zero_row], cols[:, zero_row + 1 :]], axis=1).T
+    return grid_rows(N, length, 0, count - 1)
 
 
 def grid_size(N: int, length: int) -> int:
@@ -387,34 +396,35 @@ def det_int_batch(
     return np.ascontiguousarray(nums.T), sched.total_exp
 
 
+def _minors(mats: np.ndarray, top: int):
+    """minor(i, j): the 2 x 2 minors of rows top and top + 1 of a (batch,
+    n, n) stack on columns i < j."""
+    a, b = mats[:, top], mats[:, top + 1]
+    return lambda i, j: a[:, i] * b[:, j] - a[:, j] * b[:, i]
+
+
 def det_float_batch(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a (batch, n, n) complex stack; closed forms for small n."""
+    """Determinants of a (batch, n, n) complex stack.  Up to n = 4 a
+    closed form: the Laplace expansion of the 2 x 2 minors of rows 0 and 1
+    against the entries of row 2 (n = 3) or the 2 x 2 minors of rows 2 and
+    3 (n = 4), column pairs in lex order.  Each is a signed sum of at most
+    24 products of one entry per row.  np.linalg.det from n = 5."""
     n = mats.shape[-1]
     if n == 1:
         return mats[:, 0, 0]
+    if n > 4:
+        return np.linalg.det(mats)
+    m = _minors(mats, 0)
     if n == 2:
-        return mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
+        return m(0, 1)
     if n == 3:
-        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2]
-        d, e, f = mats[:, 1, 0], mats[:, 1, 1], mats[:, 1, 2]
         g, h, i = mats[:, 2, 0], mats[:, 2, 1], mats[:, 2, 2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.linalg.det(mats)
-
-
-def laplace_terms(n: int, k: int) -> list[tuple[list[int], list[int], int]]:
-    """The generalized Laplace expansion of an n x n determinant along its
-    last k rows: det A = sum of sign * det A[first n - k rows, C] *
-    det A[last k rows, S] over the k-column sets S, C the other columns.
-
-    Returns (C, S, sign) with C in lex order; the first term, whose S is
-    the last k columns, has sign +1."""
-    rows = sum(range(n - k, n))
-    out = []
-    for C in combinations(range(n), n - k):
-        S = [c for c in range(n) if c not in C]
-        out.append((list(C), S, -1 if (rows + sum(S)) % 2 else 1))
-    return out
+        return m(0, 1) * i - m(0, 2) * h + m(1, 2) * g
+    w = _minors(mats, 2)
+    return (
+        m(0, 1) * w(2, 3) - m(0, 2) * w(1, 3) + m(0, 3) * w(1, 2)
+        + m(1, 2) * w(0, 3) - m(1, 3) * w(0, 2) + m(2, 3) * w(0, 1)
+    )
 
 
 def slack_factors(
@@ -453,11 +463,11 @@ def det_slack_batch(*row_blocks) -> np.ndarray:
 class UserTensors:
     """Per-user flattened generator data for batched codeword evaluation.
 
-    The integer half (numv and its SparseMap, read by blocks_int) is built
-    at construction.  The float half (emb, emb_err and their interleaved
-    real and imaginary parts, read only by blocks_float) is built on first
-    use, so a caller that never screens in floats, such as the rank sweep,
-    never builds it."""
+    The integer half is numv and its SparseMap, read by blocks_int.  The
+    float half is emb, emb_err and _emb_re_im, read by blocks_float.
+    _emb_re_im is the array of float rows that certified the generators'
+    rank (construction.certified_rows), so no context embeds a generator
+    entry: the rank certification embeds each once per process."""
 
     def __init__(self, spec: CodeSpec, kern: IntKernel, j: int):
         gens = lattice_basis(spec, j)
@@ -480,24 +490,10 @@ class UserTensors:
         self.r = r
         self.numv = numv
         self._numv_map = SparseMap(numv.reshape(r, -1))
-        self._gens = gens
-
-    @cached_property
-    def emb(self) -> np.ndarray:
-        """(r, n_t, width) complex128 midpoints of the generators' entries."""
-        return np.array(
-            [[[e.embed(50).mid() for e in row] for row in g.values()] for g in self._gens],
-            dtype=np.complex128,
-        )
-
-    @cached_property
-    def emb_err(self) -> np.ndarray:
-        return np.abs(self.emb) * EMB_REL_ERR + 1e-290
-
-    @cached_property
-    def _emb_re_im(self) -> np.ndarray:
-        """emb's real and imaginary parts interleaved, one column each."""
-        return self.emb.view(np.float64).reshape(self.r, -1)
+        # entry (g, rr, cc)'s real and imaginary parts, one column each
+        self._emb_re_im = certified_rows(spec, j)
+        self.emb = self._emb_re_im.view(np.complex128).reshape(r, n_t, width)
+        self.emb_err = np.abs(self.emb) * EMB_REL_ERR + 1e-290
 
     def blocks_float(self, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(n, r) int coefficients -> (n, n_t, width) complex blocks + errors.

@@ -11,7 +11,7 @@ import pytest
 from macdecay import decay, kernels
 from macdecay.construction import (
     CodeSpec, CoefficientBox, assemble_codeword, build_M, codeword_from_coeffs,
-    gamma_basis,
+    gamma_basis, lattice_basis,
 )
 from macdecay.decay import (
     ALL_USERS, CSV_HEADER, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded,
@@ -23,8 +23,8 @@ from macdecay.decay import (
     _laplace_det,
 )
 from macdecay.kernels import (
-    GRID_ROW_CAP, IntKernel, OverflowRisk, UserTensors, coeff_grid,
-    det_int_batch, grid_size, stack_users,
+    EMB_REL_ERR, GRID_ROW_CAP, IntKernel, OverflowRisk, UserTensors,
+    coeff_grid, det_int_batch, grid_size, stack_users,
 )
 from macdecay.number_field import FieldElem
 from macdecay.quadratic import QuadElem, RingTag
@@ -301,7 +301,7 @@ class TestRankCriterion:
         monkeypatch.setattr(FieldElem, "embed", refuse)
         assert rank_criterion_check(spec, boxes) == RankReport(64, [], [])
         monkeypatch.undo()
-        # a fresh context still builds its float half on first use
+        # a fresh context screens on the certified float rows
         got = min_abs_det(spec, bounds, mode=SAMPLED, samples=300, seed=5)
         for field in ("D_value", "argmin", "det_numerator", "det_p_exponent", "screened"):
             assert getattr(got, field) == getattr(want, field), field
@@ -512,6 +512,69 @@ class TestMinAbsDetEngine:
         monkeypatch.setattr(decay, "CHUNK_U1_ROWS", grid_size(1, 8))
         same_report(rep, min_abs_det(two_antenna_spec, (1,)))
 
+    @pytest.mark.parametrize("slice_rows", [1, 1000, 6561])
+    def test_grid_scan_builds_one_slice_at_a_time(
+        self, two_antenna_spec, slice_rows, monkeypatch
+    ):
+        # the grid's lex rows arrive GRID_SLICE_ROWS at a time, and no
+        # other grid is built; chunks of CHUNK_U1_ROWS representatives
+        # span slices, so the report and the exact stage's rows are those
+        # of the default slicing (347 rows at 7-row chunks, as in
+        # test_exhaustive_report_does_not_depend_on_chunking)
+        def no_grid(N, length):
+            raise AssertionError("a whole coefficient grid was built")
+
+        spans, rows = [], decay.grid_rows
+
+        def recorded(N, length, start, stop):
+            spans.append((start, stop))
+            return rows(N, length, start, stop)
+
+        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", 7)
+        sizes = stage_sizes(monkeypatch)
+        want = min_abs_det(two_antenna_spec, (1,))
+        want_sizes = sizes[:]
+        monkeypatch.setattr(decay, "coeff_grid", no_grid)
+        monkeypatch.setattr(decay, "grid_rows", recorded)
+        monkeypatch.setattr(decay, "GRID_SLICE_ROWS", slice_rows)
+        sizes.clear()
+        rep = min_abs_det(two_antenna_spec, (1,))
+        same_report(rep, want)
+        assert rep.screened == want.screened == 1640
+        assert sizes == want_sizes == [347]
+        assert all(stop - start <= slice_rows for start, stop in spans)
+        assert spans[0][0] == 0 and spans[-1][1] == grid_size(1, 8)
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+    def test_second_context_embeds_nothing(self, quartic_spec, monkeypatch):
+        # the float rows that certified the generators' rank are the float
+        # half of every later context, equal to the per-entry embeddings
+        decay._SearchContext(quartic_spec)
+        vecs = [np.eye(quartic_spec.r_per_user, dtype=np.int64)] * quartic_spec.U
+        calls = []
+        embed = FieldElem.embed
+
+        def counted(self, *args):
+            calls.append(args)
+            return embed(self, *args)
+
+        monkeypatch.setattr(FieldElem, "embed", counted)
+        ctx = decay._SearchContext(quartic_spec)
+        ctx.float_factors(vecs)
+        assert calls == []
+        monkeypatch.undo()
+        for j, ut in enumerate(ctx.uts):
+            want = np.array(
+                [
+                    [[e.embed(50).mid() for e in row] for row in g.values()]
+                    for g in lattice_basis(quartic_spec, j + 1)
+                ],
+                dtype=np.complex128,
+            )
+            assert ut.emb.dtype == np.complex128
+            assert np.array_equal(ut.emb, want)
+            assert np.array_equal(ut.emb_err, np.abs(want) * EMB_REL_ERR + 1e-290)
+
     def test_sampled_seeded_frozen(self, golden_spec):
         rep = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
         assert rep.D_value == 0.6350214543637981
@@ -666,15 +729,15 @@ def test_numerator_off_the_fixed_field_is_caught(golden_spec, monkeypatch):
             min_abs_det(golden_spec, (1, 1))
 
 
-def screened_chunk(ctx, vecs, factors):
+def screened_chunk(vecs, factors):
     """lo^2 and up^2 of every codeword of one chunk, codeword k stacking
     row k of every user's vecs, whose float_factors are `factors`; checks
     that the chunk's candidates (_scan_chunk) are the codewords with lo^2
     at most the least up^2."""
-    pieces = decay._screen_paired(ctx, *factors, vecs[0].shape[0])
+    pieces = decay._screen_paired(factors, vecs[0].shape[0])
     lo2, up2 = map(np.concatenate, zip(*pieces))
     keep = lo2 <= up2.min()
-    cands = decay._scan_chunk(ctx, vecs, factors)
+    cands = decay._scan_chunk(vecs, factors)
     assert all(np.array_equal(c, v[keep]) for c, v in zip(cands, vecs, strict=True))
     return lo2, up2
 
@@ -709,8 +772,9 @@ def assert_screen_brackets_exact(spec, lo2, up2, vecs):
 
 
 class TestFactoredScreen:
-    """The user-factored float screen against exact determinants and, on
-    the golden code, bit for bit against the concatenated form."""
+    """The float screen, one stacked determinant per codeword, against
+    exact determinants and, on the golden code, bit for bit against the
+    concatenated form (tests/util.screen_reference)."""
 
     @pytest.mark.parametrize("spec_name", ALL_SPECS)
     def test_sampled_screen_is_sound(self, spec_name, request):
@@ -722,15 +786,15 @@ class TestFactoredScreen:
             for j in range(spec.U)
         ]
         ctx = decay._SearchContext(spec)
-        lo2, up2 = screened_chunk(ctx, vecs, ctx.float_factors(vecs))
+        lo2, up2 = screened_chunk(vecs, ctx.float_factors(vecs))
         assert np.all(lo2 <= up2)
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
 
     @pytest.mark.parametrize("spec_name", ["two_antenna_spec", "miso_spec"])
     def test_exhaustive_screen_is_sound(self, spec_name, request):
-        # a chunk of the one-user grid scan: a slice of the rows whose
-        # float factors were built once; the two-antenna code's N = 1
-        # orbit grid, random rows for the miso code's 3^18-row grid
+        # a chunk of the one-user grid scan, screened on a slice of the
+        # float factors of a longer run of rows; the two-antenna code's
+        # N = 1 orbit grid, random rows for the miso code's 3^18-row grid
         spec = request.getfixturevalue(spec_name)
         ctx = decay._SearchContext(spec)
         if spec.n_t == 2:
@@ -738,10 +802,10 @@ class TestFactoredScreen:
         else:
             grid = np.random.default_rng(179).integers(-2, 3, (5, spec.r_per_user))
             grid[:, 0] = np.where(grid.any(axis=1), grid[:, 0], 1)
-        pre, last = ctx.float_factors([grid])
+        (factors,) = ctx.float_factors([grid])
         rows = slice(1, grid.shape[0] - 1)
         vecs = [grid[rows]]
-        lo2, up2 = screened_chunk(ctx, vecs, (pre, [f[..., rows] for f in last]))
+        lo2, up2 = screened_chunk(vecs, [tuple(f[rows] for f in factors)])
         assert lo2.shape[0] == grid.shape[0] - 2
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
 
@@ -755,7 +819,7 @@ class TestFactoredScreen:
         rng = random.Random(181)
         vecs = decay._draw_samples(rng, (4, 4), (4, 4), 3000)
         ctx = decay._SearchContext(golden_spec)
-        lo2, up2 = screened_chunk(ctx, vecs, ctx.float_factors(vecs))
+        lo2, up2 = screened_chunk(vecs, ctx.float_factors(vecs))
         floats = [ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)]
         want_lo2, want_up2 = screen_reference(
             stack_users([b for b, _ in floats]), stack_users([e for _, e in floats])

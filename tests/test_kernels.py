@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -11,8 +10,8 @@ from macdecay.decay import _SearchContext, _exact_stage, det_exact
 from macdecay.kernels import (
     INT32_LIMIT, INT64_LIMIT, IntKernel, OverflowRisk, SparseMap,
     UserTensors, coeff_grid, det_float_batch, det_int_batch, det_schedule,
-    det_slack_batch, exponent_matrix, grid_size, laplace_terms,
-    slack_factors, stack_users, _max_abs,
+    det_slack_batch, exponent_matrix, grid_rows, grid_size, slack_factors,
+    stack_users, _max_abs,
 )
 from macdecay.number_field import FieldElem
 
@@ -383,19 +382,33 @@ def test_stack_users_shapes(golden_spec):
     assert stack_users([a, b]).shape == (5, 2, 2, 4)
 
 
-def test_laplace_terms_expand_the_determinant():
+def test_grid_rows_slice_coeff_grid():
+    # slices of any size, the zero vector's row among them, join into the
+    # whole grid
+    for N, length in ((1, 1), (1, 3), (2, 2), (1, 4)):
+        full = coeff_grid(N, length)
+        for step in (1, 5, 40, full.shape[0]):
+            parts = [
+                grid_rows(N, length, start, min(start + step, full.shape[0]))
+                for start in range(0, full.shape[0], step)
+            ]
+            assert np.array_equal(np.concatenate(parts), full)
+
+
+def test_det_float_batch_closed_forms_match_lapack():
+    # the closed forms up to n = 4, n = 4 the Laplace expansion of rows 0-1
+    # against rows 2-3, on random complex stacks of every scale
     rng = np.random.default_rng(191)
-    for n in range(1, 6):
-        for k in range(n + 1):
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            terms = laplace_terms(n, k)
-            assert len(terms) == math.comb(n, k)
-            assert terms[0][1] == list(range(n - k, n)) and terms[0][2] == 1
-            total = sum(
-                sign * np.linalg.det(A[: n - k][:, C]) * np.linalg.det(A[n - k :][:, S])
-                for C, S, sign in terms
+    for n in range(1, 5):
+        for scale in (1e-3, 1.0, 1e5):
+            mats = scale * (
+                rng.normal(size=(500, n, n)) + 1j * rng.normal(size=(500, n, n))
             )
-            assert abs(total - np.linalg.det(A)) <= 1e-9
+            got = det_float_batch(mats)
+            want = np.linalg.det(mats)
+            norms = np.prod(np.sqrt((np.abs(mats) ** 2).sum(axis=2)), axis=1)
+            assert got.shape == (500,)
+            assert np.all(np.abs(got - want) <= 1e-13 * norms), n
 
 
 def record_mul_dtypes(monkeypatch) -> list:

@@ -117,7 +117,8 @@ def a_priori_peaks(spec, kern, stacked):
 def screen_reference(mats, errs):
     """The float screen's lo^2 and up^2 on whole stacked codewords: the
     determinant and the row-norm slack of the concatenated (batch, n, n)
-    blocks and errors, the form the user-factored screen replaces."""
+    blocks and errors, with the slack taken over all n rows at once rather
+    than as a product of per-user factors."""
     d = det_float_batch(mats)
     a = np.sqrt(np.sum(np.abs(mats) ** 2, axis=2))
     b = np.sqrt(np.sum(errs.astype(np.float64) ** 2, axis=2))
