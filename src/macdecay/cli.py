@@ -15,6 +15,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .catalog import (
     build_tower, catalog_rows, find_inert_primes, standard_generators,
 )
@@ -23,8 +25,8 @@ from .construction import (
 )
 from .decay import (
     ALL_USERS, DEFAULT_BUDGET, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded,
-    _sample_chunks, curve_csv_text, curve_json_obj, decay_curve,
-    fit_decay_exponent, rank_criterion_check, two_user_singularity_test,
+    RankReport, _rank_sweep, _sample_chunks, _SearchContext, curve_csv_text,
+    curve_json_obj, decay_curve, fit_decay_exponent, two_user_singularity_test,
     zero_det_witness_2user,
 )
 from .number_field import Tower
@@ -253,14 +255,22 @@ def cmd_rank_check(args, cfg: dict) -> int:
     if samples > budget:
         raise BudgetExceeded(f"sample count {samples} exceeds budget {budget}")
     bounds = (bound,) * spec.U
+    lengths = (spec.r_per_user,) * spec.U
+    # the drawn arrays go to the sweep as they are; only a failing row
+    # becomes a CoefficientBox
+    ctx = _SearchContext(spec)
+    total, zero_rows, tau_rows = 0, [], []
+    for vecs in _sample_chunks(seed, bounds, lengths, samples):
+        coeffs = np.stack(vecs, axis=1)
+        zero, unfixed = _rank_sweep(ctx, coeffs)
+        zero_rows += coeffs[zero].tolist()
+        tau_rows += coeffs[unfixed].tolist()
+        total += coeffs.shape[0]
 
-    def boxes():
-        lengths = (spec.r_per_user,) * spec.U
-        for vecs in _sample_chunks(seed, bounds, lengths, samples):
-            for row in zip(*(v.tolist() for v in vecs)):
-                yield CoefficientBox(bounds, tuple(map(tuple, row)))
+    def boxes(rows):
+        return [CoefficientBox(bounds, tuple(map(tuple, row))) for row in rows]
 
-    report = rank_criterion_check(spec, boxes())
+    report = RankReport(total, boxes(zero_rows), boxes(tau_rows))
     resolved = _resolved_config_obj(
         "rank-check", cfg, spec=spec, seed=seed, samples=samples, nmax=bound
     )

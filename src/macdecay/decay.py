@@ -13,13 +13,13 @@ import math
 import random
 import struct
 import time
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, islice, starmap
 from operator import attrgetter, index
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .construction import (
     CodeMatrix, CodeSpec, CoefficientBox, assemble_codeword, build_M,
@@ -45,7 +45,8 @@ DEFAULT_BUDGET = 10**8
 CHUNK_U1_ROWS = 512
 GRID_SLICE_ROWS = 1 << 16  # lex rows of the n_t >= 2 grid built at once
 SAMPLE_CHUNK = 32768
-DRAW_WORDS = 1 << 13  # fresh stream words one numpy pass of the draw parses
+DRAW_WORDS = 1 << 14  # fresh stream words one numpy pass of the draw parses
+DRAW_STRIDE = 16  # samples per step of the draw's Python walk, a power of 2
 SUB_BATCH = 16384
 
 CSV_HEADER = "N,D_value,error_radius,mode,samples,argmin_coeffs,wall_time_ms"
@@ -151,9 +152,8 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     otherwise ValueError.  Boxes are read SUB_BATCH at a time and packed
     vector by vector into one int64 array; a vector that does not pack (a
     wrong length, or a coefficient past int64) sends the batch to the
-    length check and then to an object array.  _exact_stage decides each
-    batch, and picks each stage's integer width from its overflow audits.
-    The sweep never screens, so it computes no float block."""
+    length check and then to an object array.  _rank_sweep decides each
+    batch."""
     ctx = _SearchContext(spec)
     U, r = spec.U, spec.r_per_user
     misshapen = f"rank criterion needs {U} coefficient vectors of length {r} per box"
@@ -173,14 +173,29 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
             if set(map(len, vecs)) != {r}:
                 raise ValueError(misshapen) from None
             coeffs = np.fromiter(chain.from_iterable(vecs), object, len(vecs) * r)
-        coeffs = coeffs.reshape(len(batch), U, r)
-        if not coeffs.any(axis=2).all():
-            raise ValueError("rank criterion requires every user active")
-        nums, _, fixed = _exact_stage(ctx, [coeffs[:, j] for j in range(U)])
-        zero_failures += compress(batch, ~nums.any(axis=1))
-        tau_failures += compress(batch, ~fixed)
+        zero, unfixed = _rank_sweep(ctx, coeffs.reshape(len(batch), U, r))
+        zero_failures += compress(batch, zero)
+        tau_failures += compress(batch, unfixed)
         total += len(batch)
     return RankReport(total, zero_failures, tau_failures)
+
+
+def _rank_sweep(ctx: _SearchContext, coeffs: np.ndarray):
+    """(zero, unfixed) over a (B, U, r) coefficient array, box i stacking
+    coeffs[i, j] for every user j: whether box i's determinant is zero, and
+    whether its numerator is not fixed by tau = sigma^U.  A box with a zero
+    user raises ValueError.  _exact_stage decides SUB_BATCH boxes at a
+    time, and picks each stage's integer width from its overflow audits;
+    the sweep never screens, so it computes no float block."""
+    if not coeffs.any(axis=2).all():
+        raise ValueError("rank criterion requires every user active")
+    zero, unfixed = [], []
+    for off in range(0, coeffs.shape[0], SUB_BATCH):
+        batch = coeffs[off : off + SUB_BATCH]
+        nums, _, fixed = _exact_stage(ctx, [batch[:, j] for j in range(batch.shape[1])])
+        zero.append(~nums.any(axis=1))
+        unfixed.append(~fixed)
+    return np.concatenate(zero), np.concatenate(unfixed)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +251,19 @@ def _orbit_minimal(rows: np.ndarray, N: int, units: list[np.ndarray]) -> np.ndar
 class _SearchContext:
     """The kernels of one spec: its IntKernel, every user's UserTensors,
     the orbit units (orbit_units) and the matrix of tau = sigma^U for the
-    exact stage.  Nothing in it but the memo of orbit_grids depends on a
-    box or a mode, so a decay curve builds one for all its points.
+    exact stage.  Nothing in it but the memos of orbit_grids and
+    factor_tables depends on a box or a mode, so a decay curve builds one
+    for all its points.
 
     The float screen takes one determinant per codeword: row k of every
     user's float blocks stacked into an n x n matrix (_float_det).
     float_factors builds, for coefficient vectors of every user, each
     user's float blocks and the slack factors of its n_t rows, which
-    det_slack_batch multiplies together.  The n_t >= 2 EXHAUSTIVE scan and
-    SAMPLED build them once per chunk, the meet-in-the-middle scan once over
-    user 1's generators and the other users' orbit grids."""
+    det_slack_batch multiplies together.  The n_t >= 2 EXHAUSTIVE scan
+    builds them once per chunk, the meet-in-the-middle scan once over
+    user 1's generators and the other users' orbit grids.  SAMPLED reads a
+    small box's rows from factor_tables and builds a larger box's once
+    per chunk (_sample_scan)."""
 
     def __init__(self, spec: CodeSpec):
         self.spec = spec
@@ -256,6 +274,7 @@ class _SearchContext:
         # v is tau-fixed iff v @ tau == v * tau_den
         self.tau, self.tau_den = self.kern.sigma_vec_mat(spec.U)
         self._grids: dict[tuple[int, int], np.ndarray] = {}
+        self._tables: dict[tuple[int, int], tuple] = {}
 
     def orbit_grids(self, keys):
         """The orbit representatives of coeff_grid(N, r) for each (N, r) in
@@ -273,11 +292,25 @@ class _SearchContext:
         """(blocks, a, ab) of each user for per-user coefficient arrays:
         its float blocks (blocks_float), and a and ab the slack_factors
         over its n_t rows."""
-        out = []
-        for ut, v in zip(self.uts, vecs):
-            blocks, errs = ut.blocks_float(v)
-            out.append((blocks, *slack_factors(blocks, errs, self.n)))
-        return out
+        return [self.user_factors(j, v) for j, v in enumerate(vecs)]
+
+    def user_factors(self, j: int, vecs: np.ndarray):
+        """float_factors of user j + 1 alone."""
+        blocks, errs = self.uts[j].blocks_float(vecs)
+        return (blocks, *slack_factors(blocks, errs, self.n))
+
+    def factor_tables(self, keys):
+        """user_factors(j, _half_grid(N, r)) for each (j, N) in keys: the
+        factors of every vector of user j + 1's box [-N, N]^r, the zero
+        row included, in lex order.  The memo keeps this call's tables
+        only, as orbit_grids does."""
+        r = self.spec.r_per_user
+        self._tables = {
+            k: self._tables[k] if k in self._tables
+            else self.user_factors(k[0], _half_grid(k[1], r))
+            for k in set(keys)
+        }
+        return [self._tables[k] for k in keys]
 
 
 def _float_det(factors, rows):
@@ -562,9 +595,30 @@ def _sample_scan(ctx: _SearchContext, bounds, lengths, samples: int, seed: int):
     (_sample_chunks), with the contract of _grid_scan: every chunk's
     candidates (_scan_chunk) in sample order, and ``screened`` the number
     of samples.  Each chunk is drawn only after the previous one is
-    scanned."""
+    scanned.
+
+    A user's float factors depend on its coefficient vector alone.  So a
+    user whose box [-N, N]^r has at most min(samples, SAMPLE_CHUNK) rows,
+    zero included, gets them once, for its whole box (factor_tables), and
+    each chunk reads its rows from that table at their lex ranks (v + N)
+    @ w, w the mixed-radix weights of base 2N + 1.  The table costs no
+    more float work than one chunk's direct factors and is no larger.
+    A larger box takes each chunk's rows directly (user_factors)."""
+    rows = min(samples, SAMPLE_CHUNK)
+    small = [
+        j for j, (N, r) in enumerate(zip(bounds, lengths)) if (2 * N + 1) ** r <= rows
+    ]
+    tables = dict(zip(small, ctx.factor_tables([(j, bounds[j]) for j in small])))
+
+    def factors(j, v):
+        if j not in tables:
+            return ctx.user_factors(j, v)
+        N, r = bounds[j], lengths[j]
+        rank = (v + N) @ ((2 * N + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64))
+        return tuple(t.take(rank, axis=0) for t in tables[j])
+
     per_chunk = [
-        _scan_chunk(vecs, ctx.float_factors(vecs))
+        _scan_chunk(vecs, list(starmap(factors, enumerate(vecs))))
         for vecs in _sample_chunks(seed, bounds, lengths, samples)
     ]
     return [np.concatenate(user) for user in zip(*per_chunk)], samples
@@ -597,8 +651,10 @@ def _vector_maps(words: np.ndarray, N: int, r: int):
         v = words[: L - 1].astype(np.uint64)
         v |= (words[1:].astype(np.uint64) >> np.uint64(64 - k)) << np.uint64(32)
         below = np.uint64(n)
-    at = np.zeros(L + 2, dtype=np.int64)
-    nxt = np.full(L + 2, L + 1, dtype=np.int64)
+    # the residue classes' spans cover words 0..L; L + 1 is the sentinel
+    at = np.empty(L + 2, dtype=np.int64)
+    nxt = np.empty(L + 2, dtype=np.int64)
+    at[L + 1], nxt[L + 1] = 0, L + 1
     coefs = []
     base = 0
     for c in range(w):
@@ -606,7 +662,7 @@ def _vector_maps(words: np.ndarray, N: int, r: int):
         acc = vc < below
         pos = np.flatnonzero(acc)
         # accepted values are < 2N + 1 <= 2**64 - 1; v - N wraps into int64
-        coef = (vc[pos].astype(np.uint64) - np.uint64(N)).view(np.int64)
+        coef = np.take(vc, pos).astype(np.int64) - N
         A = coef.shape[0]
         # accepted attempts m..m+r-1 make a whole vector if m <= A - r, and
         # a nonzero one if any of them is nonzero; an all-zero vector is
@@ -620,16 +676,18 @@ def _vector_maps(words: np.ndarray, N: int, r: int):
         g = np.arange(A + 1)
         redo = np.flatnonzero(~stop)
         while redo.size:
-            g[redo] = np.minimum(g[redo] + r, A)
-            redo = redo[~stop[g[redo]]]
+            g[redo] = np.minimum(np.take(g, redo) + r, A)
+            redo = redo[~np.take(stop, np.take(g, redo))]
         first = np.zeros(vc.shape[0] + 1, dtype=np.int64)
         np.cumsum(acc, out=first[1:])
-        m = g[first]
-        ends = np.full(A + r, L + 1, dtype=np.int64)
-        ends[:A] = c + w * (pos + 1)
-        span = slice(c, c + w * m.shape[0], w)
-        at[span] = m + base
-        nxt[span] = ends[m + (r - 1)]
+        # ends[m] is the word after accepted attempt m
+        ends = np.empty(A + r, dtype=np.int64)
+        np.add(w * pos, c + w, out=ends[:A])
+        ends[A:] = L + 1
+        span = slice(c, c + w * first.shape[0], w)
+        m = np.take(g, first)
+        np.take(ends[r - 1 :], m, out=nxt[span], mode="clip")  # m <= A: no clip
+        np.add(m, base, out=at[span])
         coefs.append(coef)
         base += A
     return np.concatenate(coefs), at, nxt
@@ -648,16 +706,22 @@ def _draw_samples(rng: random.Random, bounds, lengths, count: int):
     sample's fewest words, if more).  A piece reads only words the
     remaining samples certainly consume (every coefficient reads at least
     one attempt), and the unfinished sample's words carry over to the next
-    piece.  So this consumes the same words,
-    leaves rng in the same state and gives the same vectors as calling
-    randint per coefficient."""
+    piece.  So this consumes the same words, leaves rng in the same state
+    and gives the same vectors as calling randint per coefficient.
+
+    In a piece, step maps each word to the word after a sample begun there
+    (every user's _vector_maps composed), and leap = step^DRAW_STRIDE, by
+    repeated squaring.  Samples end strictly later than they begin, so
+    where leap[i] is inside the piece every sample of that stride is.  The
+    walk in Python follows leap from word 0, one stride per step, and
+    numpy fills in the starts between (step again); the samples after the
+    last whole stride are walked one at a time."""
     if any(N >= 2**63 for N in bounds):
         raise ValueError("sampled coefficient bounds must be below 2**63")
     users = list(zip(bounds, lengths))
     least = sum(r * _attempt_words(N) for N, r in users)
     piece = max(1, DRAW_WORDS // least)
     out = [np.empty((count, r), dtype=np.int64) for r in lengths]
-    starts = array("q", bytes(8 * piece))
     tail = np.empty(0, dtype=np.uint32)
     done = 0
     while done < count:
@@ -676,18 +740,34 @@ def _draw_samples(rng: random.Random, bounds, lengths, count: int):
         maps = [parsed[u] for u in users]
         step = maps[0][2]
         for _, _, nxt in maps[1:]:
-            step = nxt[step]
-        # the one pass in Python: the sample starts, each from the last
-        step = memoryview(step)
+            step = np.take(nxt, step)
+        leap = step
+        for _ in range(DRAW_STRIDE.bit_length() - 1):
+            leap = np.take(leap, leap)
+        # the one pass in Python: every DRAW_STRIDE-th sample start, each
+        # from the last, then the samples after the last whole stride
+        leap, one = memoryview(leap), memoryview(step)
         i = got = 0
-        while got < want and step[i] <= L:
-            starts[got] = i
-            i = step[i]
+        heads, rest = [], []
+        while got + DRAW_STRIDE <= want and leap[i] <= L:
+            heads.append(i)
+            i = leap[i]
+            got += DRAW_STRIDE
+        while got < want and one[i] <= L:
+            rest.append(i)
+            i = one[i]
             got += 1
-        a = np.frombuffer(starts, dtype=np.int64, count=got)
-        for o, (coef, at, nxt) in zip(out, maps):
-            o[done : done + got] = coef[at[a][:, None] + np.arange(o.shape[1])]
-            a = nxt[a]
+        starts = np.empty((DRAW_STRIDE, len(heads)), dtype=np.int64)
+        starts[0] = heads
+        for t in range(1, DRAW_STRIDE):
+            np.take(step, starts[t - 1], out=starts[t])
+        a = np.concatenate([starts.T.ravel(), np.array(rest, dtype=np.int64)])
+        # a piece that completes no sample may hold fewer than r coefficients
+        if got:
+            for o, (coef, at, nxt) in zip(out, maps):
+                windows = sliding_window_view(coef, o.shape[1])
+                o[done : done + got] = windows[np.take(at, a)]
+                a = np.take(nxt, a)
         done += got
         tail = words[i:]
     return out

@@ -1,6 +1,8 @@
 import json
 import random
 
+import numpy as np
+
 import pytest
 
 from macdecay import cli, decay
@@ -93,25 +95,35 @@ class TestRankCheckCommand:
     def test_boxes_follow_the_randint_reference(
         self, seed, nmax, tmp_path, capsys, monkeypatch
     ):
+        # the sweep reads the drawn arrays; the stand-in flags the first
+        # box as singular and the last as not tau-fixed
         swept = []
 
-        def capture(spec, boxes):
-            swept.extend(boxes)
-            return decay.RankReport(len(swept), [], [])
+        def capture(ctx, coeffs):
+            swept.append(coeffs.copy())
+            zero = np.zeros(coeffs.shape[0], dtype=bool)
+            unfixed = zero.copy()
+            zero[0] = len(swept) == 1
+            unfixed[-1] = True
+            return zero, unfixed
 
-        monkeypatch.setattr(cli, "rank_criterion_check", capture)
+        monkeypatch.setattr(cli, "_rank_sweep", capture)
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 300})
+        out = tmp_path / "out"
         rc = cli.main(
             ["rank-check", "--config", cfg, "--seed", str(seed),
-             "--nmax", str(nmax)]
+             "--nmax", str(nmax), "--out", str(out)]
         )
         capsys.readouterr()
-        assert rc == 0
+        assert rc == 1
         want = draw_samples_reference(random.Random(seed), (nmax,) * 2, (4, 4), 300)
-        assert [box.vectors for box in swept] == [
-            tuple(map(tuple, vecs)) for vecs in zip(*want)
-        ]
-        assert {box.bounds for box in swept} == {(nmax, nmax)}
+        got = np.concatenate(swept)
+        assert got.dtype == np.int64 and got.shape == (300, 2, 4)
+        assert got.tolist() == [list(vecs) for vecs in zip(*want)]
+        result = json.loads((out / "rank_check.json").read_text())
+        assert result["total"] == 300 and result["passed"] is False
+        assert result["zero_failures"] == [want[0][0] + want[1][0]]
+        assert result["tau_failures"] == [want[0][-1] + want[1][-1]]
 
     @pytest.mark.parametrize("nmax", ["0", "-1"])
     def test_nonpositive_nmax_is_exit_2(self, nmax, tmp_path, capsys):
@@ -161,7 +173,7 @@ class TestRankCheckCommand:
         def refused(*args):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(cli, "rank_criterion_check", refused)
+        monkeypatch.setattr(cli, "_rank_sweep", refused)
         if env is None:
             monkeypatch.delenv("MACDECAY_BUDGET", raising=False)
         else:
@@ -174,7 +186,7 @@ class TestRankCheckCommand:
         assert captured.err == f"budget exceeded: sample count {message}\n"
 
     def test_nonpositive_budget_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "rank_criterion_check", None)
+        monkeypatch.setattr(cli, "_rank_sweep", None)
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 5})
         rc = cli.main(["rank-check", "--config", cfg, "--budget", "0"])
         captured = capsys.readouterr()

@@ -1219,6 +1219,11 @@ class TestSampledStream:
         piece = decay.DRAW_WORDS // least
         cases = [(seed, count) for seed in (0, 11, -7, 2**63) for count in (1, 7, 500)]
         cases += [(5, piece - 1), (5, piece), (5, piece + 1), (5, decay.SAMPLE_CHUNK)]
+        # the walk steps DRAW_STRIDE samples at a time, and the last stride
+        # of a count past one piece runs into the next
+        stride = decay.DRAW_STRIDE
+        cases += [(1, stride - 1), (1, stride), (1, stride + 1)]
+        cases += [(1, piece + stride // 2)]
         for seed, count in cases:
             rng, ref_rng = random.Random(seed), random.Random(seed)
             got = decay._draw_samples(rng, bounds, lengths, count)
@@ -1280,6 +1285,75 @@ class TestSampledStream:
             golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11, workers=1
         )
         assert events == ["draw", "scan"] * 8
+        same_report(got, want)
+
+    @pytest.mark.parametrize(
+        "spec_name,bounds,rows",
+        [
+            ("golden_spec", (1, 1), 300),
+            ("golden_spec", (3, 2), 300),
+            ("golden_spec", (6, 6), 300),
+            ("eisenstein_spec", (1, 1), 300),
+            ("eisenstein_spec", (6, 6), 300),
+            ("two_antenna_spec", (1,), 300),
+            ("cubic_spec", (1, 1, 1), 300),
+            ("cubic_spec", (2, 2, 2), 2),
+            ("cubic_spec", (2, 2, 2), 300),
+        ],
+    )
+    def test_factor_tables_match_direct_factors(self, spec_name, bounds, rows, request):
+        # a row read from a user's table is the row user_factors computes
+        # for the drawn vector, to the bit
+        spec = request.getfixturevalue(spec_name)
+        ctx = decay._SearchContext(spec)
+        lengths = [spec.r_per_user] * spec.U
+        vecs = decay._draw_samples(random.Random(29), bounds, lengths, rows)
+        keys = list(enumerate(bounds))
+        for (j, N), table, v in zip(keys, ctx.factor_tables(keys), vecs):
+            assert table[0].shape[0] == (2 * N + 1) ** spec.r_per_user
+            rank = (v + N) @ ((2 * N + 1) ** np.arange(spec.r_per_user - 1, -1, -1))
+            for got, want in zip(table, ctx.user_factors(j, v)):
+                assert got[rank].dtype == want.dtype
+                assert np.array_equal(got[rank], want)
+
+    def test_quartic_sampled_point_builds_no_table(self, quartic_spec, monkeypatch):
+        # (2N + 1)^16 rows: every user's box is past any sample count
+        def no_table(*args):
+            raise AssertionError("a factor table was built")
+
+        monkeypatch.setattr(decay, "_half_grid", no_table)
+        rep = min_abs_det(quartic_spec, (1, 1), mode=SAMPLED, samples=200, seed=3)
+        assert rep.evaluated == rep.screened == 200
+
+    def test_first_user_curve_builds_user_two_table_once(self, golden_spec, monkeypatch):
+        # boxes of 3^4, 5^4 and 7^4 rows against 3,000 samples: every user
+        # reads a table, and user 2's N = 1 table serves the whole curve
+        built = {0: [], 1: []}
+        blocks_float = UserTensors.blocks_float
+
+        def counted(ut, vecs):
+            built[ut.j - 1].append(vecs.shape[0])
+            return blocks_float(ut, vecs)
+
+        monkeypatch.setattr(UserTensors, "blocks_float", counted)
+        decay_curve(golden_spec, 3, mode=SAMPLED, samples=3000, seed=5)
+        assert built == {0: [3**4, 5**4, 7**4], 1: [3**4]}
+
+    def test_small_chunks_take_the_direct_path(self, golden_spec, monkeypatch):
+        # with SAMPLE_CHUNK = 50 no 81-row box fits a chunk: each chunk's
+        # factors are computed directly, and the report is the tables' one
+        want = min_abs_det(golden_spec, (1, 1), mode=SAMPLED, samples=400, seed=11)
+        rows = []
+        blocks_float = UserTensors.blocks_float
+
+        def counted(ut, vecs):
+            rows.append(vecs.shape[0])
+            return blocks_float(ut, vecs)
+
+        monkeypatch.setattr(UserTensors, "blocks_float", counted)
+        monkeypatch.setattr(decay, "SAMPLE_CHUNK", 50)
+        got = min_abs_det(golden_spec, (1, 1), mode=SAMPLED, samples=400, seed=11)
+        assert rows == [50] * 16
         same_report(got, want)
 
     @pytest.mark.parametrize(
