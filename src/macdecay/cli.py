@@ -15,19 +15,14 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .catalog import (
     build_tower, catalog_rows, find_inert_primes, standard_generators,
 )
-from .construction import (
-    CodeSpec, CoefficientBox, gamma_basis, gamma_elements, lattice_basis,
-)
+from .construction import CodeSpec, gamma_basis, gamma_elements, lattice_basis
 from .decay import (
     ALL_USERS, DEFAULT_BUDGET, EXHAUSTIVE, FIRST_USER, SAMPLED, BudgetExceeded,
-    RankReport, _rank_sweep, _sample_chunks, _SearchContext, curve_csv_text,
-    curve_json_obj, decay_curve, fit_decay_exponent, two_user_singularity_test,
-    zero_det_witness_2user,
+    curve_csv_text, curve_json_obj, decay_curve, fit_decay_exponent,
+    sampled_rank_check, two_user_singularity_test, zero_det_witness_2user,
 )
 from .number_field import Tower
 from .quadratic import QuadElem, RingTag
@@ -254,23 +249,7 @@ def cmd_rank_check(args, cfg: dict) -> int:
         raise ValueError("budget must be positive")
     if samples > budget:
         raise BudgetExceeded(f"sample count {samples} exceeds budget {budget}")
-    bounds = (bound,) * spec.U
-    lengths = (spec.r_per_user,) * spec.U
-    # the drawn arrays go to the sweep as they are; only a failing row
-    # becomes a CoefficientBox
-    ctx = _SearchContext(spec)
-    total, zero_rows, tau_rows = 0, [], []
-    for vecs in _sample_chunks(seed, bounds, lengths, samples):
-        coeffs = np.stack(vecs, axis=1)
-        zero, unfixed = _rank_sweep(ctx, coeffs)
-        zero_rows += coeffs[zero].tolist()
-        tau_rows += coeffs[unfixed].tolist()
-        total += coeffs.shape[0]
-
-    def boxes(rows):
-        return [CoefficientBox(bounds, tuple(map(tuple, row))) for row in rows]
-
-    report = RankReport(total, boxes(zero_rows), boxes(tau_rows))
+    report = sampled_rank_check(spec, bound, samples, seed)
     resolved = _resolved_config_obj(
         "rank-check", cfg, spec=spec, seed=seed, samples=samples, nmax=bound
     )
@@ -453,6 +432,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        # refuse up front an --out whose nearest existing path is no directory
+        head = args.out
+        while head and not os.path.exists(head):
+            head = os.path.dirname(head)
+        if head and not os.path.isdir(head):
+            raise ConfigError(f"--out needs a directory, and {head!r} is not one")
         return _COMMANDS[args.task](args, cfg)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
@@ -460,7 +445,8 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    # OSError: the config cannot be read, or --out cannot be written
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as exc:

@@ -39,11 +39,6 @@ FIRST_USER = "FIRST_USER"
 ALL_USERS = "ALL_USERS"
 
 DEFAULT_BUDGET = 10**8
-# orbit representatives per chunk of the n_t >= 2 EXHAUSTIVE scan; each chunk
-# screens against its own least upper bound, so the chunking fixes the
-# candidate counts
-CHUNK_U1_ROWS = 512
-GRID_SLICE_ROWS = 1 << 16  # lex rows of the n_t >= 2 grid built at once
 SAMPLE_CHUNK = 32768
 DRAW_WORDS = 1 << 14  # fresh stream words one numpy pass of the draw parses
 DRAW_STRIDE = 16  # samples per step of the draw's Python walk, a power of 2
@@ -180,6 +175,26 @@ def rank_criterion_check(spec: CodeSpec, boxes) -> RankReport:
     return RankReport(total, zero_failures, tau_failures)
 
 
+def sampled_rank_check(spec: CodeSpec, N: int, samples: int, seed: int) -> RankReport:
+    """rank_criterion_check over `samples` boxes of bound N for every user,
+    drawn from random.Random(seed) as SAMPLED min_abs_det draws them
+    (_sample_chunks).  The drawn arrays go to _rank_sweep as they are; only
+    a failing row becomes a CoefficientBox."""
+    bounds = (N,) * spec.U
+    ctx, report = _SearchContext(spec), RankReport(0, [], [])
+
+    def box(row):
+        return CoefficientBox(bounds, tuple(map(tuple, row)))
+
+    for vecs in _sample_chunks(seed, bounds, (spec.r_per_user,) * spec.U, samples):
+        coeffs = np.stack(vecs, axis=1)
+        zero, unfixed = _rank_sweep(ctx, coeffs)
+        report.total += coeffs.shape[0]
+        report.zero_failures += map(box, coeffs[zero].tolist())
+        report.tau_failures += map(box, coeffs[unfixed].tolist())
+    return report
+
+
 def _rank_sweep(ctx: _SearchContext, coeffs: np.ndarray):
     """(zero, unfixed) over a (B, U, r) coefficient array, box i stacking
     coeffs[i, j] for every user j: whether box i's determinant is zero, and
@@ -260,7 +275,7 @@ class _SearchContext:
     float_factors builds, for coefficient vectors of every user, each
     user's float blocks and the slack factors of its n_t rows, which
     det_slack_batch multiplies together.  The n_t >= 2 EXHAUSTIVE scan
-    builds them once per chunk, the meet-in-the-middle scan once over
+    builds them once per grid slice, the meet-in-the-middle scan once over
     user 1's generators and the other users' orbit grids.  SAMPLED reads a
     small box's rows from factor_tables and builds a larger box's once
     per chunk (_sample_scan)."""
@@ -355,7 +370,8 @@ def _exact_stage(ctx: _SearchContext, vec_arrays: list[np.ndarray]):
 
 def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
     """(|det|^2, numerator, box) of the exact minimum over candidates, the
-    first index winning ties; the box is built for the winner only.
+    first index winning ties, the numerator a FieldElem; the box is built
+    for the winner only.
 
     Equal numerators give equal |det|^2 and the first one already wins the
     tie, so each distinct numerator is decided once."""
@@ -368,9 +384,9 @@ def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
         num_fe = FieldElem(ctx.spec.tower, vec, ctx.kern.entry_scale)
         absq = abs_sq_of_det(ctx.spec, num_fe, s)
         if best is None or absq < best[0]:
-            best = (absq, vec, i)
-    absq, vec, i = best
-    return absq, vec, tuple(tuple(v[i].tolist()) for v in vec_arrays)
+            best = (absq, num_fe, i)
+    absq, num_fe, i = best
+    return absq, num_fe, tuple(tuple(v[i].tolist()) for v in vec_arrays)
 
 
 def _screen_paired(factors, count: int):
@@ -418,36 +434,30 @@ def _scan_chunk(vecs, factors) -> list[np.ndarray]:
     return [v[cands] for v in vecs]
 
 
-def _grid_scan(ctx: _SearchContext, bounds, lengths):
-    """(candidates, screened) of the one-user box `bounds` for n_t >= 2:
-    the rows of every chunk's candidates in lex order, and the number of
-    orbit representatives scanned.  r = 2 U n_t^2, so with a second user
-    the grid has 3^16 rows at N = 1, which _minimum refuses by the row cap.
-
-    The grid is built GRID_SLICE_ROWS lex rows at a time (grid_rows), and
-    each slice keeps its orbit representatives.  They are screened in lex
-    order, CHUNK_U1_ROWS at a time, each chunk against its own least upper
-    bound (_scan_chunk); a partial chunk waits for the next slice's
-    representatives.  So memory holds one slice, and the chunks are those
-    of the whole grid's representatives.  Every step keeps the order of
-    the rows it keeps, so the candidates need no sort."""
-    (N,), (r,) = bounds, lengths
-    count = grid_size(N, r)
-    reps = np.empty((0, r), dtype=np.int64)
+def _screen_chunks(chunks, factors):
+    """(candidates, screened) of a stream of chunks, each a list of
+    per-user coefficient arrays: every nonempty chunk's candidates
+    (_scan_chunk, on factors(vecs)) in stream order, and ``screened`` the
+    number of rows the chunks held."""
     per_chunk, screened = [], 0
-    for start in range(0, count, GRID_SLICE_ROWS):
-        stop = min(start + GRID_SLICE_ROWS, count)
-        rows = grid_rows(N, r, start, stop)
-        reps = np.concatenate([reps, rows[_orbit_minimal(rows, N, ctx.units)]])
-        ready = reps.shape[0]
-        if stop < count:
-            ready -= ready % CHUNK_U1_ROWS
-        for i in range(0, ready, CHUNK_U1_ROWS):
-            vecs = [reps[i : i + CHUNK_U1_ROWS]]
-            per_chunk.append(_scan_chunk(vecs, ctx.float_factors(vecs)))
-        screened += ready
-        reps = reps[ready:]
+    for vecs in chunks:
+        if vecs[0].shape[0]:
+            per_chunk.append(_scan_chunk(vecs, factors(vecs)))
+            screened += vecs[0].shape[0]
     return [np.concatenate(user) for user in zip(*per_chunk)], screened
+
+
+def _grid_chunks(ctx: _SearchContext, N: int, r: int):
+    """The orbit representatives of the one-user box [-N, N]^r for
+    n_t >= 2, one chunk per SUB_BATCH lex rows of the grid (grid_rows), so
+    memory holds one slice.  A slice may hold no representative.  Every
+    step keeps the order of the rows it keeps, so the chunks run in lex
+    order.  r = 2 U n_t^2, so with a second user the grid has 3^16 rows at
+    N = 1, which _minimum refuses by the row cap."""
+    count = grid_size(N, r)
+    for start in range(0, count, SUB_BATCH):
+        rows = grid_rows(N, r, start, min(start + SUB_BATCH, count))
+        yield [rows[_orbit_minimal(rows, N, ctx.units)]]
 
 
 def _half_grid(N: int, length: int) -> np.ndarray:
@@ -477,8 +487,8 @@ def _cofactors(ctx: _SearchContext, factors, rows, N: int):
 def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
     """(candidates, screened) of the box `bounds` for n_t = 1 by meet in
     the middle (Horowitz and Sahni, JACM 1974), with the contract of
-    _grid_scan: user 1's whole box against the orbit representatives y of
-    users 2..U (ctx.orbit_grids), the candidates in lex order of their
+    _screen_chunks: user 1's whole box against the orbit representatives y
+    of users 2..U (ctx.orbit_grids), the candidates in lex order of their
     concatenated coefficients, and ``screened`` the number of window pairs
     below.  ub is a proven upper bound on the minimum |det| over the box,
     such as an inner box's D_value + error_radius rounded up by 2^-40.
@@ -592,10 +602,9 @@ def _mitm_scan(ctx: _SearchContext, bounds, lengths, ub=math.inf):
 
 def _sample_scan(ctx: _SearchContext, bounds, lengths, samples: int, seed: int):
     """(candidates, screened) of `samples` boxes drawn from `seed`
-    (_sample_chunks), with the contract of _grid_scan: every chunk's
-    candidates (_scan_chunk) in sample order, and ``screened`` the number
-    of samples.  Each chunk is drawn only after the previous one is
-    scanned.
+    (_sample_chunks), screened chunk by chunk (_screen_chunks): the
+    candidates in sample order, and ``screened`` the number of samples.
+    Each chunk is drawn only after the previous one is scanned.
 
     A user's float factors depend on its coefficient vector alone.  So a
     user whose box [-N, N]^r has at most min(samples, SAMPLE_CHUNK) rows,
@@ -617,11 +626,10 @@ def _sample_scan(ctx: _SearchContext, bounds, lengths, samples: int, seed: int):
         rank = (v + N) @ ((2 * N + 1) ** np.arange(r - 1, -1, -1, dtype=np.int64))
         return tuple(t.take(rank, axis=0) for t in tables[j])
 
-    per_chunk = [
-        _scan_chunk(vecs, list(starmap(factors, enumerate(vecs))))
-        for vecs in _sample_chunks(seed, bounds, lengths, samples)
-    ]
-    return [np.concatenate(user) for user in zip(*per_chunk)], samples
+    return _screen_chunks(
+        _sample_chunks(seed, bounds, lengths, samples),
+        lambda vecs: list(starmap(factors, enumerate(vecs))),
+    )
 
 
 def _attempt_words(N: int) -> int:
@@ -828,12 +836,15 @@ def _minimum(
     (_decide).  With n_t = 1, det is linear in user 1's vector, and meet
     in the middle (_mitm_scan) windows user 1's two half sums against each
     other for every orbit representative of the other users.  With
-    n_t >= 2 the row cap admits only one-user boxes, and _grid_scan
-    screens the user's orbit representatives in fixed chunks.  SAMPLED
-    screens the samples chunk by chunk (_sample_scan).  ub is a proven
-    upper bound on the minimum |det| over the box.  Only the
-    meet-in-the-middle scan reads it, to narrow its windows, so it changes
-    ``screened`` and nothing else in the report."""
+    n_t >= 2 the row cap admits only one-user boxes, and _screen_chunks
+    screens the user's orbit representatives one grid slice at a time
+    (_grid_chunks).  Each slice is one chunk and keeps every codeword
+    under its own least upper bound, so the box's first minimizer in lex
+    order is always a candidate.  SAMPLED screens the samples chunk by
+    chunk (_sample_scan).  ub is a proven upper bound on the minimum |det|
+    over the box.  Only the meet-in-the-middle scan reads it, to narrow
+    its windows, so it changes ``screened`` and nothing else in the
+    report."""
     t0 = time.perf_counter()
     spec = ctx.spec
     bounds = tuple(map(index, bounds))
@@ -856,7 +867,7 @@ def _minimum(
                 " use SAMPLED mode"
             )
         for N, r in zip(bounds, lengths):
-            rows = grid_size(N, r) + 1  # coeff_grid builds the zero row too
+            rows = (2 * N + 1) ** r  # the count at which coeff_grid refuses
             if rows > GRID_ROW_CAP:
                 raise BudgetExceeded(
                     f"coefficient grid of {rows} rows exceeds the"
@@ -866,7 +877,8 @@ def _minimum(
         if spec.n_t == 1:
             scan = _mitm_scan(ctx, bounds, lengths, ub)
         else:
-            scan = _grid_scan(ctx, bounds, lengths)
+            (N,), (r,) = bounds, lengths
+            scan = _screen_chunks(_grid_chunks(ctx, N, r), ctx.float_factors)
     else:
         if not samples or samples < 1:
             raise ValueError("SAMPLED mode requires a positive sample count")
@@ -895,8 +907,7 @@ def _decide(
     nums, s, fixed = _exact_stage(ctx, cands)
     if not fixed.all():
         raise ArithmeticError("determinant is not fixed by tau = sigma^U")
-    absq, vec, box = _pick_min(ctx, nums, s, cands)
-    num_fe = FieldElem(spec.tower, vec, ctx.kern.entry_scale)
+    absq, num_fe, box = _pick_min(ctx, nums, s, cands)
     lo, hi = absq.sqrt_bounds(60)
     mid = (lo + hi) / 2
     d_value = float(mid)

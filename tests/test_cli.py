@@ -107,7 +107,7 @@ class TestRankCheckCommand:
             unfixed[-1] = True
             return zero, unfixed
 
-        monkeypatch.setattr(cli, "_rank_sweep", capture)
+        monkeypatch.setattr(decay, "_rank_sweep", capture)
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 300})
         out = tmp_path / "out"
         rc = cli.main(
@@ -173,7 +173,7 @@ class TestRankCheckCommand:
         def refused(*args):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(cli, "_rank_sweep", refused)
+        monkeypatch.setattr(decay, "_rank_sweep", refused)
         if env is None:
             monkeypatch.delenv("MACDECAY_BUDGET", raising=False)
         else:
@@ -186,7 +186,7 @@ class TestRankCheckCommand:
         assert captured.err == f"budget exceeded: sample count {message}\n"
 
     def test_nonpositive_budget_is_exit_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_rank_sweep", None)
+        monkeypatch.setattr(decay, "_rank_sweep", None)
         cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 5})
         rc = cli.main(["rank-check", "--config", cfg, "--budget", "0"])
         captured = capsys.readouterr()
@@ -463,6 +463,41 @@ class TestConfigErrors:
         rc = cli.main(["build", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
         capsys.readouterr()
+
+    def test_config_directory_is_exit_2(self, tmp_path, capsys):
+        # reading a directory used to end in an IsADirectoryError traceback
+        rc = cli.main(["decay", "--config", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert captured.err.count("\n") == 1 and str(tmp_path) in captured.err
+
+    @pytest.mark.parametrize("task", ["decay", "rank-check"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_out_file_is_refused_before_the_run(
+        self, task, below, tmp_path, capsys, monkeypatch
+    ):
+        # an --out that is a file, or lies under one, used to end in a
+        # FileExistsError traceback after the whole run had printed
+        def refused(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "decay_curve", refused)
+        monkeypatch.setattr(cli, "sampled_rank_check", refused)
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept")
+        out = blocker / "out" if below else blocker
+        cfg = write_config(tmp_path, {"code": dict(GOLDEN_CODE), "samples": 5})
+        rc = cli.main([task, "--config", cfg, "--nmax", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: --out needs a directory, and {str(blocker)!r}"
+            " is not one\n"
+        )
+        assert blocker.read_text() == "kept"
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -490,17 +490,19 @@ class TestMinAbsDetEngine:
             for rep in reps.values():
                 same_report(rep, reps[1])
 
-    @pytest.mark.parametrize("rows, stage_rows", [(1, 1640), (7, 347), (512, 126)])
+    @pytest.mark.parametrize(
+        "sub_batch, stage_rows", [(1, 1640), (7, 348), (decay.SUB_BATCH, 126)]
+    )
     def test_exhaustive_report_does_not_depend_on_chunking(
-        self, two_antenna_spec, rows, stage_rows, monkeypatch
+        self, two_antenna_spec, sub_batch, stage_rows, monkeypatch
     ):
-        # with one orbit representative per chunk, minimizers fall in
-        # different chunks; the first-index tie-break must still pick the
-        # argmin of the one-chunk scan.  Chunks exist only on the n_t >= 2
-        # grid scan.  Each chunk keeps the candidates under its own least upper
-        # bound, so only the exact stage's rows depend on the chunking;
-        # every value as the orbit-grid scan gave it at commit 58b5794
-        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
+        # the n_t >= 2 grid scan screens each slice of SUB_BATCH lex rows as
+        # one chunk.  With one row per slice, minimizers fall in different
+        # chunks and most chunks hold no orbit representative; the
+        # first-index tie-break must still pick the argmin of the one-chunk
+        # scan.  Each chunk keeps the candidates under its own least upper
+        # bound, so only the exact stage's rows depend on the chunking
+        monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
         sizes = stage_sizes(monkeypatch)
         rep = min_abs_det(two_antenna_spec, (1,))
         assert sizes == [stage_rows]
@@ -509,18 +511,20 @@ class TestMinAbsDetEngine:
         assert rep.argmin.vectors == ((-1, -1, -1, 0, -1, -1, 1, 1),)
         assert [(q.a, q.b) for q in rep.det_numerator.coords] == [(0, -1), (0, 0)]
         assert rep.det_p_exponent == 2
-        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", grid_size(1, 8))
+        monkeypatch.setattr(decay, "SUB_BATCH", grid_size(1, 8))
         same_report(rep, min_abs_det(two_antenna_spec, (1,)))
 
-    @pytest.mark.parametrize("slice_rows", [1, 1000, 6561])
+    @pytest.mark.parametrize(
+        "slice_rows, stage_rows",
+        [(1, 1640), (1000, 130), (6561, 126)],
+        ids=["1", "1000", "6561"],
+    )
     def test_grid_scan_builds_one_slice_at_a_time(
-        self, two_antenna_spec, slice_rows, monkeypatch
+        self, two_antenna_spec, slice_rows, stage_rows, monkeypatch
     ):
-        # the grid's lex rows arrive GRID_SLICE_ROWS at a time, and no
-        # other grid is built; chunks of CHUNK_U1_ROWS representatives
-        # span slices, so the report and the exact stage's rows are those
-        # of the default slicing (347 rows at 7-row chunks, as in
-        # test_exhaustive_report_does_not_depend_on_chunking)
+        # the grid's lex rows arrive SUB_BATCH at a time, and no other grid
+        # is built; the report is that of the default slicing, and the
+        # exact stage takes each slice's candidates
         def no_grid(N, length):
             raise AssertionError("a whole coefficient grid was built")
 
@@ -530,18 +534,15 @@ class TestMinAbsDetEngine:
             spans.append((start, stop))
             return rows(N, length, start, stop)
 
-        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", 7)
-        sizes = stage_sizes(monkeypatch)
         want = min_abs_det(two_antenna_spec, (1,))
-        want_sizes = sizes[:]
+        sizes = stage_sizes(monkeypatch)
         monkeypatch.setattr(decay, "coeff_grid", no_grid)
         monkeypatch.setattr(decay, "grid_rows", recorded)
-        monkeypatch.setattr(decay, "GRID_SLICE_ROWS", slice_rows)
-        sizes.clear()
+        monkeypatch.setattr(decay, "SUB_BATCH", slice_rows)
         rep = min_abs_det(two_antenna_spec, (1,))
         same_report(rep, want)
         assert rep.screened == want.screened == 1640
-        assert sizes == want_sizes == [347]
+        assert sizes == [stage_rows]
         assert all(stop - start <= slice_rows for start, stop in spans)
         assert spans[0][0] == 0 and spans[-1][1] == grid_size(1, 8)
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
@@ -1467,17 +1468,18 @@ class TestDecayCurve:
         assert [c for c in calls if c[1] == r] == [(1, r), (2, r), (3, r)]
 
     @pytest.mark.parametrize(
-        "rows, stage_rows", [(512, [126, 1532]), (7, [347, 15782])]
+        "sub_batch, stage_rows", [(decay.SUB_BATCH, [126, 898]), (7, [348, 15876])]
     )
     def test_shell_scan_matches_each_box_alone(
-        self, two_antenna_spec, rows, stage_rows, monkeypatch
+        self, two_antenna_spec, sub_batch, stage_rows, monkeypatch
     ):
         # on the n_t >= 2 grid scan every curve point scans its whole box,
         # so it is the report min_abs_det gives for the box on its own,
         # screened and exact-stage rows included, whatever the chunking.
         # screened counts the box's orbit representatives; the exact stage
-        # takes every chunk's candidates, so its rows depend on the chunking
-        monkeypatch.setattr(decay, "CHUNK_U1_ROWS", rows)
+        # takes every grid slice's candidates, so its rows depend on
+        # SUB_BATCH
+        monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
         sizes = stage_sizes(monkeypatch)
         curve = decay_curve(two_antenna_spec, 2)
         assert [rep.screened for rep in curve] == [1640, 97656]
