@@ -150,13 +150,6 @@ def _pick(args_value, env_name: str, cfg: dict, cfg_key: str, default):
 # output helpers
 
 
-def _emit(out_dir: str | None, name: str, text: str) -> None:
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, name), "w", newline="") as fh:
-            fh.write(text)
-
-
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
 
@@ -171,6 +164,19 @@ def _resolved_config_obj(task: str, cfg: dict, spec=None, tower=None, **extra):
     return out
 
 
+def _report(args, resolved: dict, text: str, files: dict[str, str]) -> None:
+    """Every command's tail: print the resolved config and then text, and
+    under --out write resolved_config.json and each of files (name -> text)."""
+    print(_json_text(resolved), end="")
+    print(text, end="")
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        files = {"resolved_config.json": _json_text(resolved), **files}
+        for name, body in files.items():
+            with open(os.path.join(args.out, name), "w", newline="") as fh:
+                fh.write(body)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -182,16 +188,13 @@ def cmd_catalog(args, cfg: dict) -> int:
     resolved = _resolved_config_obj(
         "catalog", cfg, max_degree=max_degree, norm_bound=norm_bound
     )
-    print(_json_text(resolved), end="")
-    for row in rows:
-        f = " ".join(str(c) for c in row["f"])
-        print(
-            f"degree={row['degree']} m={row['m']} H=<{','.join(map(str, row['H_generators']))}>"
-            f" f={f} Q(i)={','.join(row['primes_Q(i)']) or '-'}"
-            f" Q(sqrt-3)={','.join(row['primes_Q(sqrt-3)']) or '-'}"
-        )
-    _emit(args.out, "resolved_config.json", _json_text(resolved))
-    _emit(args.out, "catalog.json", _json_text(rows))
+    text = "".join(
+        f"degree={row['degree']} m={row['m']} H=<{','.join(map(str, row['H_generators']))}>"
+        f" f={' '.join(map(str, row['f']))} Q(i)={','.join(row['primes_Q(i)']) or '-'}"
+        f" Q(sqrt-3)={','.join(row['primes_Q(sqrt-3)']) or '-'}\n"
+        for row in rows
+    )
+    _report(args, resolved, text, {"catalog.json": _json_text(rows)})
     return 0
 
 
@@ -202,12 +205,9 @@ def cmd_inert_search(args, cfg: dict) -> int:
     resolved = _resolved_config_obj(
         "inert-search", cfg, tower=tower, norm_bound=norm_bound
     )
-    print(_json_text(resolved), end="")
     listing = [{"p": str(p), "norm": int(p.norm())} for p in primes]
-    for item in listing:
-        print(f"p={item['p']} norm={item['norm']}")
-    _emit(args.out, "resolved_config.json", _json_text(resolved))
-    _emit(args.out, "inert_primes.json", _json_text(listing))
+    text = "".join(f"p={item['p']} norm={item['norm']}\n" for item in listing)
+    _report(args, resolved, text, {"inert_primes.json": _json_text(listing)})
     return 0
 
 
@@ -226,10 +226,7 @@ def cmd_build(args, cfg: dict) -> int:
         "generators_per_user": spec.r_per_user,
         "rank_certified": True,
     }
-    print(_json_text(resolved), end="")
-    print(_json_text(info), end="")
-    _emit(args.out, "resolved_config.json", _json_text(resolved))
-    _emit(args.out, "build.json", _json_text(info))
+    _report(args, resolved, _json_text(info), {"build.json": _json_text(info)})
     return 0
 
 
@@ -238,12 +235,6 @@ def cmd_rank_check(args, cfg: dict) -> int:
     seed = _pick(args.seed, "", cfg, "seed", 0)
     samples = _pick(None, "", cfg, "samples", DEFAULT_SAMPLES)
     bound = _pick(args.nmax, "", cfg, "nmax", 2)
-    if bound < 1:
-        raise ValueError("nmax must be positive")
-    if samples < 1:
-        raise ValueError("samples must be positive")
-    if seed < 0:  # random.Random(seed) reads |seed|
-        raise ValueError("seed must be non-negative")
     budget = _pick(args.budget, "MACDECAY_BUDGET", cfg, "budget", DEFAULT_BUDGET)
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -259,10 +250,7 @@ def cmd_rank_check(args, cfg: dict) -> int:
         "tau_failures": [list(b.lex_key()) for b in report.tau_failures],
         "passed": report.passed,
     }
-    print(_json_text(resolved), end="")
-    print(_json_text(result), end="")
-    _emit(args.out, "resolved_config.json", _json_text(resolved))
-    _emit(args.out, "rank_check.json", _json_text(result))
+    _report(args, resolved, _json_text(result), {"rank_check.json": _json_text(result)})
     return 0 if report.passed else 1
 
 
@@ -282,8 +270,6 @@ def cmd_decay(args, cfg: dict) -> int:
     budget = _pick(args.budget, "MACDECAY_BUDGET", cfg, "budget", DEFAULT_BUDGET)
     if budget < 1:
         raise ValueError("budget must be positive")
-    if seed < 0:  # random.Random(seed) reads |seed|
-        raise ValueError("seed must be non-negative")
     tolerance = _tolerance(
         args.tolerance if args.tolerance is not None else cfg.get("tolerance", DEFAULT_TOLERANCE)
     )
@@ -325,22 +311,19 @@ def cmd_decay(args, cfg: dict) -> int:
     json_obj["fit"] = fit
     json_obj["expected_slope"] = target
     json_obj["slope_within_tolerance"] = verdict
-
-    print(_json_text(resolved), end="")
-    print(csv_text, end="")
     if fit is not None:
-        print(
+        fit_line = (
             f"fit: slope={fit['slope']!r} intercept={fit['intercept']!r}"
             f" residual={fit['residual']!r} target={target} tolerance={tolerance}"
             f" verdict={'PASS' if verdict else 'FAIL'}"
         )
     else:
-        print("fit: skipped (need 3 or more usable points)")
+        fit_line = "fit: skipped (need 3 or more usable points)"
+    _report(
+        args, resolved, f"{csv_text}{fit_line}\n",
+        {"decay.csv": csv_text, "decay.json": _json_text(json_obj)},
+    )
     print(f"decay: wall time {elapsed:.2f}s", file=sys.stderr)
-
-    _emit(args.out, "resolved_config.json", _json_text(resolved))
-    _emit(args.out, "decay.csv", csv_text)
-    _emit(args.out, "decay.json", _json_text(json_obj))
     return 0 if verdict else 1
 
 
@@ -366,8 +349,7 @@ def cmd_witness2(args, cfg: dict) -> int:
         "norm_determinant": [[str(q.a), str(q.b)] for q in norm_det.coords],
         "singular": singular,
     }
-    print(_json_text(resolved), end="")
-    print(f"norm determinant: {norm_det.coords[0]}")
+    lines = [f"norm determinant: {norm_det.coords[0]}"]
     if singular:
         x, y = zero_det_witness_2user(a, b, c, d)
         result["witness"] = {
@@ -375,13 +357,15 @@ def cmd_witness2(args, cfg: dict) -> int:
             "y": [[str(q.a), str(q.b)] for q in y.coords],
             "verified": True,
         }
-        print("verdict: zero-determinant matrix exists")
-        print(f"witness x coords: {[str(q) for q in x.coords]}")
-        print(f"witness y coords: {[str(q) for q in y.coords]}")
+        lines += [
+            "verdict: zero-determinant matrix exists",
+            f"witness x coords: {[str(q) for q in x.coords]}",
+            f"witness y coords: {[str(q) for q in y.coords]}",
+        ]
     else:
-        print("verdict: no zero determinant")
-    _emit(args.out, "resolved_config.json", _json_text(resolved))
-    _emit(args.out, "witness2.json", _json_text(result))
+        lines.append("verdict: no zero determinant")
+    text = "".join(line + "\n" for line in lines)
+    _report(args, resolved, text, {"witness2.json": _json_text(result)})
     return 0
 
 
@@ -389,42 +373,53 @@ def cmd_witness2(args, cfg: dict) -> int:
 # argument surface
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", help="output directory")
-    common.add_argument(
-        "--workers", type=int, help="accepted and ignored; every scan runs in-process"
-    )
-    common.add_argument("--seed", type=int, help="64-bit seed for all randomness")
-    common.add_argument("--budget", type=int, help="codeword-count budget")
-    common.add_argument("--mode", choices=["exhaustive", "sampled"])
-    common.add_argument("--pattern", choices=["first-user", "all-users"])
-    common.add_argument("--nmax", type=int, help="N_max / degree / bound knob")
-    common.add_argument("--tolerance", type=float, help="slope tolerance")
+# what each flag parses to; a command takes only the flags it reads
+_FLAG_KINDS = {
+    "--workers": {"type": int},
+    "--seed": {"type": int},
+    "--budget": {"type": int},
+    "--mode": {"choices": ["exhaustive", "sampled"]},
+    "--pattern": {"choices": ["first-user", "all-users"]},
+    "--nmax": {"type": int},
+    "--tolerance": {"type": float},
+}
 
+# each command and the help of each flag it reads besides --config and --out
+_COMMANDS = {
+    "catalog": (cmd_catalog, {"--nmax": "largest tower degree"}),
+    "inert-search": (cmd_inert_search, {"--nmax": "norm bound of the listed primes"}),
+    "build": (cmd_build, {}),
+    "rank-check": (cmd_rank_check, {
+        "--seed": "seed for all randomness (>= 0)",
+        "--budget": "bound on the sample count",
+        "--nmax": "coefficient bound of every user",
+    }),
+    "decay": (cmd_decay, {
+        "--workers": "accepted and ignored; every scan runs in-process",
+        "--seed": "seed for all randomness (>= 0)",
+        "--budget": "codeword-count budget",
+        "--mode": "exhaustive search or sampled upper bound",
+        "--pattern": "which users' boxes grow with N",
+        "--nmax": "N_max, the curve's last N",
+        "--tolerance": "slope tolerance",
+    }),
+    "witness2": (cmd_witness2, {}),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macdecay",
         description="multiuser lattice code construction and decay measurement",
     )
     sub = parser.add_subparsers(dest="task", required=True)
-    sub.add_parser("catalog", parents=[common])
-    sub.add_parser("inert-search", parents=[common])
-    sub.add_parser("build", parents=[common])
-    sub.add_parser("rank-check", parents=[common])
-    sub.add_parser("decay", parents=[common])
-    sub.add_parser("witness2", parents=[common])
+    for task, (_, flags) in _COMMANDS.items():
+        command = sub.add_parser(task)
+        command.add_argument("--config", help="JSON config file")
+        command.add_argument("--out", help="output directory")
+        for flag, text in flags.items():
+            command.add_argument(flag, help=text, **_FLAG_KINDS[flag])
     return parser
-
-
-_COMMANDS = {
-    "catalog": cmd_catalog,
-    "inert-search": cmd_inert_search,
-    "build": cmd_build,
-    "rank-check": cmd_rank_check,
-    "decay": cmd_decay,
-    "witness2": cmd_witness2,
-}
 
 
 def main(argv=None) -> int:
@@ -438,7 +433,7 @@ def main(argv=None) -> int:
             head = os.path.dirname(head)
         if head and not os.path.isdir(head):
             raise ConfigError(f"--out needs a directory, and {head!r} is not one")
-        return _COMMANDS[args.task](args, cfg)
+        return _COMMANDS[args.task][0](args, cfg)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

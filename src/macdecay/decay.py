@@ -15,7 +15,7 @@ import struct
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, islice, starmap
+from itertools import chain, compress, islice, product, starmap
 from operator import attrgetter, index
 
 import numpy as np
@@ -179,7 +179,15 @@ def sampled_rank_check(spec: CodeSpec, N: int, samples: int, seed: int) -> RankR
     """rank_criterion_check over `samples` boxes of bound N for every user,
     drawn from random.Random(seed) as SAMPLED min_abs_det draws them
     (_sample_chunks).  The drawn arrays go to _rank_sweep as they are; only
-    a failing row becomes a CoefficientBox."""
+    a failing row becomes a CoefficientBox.  N and samples below 1 and a
+    negative seed are refused before any draw: at N = 0 every drawn
+    vector is zero and drawn again, and random.Random(seed) reads |seed|."""
+    if N < 1:
+        raise ValueError("nmax must be positive")
+    if samples < 1:
+        raise ValueError("samples must be positive")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     bounds = (N,) * spec.U
     ctx, report = _SearchContext(spec), RankReport(0, [], [])
 
@@ -296,12 +304,10 @@ class _SearchContext:
         keys, built only where the previous call did not build them.  The
         memo keeps this call's grids only, so a curve's memory does not
         grow with its points."""
-        self._grids = {
-            k: self._grids[k] if k in self._grids
-            else orbit_representatives(coeff_grid(*k), k[0], self.units)
-            for k in set(keys)
-        }
-        return [self._grids[k] for k in keys]
+        return _latest_call(
+            self._grids, keys,
+            lambda k: orbit_representatives(coeff_grid(*k), k[0], self.units),
+        )
 
     def float_factors(self, vecs: list[np.ndarray]):
         """(blocks, a, ab) of each user for per-user coefficient arrays:
@@ -320,12 +326,19 @@ class _SearchContext:
         row included, in lex order.  The memo keeps this call's tables
         only, as orbit_grids does."""
         r = self.spec.r_per_user
-        self._tables = {
-            k: self._tables[k] if k in self._tables
-            else self.user_factors(k[0], _half_grid(k[1], r))
-            for k in set(keys)
-        }
-        return [self._tables[k] for k in keys]
+        return _latest_call(
+            self._tables, keys, lambda k: self.user_factors(k[0], _half_grid(k[1], r))
+        )
+
+
+def _latest_call(memo: dict, keys, build) -> list:
+    """[memo[k] for k in keys], where memo keeps what the previous call
+    built, build(k) makes the rest, and memo then holds this call's keys
+    only."""
+    fresh = {k: memo[k] if k in memo else build(k) for k in set(keys)}
+    memo.clear()
+    memo.update(fresh)
+    return [fresh[k] for k in keys]
 
 
 def _float_det(factors, rows):
@@ -1215,33 +1228,26 @@ def naive_min_abs_det(spec: CodeSpec, bounds) -> DecayReport:
     codeword."""
     t0 = time.perf_counter()
     bounds = tuple(map(index, bounds))
-    ranges = [_nonzero_vectors(N, spec.r_per_user) for N in bounds]
-    rows = [
-        [codeword_from_coeffs(spec, j + 1, v).values() for v in vecs]
-        for j, vecs in enumerate(ranges)
+    users = [
+        [
+            (v, codeword_from_coeffs(spec, j + 1, v).values())
+            for v in product(range(-N, N + 1), repeat=spec.r_per_user)
+            if any(v)
+        ]
+        for j, N in enumerate(bounds)
     ]
     best = None  # (absq, lex_key, vectors, num, s)
-    idx = [0] * spec.U
     count = 0
-    while True:
-        vectors = tuple(ranges[j][idx[j]] for j in range(spec.U))
-        vals = [row for j in range(spec.U) for row in rows[j][idx[j]]]
+    # user U outermost, user 1 fastest
+    for combo in product(*reversed(users)):
+        vectors = tuple(v for v, _ in reversed(combo))
+        vals = [row for _, rows in reversed(combo) for row in rows]
         num, s = _laplace_det(spec, vals)
         absq = abs_sq_of_det(spec, num, s)
         key = tuple(chain.from_iterable(vectors))
         if best is None or absq < best[0] or (not best[0] < absq and key < best[1]):
             best = (absq, key, vectors, num, s)
         count += 1
-        # user-U odometer spins fastest in position 0 -> reversed order
-        pos = 0
-        while pos < spec.U:
-            idx[pos] += 1
-            if idx[pos] < len(ranges[pos]):
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == spec.U:
-            break
     absq, _, vectors, num, s = best
     lo, hi = absq.sqrt_bounds(60)
     mid = (lo + hi) / 2
@@ -1261,23 +1267,6 @@ def naive_min_abs_det(spec: CodeSpec, bounds) -> DecayReport:
         screened=0,
         wall_time=time.perf_counter() - t0,
     )
-
-
-def _nonzero_vectors(N: int, length: int) -> list[tuple[int, ...]]:
-    out = []
-    vec = [-N] * length
-    while True:
-        if any(vec):
-            out.append(tuple(vec))
-        pos = length - 1
-        while pos >= 0:
-            vec[pos] += 1
-            if vec[pos] <= N:
-                break
-            vec[pos] = -N
-            pos -= 1
-        if pos < 0:
-            return out
 
 
 def _laplace_det(spec: CodeSpec, vals) -> tuple[FieldElem, int]:

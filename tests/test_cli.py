@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 
@@ -681,3 +682,45 @@ class TestConfigErrors:
         captured = capsys.readouterr()
         assert rc == 2
         assert "unknown mode" in captured.err
+
+
+# a valid value of every command-specific flag, and the flags each command
+# reads besides --config and --out
+FLAG_VALUES = {
+    "--workers": "2", "--seed": "3", "--budget": "100", "--mode": "sampled",
+    "--pattern": "all-users", "--nmax": "2", "--tolerance": "0.5",
+}
+READS = {
+    "catalog": ["--nmax"],
+    "inert-search": ["--nmax"],
+    "build": [],
+    "rank-check": ["--seed", "--budget", "--nmax"],
+    "decay": [
+        "--workers", "--seed", "--budget", "--mode", "--pattern", "--nmax",
+        "--tolerance",
+    ],
+    "witness2": [],
+}
+
+
+@pytest.mark.parametrize("task", list(READS))
+def test_command_takes_only_the_flags_it_reads(task, capsys):
+    # every command used to take all nine flags, so `build --budget 0` ran
+    # and exited 0 while `decay --budget 0` exited 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main([task, "-h"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+    assert listed == {"--help", "--config", "--out", *READS[task]}
+    parser = cli._build_parser()
+    for flag, value in FLAG_VALUES.items():
+        argv = [task, "--config", "config.json", "--out", "out", flag, value]
+        if flag in READS[task]:
+            assert str(getattr(parser.parse_args(argv), flag[2:])) == value
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err

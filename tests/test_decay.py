@@ -235,6 +235,28 @@ class TestRankCriterion:
                     rank_criterion_check(golden_spec, boxes)
 
     @pytest.mark.parametrize(
+        "N, samples, seed, message",
+        [
+            (0, 10, 1, "nmax must be positive"),
+            (1, 0, 1, "samples must be positive"),
+            (1, -3, 1, "samples must be positive"),
+            (1, 10, -5, "seed must be non-negative"),
+        ],
+        ids=["N=0", "samples=0", "samples=-3", "seed=-5"],
+    )
+    def test_sampled_sweep_refuses_before_drawing(
+        self, golden_spec, N, samples, seed, message, monkeypatch
+    ):
+        # N = 0 used to redraw all-zero vectors for ever, no samples
+        # reported a pass, and seed -5 drew seed 5's boxes
+        def drawn(*args):
+            raise AssertionError("the sweep drew a box")
+
+        monkeypatch.setattr(decay, "_sample_chunks", drawn)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            decay.sampled_rank_check(golden_spec, N, samples, seed)
+
+    @pytest.mark.parametrize(
         "vectors, message",
         [
             (((1, 0, 0, 0),) * 3, "needs 2 coefficient vectors of length 4 per box"),

@@ -8,7 +8,7 @@ import numpy as np
 from macdecay.construction import (
     CodeSpec, CoefficientBox, assemble_codeword, gamma_basis,
 )
-from macdecay.decay import _laplace_det, _nonzero_vectors, abs_sq_of_det
+from macdecay.decay import _laplace_det, abs_sq_of_det
 from macdecay.finite_fields import pf_trim, reduce_poly_mod_p
 from macdecay.kernels import (
     DET_EVAL_REL, EMB_REL_ERR, GRID_ROW_CAP, det_float_batch, det_schedule,
@@ -161,16 +161,18 @@ def orbit_representatives_reference(grid, N, units):
 
 def naive_min_reference(spec, bounds):
     """decay.naive_min_abs_det in its per-codeword form: every codeword
-    assembled from its box, the same odometer and tie-break.  Returns
+    assembled from its box, the same enumeration order and tie-break.  Returns
     (abs_sq, argmin box, numerator, p-exponent, count)."""
-    ranges = [_nonzero_vectors(N, spec.r_per_user) for N in bounds]
+    r = spec.r_per_user
+    ranges = [
+        [v for v in itertools.product(range(-N, N + 1), repeat=r) if any(v)]
+        for N in bounds
+    ]
     best = None
-    idx = [0] * spec.U
     count = 0
-    while True:
-        box = CoefficientBox(
-            bounds, tuple(ranges[j][idx[j]] for j in range(spec.U))
-        )
+    # user U outermost, user 1 fastest
+    for vectors in itertools.product(*reversed(ranges)):
+        box = CoefficientBox(bounds, vectors[::-1])
         num, s = _laplace_det(spec, assemble_codeword(spec, box).values())
         absq = abs_sq_of_det(spec, num, s)
         key = box.lex_key()
@@ -179,16 +181,8 @@ def naive_min_reference(spec, bounds):
         ):
             best = (absq, key, box, num, s)
         count += 1
-        pos = 0
-        while pos < spec.U:
-            idx[pos] += 1
-            if idx[pos] < len(ranges[pos]):
-                break
-            idx[pos] = 0
-            pos += 1
-        if pos == spec.U:
-            absq, _, box, num, s = best
-            return absq, box, num, s, count
+    absq, _, box, num, s = best
+    return absq, box, num, s, count
 
 
 def irreducible_by_roots_reference(f, p, tag=None):
