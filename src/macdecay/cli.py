@@ -415,6 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="task", required=True)
     for task, (_, flags) in _COMMANDS.items():
         command = sub.add_parser(task)
+        # main refuses a flag the command does not take with its usage
+        command.set_defaults(command_parser=command)
         command.add_argument("--config", help="JSON config file")
         command.add_argument("--out", help="output directory")
         for flag, text in flags.items():
@@ -423,8 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _load_config(args.config)
         # refuse up front an --out whose nearest existing path is no directory

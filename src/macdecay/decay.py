@@ -39,10 +39,11 @@ FIRST_USER = "FIRST_USER"
 ALL_USERS = "ALL_USERS"
 
 DEFAULT_BUDGET = 10**8
-SAMPLE_CHUNK = 32768
-DRAW_WORDS = 1 << 14  # fresh stream words one numpy pass of the draw parses
-DRAW_STRIDE = 16  # samples per step of the draw's Python walk, a power of 2
+# the one batch size of a numpy pass: boxes per rank chunk, lex rows per
+# grid slice, samples per sampled chunk, window pairs per expansion, and
+# fresh stream words per draw pass
 SUB_BATCH = 16384
+DRAW_STRIDE = 16  # samples per step of the draw's Python walk, a power of 2
 
 CSV_HEADER = "N,D_value,error_radius,mode,samples,argmin_coeffs,wall_time_ms"
 
@@ -207,18 +208,14 @@ def _rank_sweep(ctx: _SearchContext, coeffs: np.ndarray):
     """(zero, unfixed) over a (B, U, r) coefficient array, box i stacking
     coeffs[i, j] for every user j: whether box i's determinant is zero, and
     whether its numerator is not fixed by tau = sigma^U.  A box with a zero
-    user raises ValueError.  _exact_stage decides SUB_BATCH boxes at a
-    time, and picks each stage's integer width from its overflow audits;
-    the sweep never screens, so it computes no float block."""
+    user raises ValueError.  Its callers cut the boxes into chunks of at
+    most SUB_BATCH, and one _exact_stage decides a chunk, picking each
+    stage's integer width from its overflow audits; the sweep never
+    screens, so it computes no float block."""
     if not coeffs.any(axis=2).all():
         raise ValueError("rank criterion requires every user active")
-    zero, unfixed = [], []
-    for off in range(0, coeffs.shape[0], SUB_BATCH):
-        batch = coeffs[off : off + SUB_BATCH]
-        nums, _, fixed = _exact_stage(ctx, [batch[:, j] for j in range(batch.shape[1])])
-        zero.append(~nums.any(axis=1))
-        unfixed.append(~fixed)
-    return np.concatenate(zero), np.concatenate(unfixed)
+    nums, _, fixed = _exact_stage(ctx, list(coeffs.swapaxes(0, 1)))
+    return ~nums.any(axis=1), ~fixed
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +399,6 @@ def _pick_min(ctx: _SearchContext, nums, s, vec_arrays: list[np.ndarray]):
     return absq, num_fe, tuple(tuple(v[i].tolist()) for v in vec_arrays)
 
 
-def _screen_paired(factors, count: int):
-    """(lo^2, up^2) of codewords 0..count-1, codeword k pairing row k of
-    every user's factors, in pieces of at most SUB_BATCH codewords."""
-    for off in range(0, count, SUB_BATCH):
-        span = slice(off, min(off + SUB_BATCH, count))
-        d, s = _float_det(factors, [span] * len(factors))
-        ad = np.abs(d)
-        lo = np.maximum(ad - s, 0.0)
-        up = ad + s
-        yield lo * lo, up * up
-
-
 def _scan_chunk(vecs, factors) -> list[np.ndarray]:
     """The per-user coefficient rows of a chunk's screen candidates, in
     chunk order: every codeword whose lower bound reaches the chunk's least
@@ -422,7 +407,9 @@ def _scan_chunk(vecs, factors) -> list[np.ndarray]:
     codeword's, so it is always a candidate.
 
     Codeword k stacks row k of every user's coefficient array in vecs, and
-    factors are the float_factors of those rows (_screen_paired).
+    factors are the float_factors of those rows.  A chunk holds at most
+    SUB_BATCH codewords (its producers cut it so), and one _float_det
+    bounds them all.
 
     The float determinant is det_float_batch of the stacked float rows.
     Up to n = 4 it is a closed form, a signed sum of at most 24 products of
@@ -438,12 +425,11 @@ def _scan_chunk(vecs, factors) -> list[np.ndarray]:
     the golden code (n = 2) the determinant is m00 m11 - m01 m10 and the
     slack products are those of the concatenated form, so lo^2 and up^2
     are the same to the bit."""
-    lo2_parts = []
-    up2_min = np.inf
-    for lo2, up2 in _screen_paired(factors, vecs[0].shape[0]):
-        up2_min = min(up2_min, up2.min())
-        lo2_parts.append(lo2)
-    cands = np.nonzero(np.concatenate(lo2_parts) <= up2_min)[0]
+    d, s = _float_det(factors, [slice(None)] * len(factors))
+    ad = np.abs(d)
+    lo = np.maximum(ad - s, 0.0)
+    up = ad + s
+    cands = np.nonzero(lo * lo <= (up * up).min())[0]
     return [v[cands] for v in vecs]
 
 
@@ -617,16 +603,17 @@ def _sample_scan(ctx: _SearchContext, bounds, lengths, samples: int, seed: int):
     """(candidates, screened) of `samples` boxes drawn from `seed`
     (_sample_chunks), screened chunk by chunk (_screen_chunks): the
     candidates in sample order, and ``screened`` the number of samples.
-    Each chunk is drawn only after the previous one is scanned.
+    Each chunk of SUB_BATCH samples is drawn only after the previous one
+    is scanned.
 
     A user's float factors depend on its coefficient vector alone.  So a
-    user whose box [-N, N]^r has at most min(samples, SAMPLE_CHUNK) rows,
+    user whose box [-N, N]^r has at most min(samples, SUB_BATCH) rows,
     zero included, gets them once, for its whole box (factor_tables), and
     each chunk reads its rows from that table at their lex ranks (v + N)
     @ w, w the mixed-radix weights of base 2N + 1.  The table costs no
     more float work than one chunk's direct factors and is no larger.
     A larger box takes each chunk's rows directly (user_factors)."""
-    rows = min(samples, SAMPLE_CHUNK)
+    rows = min(samples, SUB_BATCH)
     small = [
         j for j, (N, r) in enumerate(zip(bounds, lengths)) if (2 * N + 1) ** r <= rows
     ]
@@ -714,92 +701,83 @@ def _vector_maps(words: np.ndarray, N: int, r: int):
     return np.concatenate(coefs), at, nxt
 
 
-def _draw_samples(rng: random.Random, bounds, lengths, count: int):
-    """Per-user (count, r) int64 arrays of coefficient vectors, every user
-    nonzero, drawn sample by sample and user by user.
+def _sample_chunks(seed: int, bounds, lengths, samples: int):
+    """`samples` boxes drawn from one random.Random(seed), in chunks of
+    SUB_BATCH (the last one shorter): per-user (count, r) int64 arrays of
+    coefficient vectors, every user nonzero, drawn sample by sample and
+    user by user.
 
     Each coefficient is what CPython's rng.randint(-N, N) returns: with
     k = (2N + 1).bit_length(), getrandbits(k) drawn again while it is
     >= 2N + 1, where getrandbits(k) reads ceil(k / 32) Mersenne Twister
     words, low word first, and keeps the top k bits of the last one.
-    The words are read whole, m at a time with one getrandbits(32 m), and
-    parsed in numpy, a piece of DRAW_WORDS fresh words at a time (or one
-    sample's fewest words, if more).  A piece reads only words the
-    remaining samples certainly consume (every coefficient reads at least
-    one attempt), and the unfinished sample's words carry over to the next
-    piece.  So this consumes the same words, leaves rng in the same state
-    and gives the same vectors as calling randint per coefficient.
+    The words are read whole and parsed in numpy, a pass at a time: each
+    pass reads SUB_BATCH fresh words with one getrandbits(32 SUB_BATCH)
+    after the words the last pass left, the unfinished sample's (and, at a
+    chunk's end, the next chunk's).  So this gives the same vectors as
+    calling randint per coefficient; the stream may be read past the last
+    sample, and nothing reads it afterwards.
 
-    In a piece, step maps each word to the word after a sample begun there
+    In a pass, step maps each word to the word after a sample begun there
     (every user's _vector_maps composed), and leap = step^DRAW_STRIDE, by
     repeated squaring.  Samples end strictly later than they begin, so
-    where leap[i] is inside the piece every sample of that stride is.  The
+    where leap[i] is inside the pass every sample of that stride is.  The
     walk in Python follows leap from word 0, one stride per step, and
     numpy fills in the starts between (step again); the samples after the
     last whole stride are walked one at a time."""
     if any(N >= 2**63 for N in bounds):
         raise ValueError("sampled coefficient bounds must be below 2**63")
-    users = list(zip(bounds, lengths))
-    least = sum(r * _attempt_words(N) for N, r in users)
-    piece = max(1, DRAW_WORDS // least)
-    out = [np.empty((count, r), dtype=np.int64) for r in lengths]
-    tail = np.empty(0, dtype=np.uint32)
-    done = 0
-    while done < count:
-        want = min(count - done, piece)
-        # a nonempty tail is one sample that needs more than its words
-        fresh = max(1, least - tail.shape[0]) + (want - 1) * least
-        words = np.concatenate([
-            tail,
-            np.frombuffer(
-                rng.getrandbits(32 * fresh).to_bytes(4 * fresh, "little"),
-                dtype="<u4",
-            ),
-        ])
-        L = words.shape[0]
-        parsed = {u: _vector_maps(words, *u) for u in set(users)}
-        maps = [parsed[u] for u in users]
-        step = maps[0][2]
-        for _, _, nxt in maps[1:]:
-            step = np.take(nxt, step)
-        leap = step
-        for _ in range(DRAW_STRIDE.bit_length() - 1):
-            leap = np.take(leap, leap)
-        # the one pass in Python: every DRAW_STRIDE-th sample start, each
-        # from the last, then the samples after the last whole stride
-        leap, one = memoryview(leap), memoryview(step)
-        i = got = 0
-        heads, rest = [], []
-        while got + DRAW_STRIDE <= want and leap[i] <= L:
-            heads.append(i)
-            i = leap[i]
-            got += DRAW_STRIDE
-        while got < want and one[i] <= L:
-            rest.append(i)
-            i = one[i]
-            got += 1
-        starts = np.empty((DRAW_STRIDE, len(heads)), dtype=np.int64)
-        starts[0] = heads
-        for t in range(1, DRAW_STRIDE):
-            np.take(step, starts[t - 1], out=starts[t])
-        a = np.concatenate([starts.T.ravel(), np.array(rest, dtype=np.int64)])
-        # a piece that completes no sample may hold fewer than r coefficients
-        if got:
-            for o, (coef, at, nxt) in zip(out, maps):
-                windows = sliding_window_view(coef, o.shape[1])
-                o[done : done + got] = windows[np.take(at, a)]
-                a = np.take(nxt, a)
-        done += got
-        tail = words[i:]
-    return out
-
-
-def _sample_chunks(seed: int, bounds, lengths, samples: int):
-    """SAMPLE_CHUNK-sized draws from one random.Random(seed), in order."""
     rng = random.Random(seed)
-    for start in range(0, samples, SAMPLE_CHUNK):
-        count = min(SAMPLE_CHUNK, samples - start)
-        yield _draw_samples(rng, bounds, lengths, count)
+    users = list(zip(bounds, lengths))
+    tail = np.empty(0, dtype=np.uint32)
+    for start in range(0, samples, SUB_BATCH):
+        count = min(SUB_BATCH, samples - start)
+        out = [np.empty((count, r), dtype=np.int64) for r in lengths]
+        done = 0
+        while done < count:
+            first = done
+            words = np.concatenate([
+                tail,
+                np.frombuffer(
+                    rng.getrandbits(32 * SUB_BATCH).to_bytes(4 * SUB_BATCH, "little"),
+                    dtype="<u4",
+                ),
+            ])
+            L = words.shape[0]
+            parsed = {u: _vector_maps(words, *u) for u in set(users)}
+            maps = [parsed[u] for u in users]
+            step = maps[0][2]
+            for _, _, nxt in maps[1:]:
+                step = np.take(nxt, step)
+            leap = step
+            for _ in range(DRAW_STRIDE.bit_length() - 1):
+                leap = np.take(leap, leap)
+            # the one walk in Python: every DRAW_STRIDE-th sample start, each
+            # from the last, then the samples after the last whole stride
+            leap, one = memoryview(leap), memoryview(step)
+            i = 0
+            heads, rest = [], []
+            while done + DRAW_STRIDE <= count and leap[i] <= L:
+                heads.append(i)
+                i = leap[i]
+                done += DRAW_STRIDE
+            while done < count and one[i] <= L:
+                rest.append(i)
+                i = one[i]
+                done += 1
+            starts = np.empty((DRAW_STRIDE, len(heads)), dtype=np.int64)
+            starts[0] = heads
+            for t in range(1, DRAW_STRIDE):
+                np.take(step, starts[t - 1], out=starts[t])
+            a = np.concatenate([starts.T.ravel(), np.array(rest, dtype=np.int64)])
+            # a pass that completes no sample may hold fewer than r coefficients
+            if done > first:
+                for o, (coef, at, nxt) in zip(out, maps):
+                    windows = sliding_window_view(coef, o.shape[1])
+                    o[first:done] = windows[np.take(at, a)]
+                    a = np.take(nxt, a)
+            tail = words[i:]
+        yield out
 
 
 def min_abs_det(

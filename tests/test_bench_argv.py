@@ -5,23 +5,13 @@ its own, so a flag the decay command stops taking breaks only the
 benchmark run.  This check catches that in the unit suite; it loads the
 workloads module read-only and runs no scan."""
 
-import importlib.util
-from pathlib import Path
-
 from macdecay import cli
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from util import bench_workloads
 
 
 def test_sampled_cli_argv_parses(tmp_path, monkeypatch):
-    workloads = _workloads()
+    workloads = bench_workloads()
     argvs = []
 
     def recorded(argv):

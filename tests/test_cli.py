@@ -723,4 +723,8 @@ def test_command_takes_only_the_flags_it_reads(task, capsys):
         captured = capsys.readouterr()
         assert exc.value.code == 2
         assert captured.out == ""
-        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        # the command's own usage, not the top-level list of commands
+        assert captured.err.startswith(f"usage: macdecay {task} [-h] [--config CONFIG]")
+        assert captured.err.endswith(
+            f"\nmacdecay {task}: error: unrecognized arguments: {flag} {value}\n"
+        )

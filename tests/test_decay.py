@@ -757,8 +757,10 @@ def screened_chunk(vecs, factors):
     row k of every user's vecs, whose float_factors are `factors`; checks
     that the chunk's candidates (_scan_chunk) are the codewords with lo^2
     at most the least up^2."""
-    pieces = decay._screen_paired(factors, vecs[0].shape[0])
-    lo2, up2 = map(np.concatenate, zip(*pieces))
+    d, s = decay._float_det(factors, [slice(None)] * len(factors))
+    ad = np.abs(d)
+    lo, up = np.maximum(ad - s, 0.0), ad + s
+    lo2, up2 = lo * lo, up * up
     keep = lo2 <= up2.min()
     cands = decay._scan_chunk(vecs, factors)
     assert all(np.array_equal(c, v[keep]) for c, v in zip(cands, vecs, strict=True))
@@ -832,15 +834,9 @@ class TestFactoredScreen:
         assert lo2.shape[0] == grid.shape[0] - 2
         assert_screen_brackets_exact(spec, lo2, up2, vecs)
 
-    @pytest.mark.parametrize("sub_batch", [7, 50, decay.SUB_BATCH])
-    def test_golden_sampled_matches_concatenated_form(
-        self, golden_spec, monkeypatch, sub_batch
-    ):
-        # pieces of a few codewords each and the default: the same lo^2
-        # and up^2 to the bit
-        monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
-        rng = random.Random(181)
-        vecs = decay._draw_samples(rng, (4, 4), (4, 4), 3000)
+    def test_golden_sampled_matches_concatenated_form(self, golden_spec):
+        # the same lo^2 and up^2 to the bit
+        vecs = next(decay._sample_chunks(181, (4, 4), (4, 4), 3000))
         ctx = decay._SearchContext(golden_spec)
         lo2, up2 = screened_chunk(vecs, ctx.float_factors(vecs))
         floats = [ut.blocks_float(v) for ut, v in zip(ctx.uts, vecs)]
@@ -1215,6 +1211,25 @@ def same_report(a, b):
         assert getattr(a, field) == getattr(b, field), field
 
 
+def assert_draws_match_reference(seed, bounds, lengths, counts):
+    """For each count, the chunks of _sample_chunks, joined, are the first
+    `count` samples of the randint reference's vectors, in chunks of
+    SUB_BATCH samples; the reference is drawn once, for the largest."""
+    want = draw_samples_reference(random.Random(seed), bounds, lengths, max(counts))
+    assert len(want) == len(bounds)
+    batch = decay.SUB_BATCH
+    for count in counts:
+        chunks = list(decay._sample_chunks(seed, bounds, lengths, count))
+        assert [c[0].shape[0] for c in chunks] == [
+            min(batch, count - start) for start in range(0, count, batch)
+        ]
+        for j, vecs in enumerate(want):
+            assert all(c[j].dtype == np.int64 for c in chunks)
+            got = np.concatenate([c[j] for c in chunks])
+            assert got.shape == (count, lengths[j])
+            assert got.tolist() == vecs[:count]
+
+
 class TestSampledStream:
     @pytest.mark.parametrize(
         "spec_name,bounds",
@@ -1236,73 +1251,63 @@ class TestSampledStream:
     def test_draw_matches_randint_reference(self, spec_name, bounds, request):
         spec = request.getfixturevalue(spec_name)
         lengths = [spec.r_per_user] * spec.U
-        # samples per parsed piece: DRAW_WORDS over the fewest words a
-        # sample can read
-        least = sum(decay._attempt_words(N) for N in bounds) * spec.r_per_user
-        piece = decay.DRAW_WORDS // least
-        cases = [(seed, count) for seed in (0, 11, -7, 2**63) for count in (1, 7, 500)]
-        cases += [(5, piece - 1), (5, piece), (5, piece + 1), (5, decay.SAMPLE_CHUNK)]
+        cases = [(seed, (1, 7, 500)) for seed in (0, 11, -7, 2**63)]
+        # counts that end a chunk, or cross its end by one sample
+        batch = decay.SUB_BATCH
+        cases += [(5, (batch - 1, batch, batch + 1))]
         # the walk steps DRAW_STRIDE samples at a time, and the last stride
-        # of a count past one piece runs into the next
+        # of a count past one chunk runs into the next
         stride = decay.DRAW_STRIDE
-        cases += [(1, stride - 1), (1, stride), (1, stride + 1)]
-        cases += [(1, piece + stride // 2)]
-        for seed, count in cases:
-            rng, ref_rng = random.Random(seed), random.Random(seed)
-            got = decay._draw_samples(rng, bounds, lengths, count)
-            want = draw_samples_reference(ref_rng, bounds, lengths, count)
-            assert len(got) == spec.U
-            for arr, vecs in zip(got, want):
-                assert arr.dtype == np.int64
-                assert arr.shape == (count, spec.r_per_user)
-                assert arr.tolist() == vecs
-            # the same Mersenne Twister words were consumed
-            assert rng.getstate() == ref_rng.getstate()
+        cases += [(1, (stride - 1, stride, stride + 1, batch + stride // 2))]
+        for seed, counts in cases:
+            assert_draws_match_reference(seed, bounds, lengths, counts)
+
+    @pytest.mark.parametrize("sub_batch", [7, 50])
+    @pytest.mark.parametrize("bounds", [(1, 1), (3, 1), (2**31, 4)])
+    def test_short_passes_carry_their_tail(self, bounds, sub_batch, monkeypatch):
+        # at 7 a pass is shorter than one golden sample (8 words or more),
+        # so its words carry over until a sample completes; at 50 chunk
+        # ends fall mid-pass, and the words after one carry to the next
+        monkeypatch.setattr(decay, "SUB_BATCH", sub_batch)
+        counts = (1, sub_batch - 1, sub_batch, sub_batch + 1, 3 * sub_batch + 2, 400)
+        assert_draws_match_reference(3, bounds, [4, 4], counts)
 
     def test_draw_refuses_bounds_beyond_int64(self):
-        rng = random.Random(1)
-        state = rng.getstate()
         with pytest.raises(ValueError, match="below 2\\*\\*63"):
-            decay._draw_samples(rng, (2**63, 1), [4, 4], 10)
-        assert rng.getstate() == state
+            next(decay._sample_chunks(1, (2**63, 1), [4, 4], 10))
 
     def test_draw_memory_is_bounded(self):
-        # the output is 2 MiB and a piece's temporaries a few more; parsing
+        # the chunk is 1 MiB and a pass's temporaries a few more; parsing
         # a whole 32,768-sample chunk at once allocated about 40 MB
         tracemalloc.start()
         try:
-            decay._draw_samples(random.Random(7), (3, 1), [4, 4], decay.SAMPLE_CHUNK)
+            next(decay._sample_chunks(7, (3, 1), [4, 4], decay.SUB_BATCH))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
     def test_chunks_concatenate_to_one_draw(self):
-        bounds, lengths = (2, 1), [4, 4]
-        samples = decay.SAMPLE_CHUNK + 5
-        chunks = list(decay._sample_chunks(3, bounds, lengths, samples))
-        assert [c[0].shape[0] for c in chunks] == [decay.SAMPLE_CHUNK, 5]
-        want = draw_samples_reference(random.Random(3), bounds, lengths, samples)
-        for j in range(2):
-            assert np.concatenate([c[j] for c in chunks]).tolist() == want[j]
+        assert_draws_match_reference(3, (2, 1), [4, 4], [decay.SUB_BATCH + 5])
 
     def test_single_worker_scans_each_chunk_before_the_next_draw(
         self, golden_spec, monkeypatch
     ):
         want = min_abs_det(golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11)
         events = []
-        draw, scan = decay._draw_samples, decay._scan_chunk
+        draw, scan = decay._sample_chunks, decay._scan_chunk
 
         def logged_draw(*args):
-            events.append("draw")
-            return draw(*args)
+            for chunk in draw(*args):
+                events.append("draw")
+                yield chunk
 
         def logged_scan(*args):
             events.append("scan")
             return scan(*args)
 
-        monkeypatch.setattr(decay, "SAMPLE_CHUNK", 50)
-        monkeypatch.setattr(decay, "_draw_samples", logged_draw)
+        monkeypatch.setattr(decay, "SUB_BATCH", 50)
+        monkeypatch.setattr(decay, "_sample_chunks", logged_draw)
         monkeypatch.setattr(decay, "_scan_chunk", logged_scan)
         got = min_abs_det(
             golden_spec, (2, 2), mode=SAMPLED, samples=400, seed=11, workers=1
@@ -1330,7 +1335,7 @@ class TestSampledStream:
         spec = request.getfixturevalue(spec_name)
         ctx = decay._SearchContext(spec)
         lengths = [spec.r_per_user] * spec.U
-        vecs = decay._draw_samples(random.Random(29), bounds, lengths, rows)
+        vecs = next(decay._sample_chunks(29, bounds, lengths, rows))
         keys = list(enumerate(bounds))
         for (j, N), table, v in zip(keys, ctx.factor_tables(keys), vecs):
             assert table[0].shape[0] == (2 * N + 1) ** spec.r_per_user
@@ -1363,7 +1368,7 @@ class TestSampledStream:
         assert built == {0: [3**4, 5**4, 7**4], 1: [3**4]}
 
     def test_small_chunks_take_the_direct_path(self, golden_spec, monkeypatch):
-        # with SAMPLE_CHUNK = 50 no 81-row box fits a chunk: each chunk's
+        # with SUB_BATCH = 50 no 81-row box fits a chunk: each chunk's
         # factors are computed directly, and the report is the tables' one
         want = min_abs_det(golden_spec, (1, 1), mode=SAMPLED, samples=400, seed=11)
         rows = []
@@ -1374,7 +1379,7 @@ class TestSampledStream:
             return blocks_float(ut, vecs)
 
         monkeypatch.setattr(UserTensors, "blocks_float", counted)
-        monkeypatch.setattr(decay, "SAMPLE_CHUNK", 50)
+        monkeypatch.setattr(decay, "SUB_BATCH", 50)
         got = min_abs_det(golden_spec, (1, 1), mode=SAMPLED, samples=400, seed=11)
         assert rows == [50] * 16
         same_report(got, want)
@@ -1405,9 +1410,9 @@ class TestSampledStream:
 
         monkeypatch.setattr(decay, "_exact_stage", recorded_stage)
         monkeypatch.setattr(decay, "abs_sq_of_det", counted_abs_sq)
-        # one chunk, then SAMPLE_CHUNK = 50: 8 and 40 chunks
-        for chunk in (decay.SAMPLE_CHUNK, 50):
-            monkeypatch.setattr(decay, "SAMPLE_CHUNK", chunk)
+        # one chunk, then SUB_BATCH = 50: 8 and 40 chunks
+        for chunk in (decay.SUB_BATCH, 50):
+            monkeypatch.setattr(decay, "SUB_BATCH", chunk)
             for log in (candidates, distinct, calls):
                 log.clear()
             rep = min_abs_det(

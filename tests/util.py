@@ -1,7 +1,9 @@
 """Shared helpers for the test suite: deterministic random elements and
 coefficient boxes over a tower's integral basis."""
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -15,6 +17,16 @@ from macdecay.kernels import (
     exponent_matrix,
 )
 from macdecay.quadratic import units
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded read-only as a module of its own."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def elem_from_gamma(tower, vec):
